@@ -70,7 +70,6 @@ from .speclang import (
 from .traces import (
     BOOL,
     Assertion,
-    History,
     Horizon,
     Port,
     Run,

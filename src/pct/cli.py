@@ -153,6 +153,8 @@ def cmd_refine(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seeds < 1:
+        raise PctError(f"--seeds must be at least 1, got {args.seeds}")
     budget = oracle.Budget.parse(args.budget) if args.budget else oracle.Budget()
     suites = [args.suite] if args.suite else list(oracle.SUITES)
     results = {name: oracle.run_suite(name, range(args.seeds), budget)

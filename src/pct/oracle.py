@@ -20,8 +20,9 @@ from typing import Iterable
 
 import numpy as np
 
-from . import contracts, kernels, probabilistic, traces
+from . import contracts, probabilistic, traces
 from .contracts import Contract
+from .errors import PctError
 from .probabilistic import Distribution, ProbContract
 from .traces import Assertion, Port, Run, Signature
 
@@ -184,6 +185,11 @@ class Budget:
     max_domain: int = 3
     max_space: int = 4096     # run-space cap for any signature in an instance
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int or value < 1:
+                raise PctError(f"budget {name} must be a positive integer, got {value!r}")
+
     @classmethod
     def parse(cls, text: str) -> "Budget":
         """Parse 'ports=3,h=2,dom=2,space=1024' (all keys optional)."""
@@ -194,8 +200,11 @@ class Budget:
             for part in text.split(","):
                 k, _, v = part.partition("=")
                 if k.strip() not in keys:
-                    raise ValueError(f"unknown budget key {k.strip()!r}")
-                kwargs[keys[k.strip()]] = int(v)
+                    raise PctError(f"unknown budget key {k.strip()!r}")
+                try:
+                    kwargs[keys[k.strip()]] = int(v)
+                except ValueError:
+                    raise PctError(f"budget {k.strip()} must be an integer, got {v!r}") from None
         return cls(**kwargs)
 
 
@@ -215,16 +224,15 @@ def _rand_mask(rng: random.Random, size: int, keep: float) -> np.ndarray:
 
 def _receptive(mask: np.ndarray, sig: Signature, h: int, pports) -> np.ndarray:
     """Ensure every probabilistic history has at least one run in the mask."""
-    psig = Signature.of(uncontrolled=tuple(sig.port(n) for n in sorted(pports)))
-    omega = traces.space_of(psig, h)
-    rmap = traces._restrict_map(traces.space_of(sig, h), omega)
-    covered = kernels.group_any(rmap, mask, omega.size)
+    space = traces.space_of(sig, h)
+    omega = traces.space_of(sig.restricted(pports), h)
+    covered = traces._reduce(np.logical_or, mask, space, omega)
     if covered.all():
         return mask
-    _, first = np.unique(rmap, return_index=True)
-    out = mask.copy()
-    out[first[~covered]] = True
-    return out
+    # in each uncovered fiber, add the run whose other digits are all 0
+    others = traces.space_of(sig.restricted(set(sig.names) - set(pports)), h)
+    first = traces._spread(np.arange(others.size) == 0, others, space)
+    return mask | (first & traces._spread(~covered, omega, space)).reshape(-1)
 
 
 def _rand_dist(rng: random.Random, ports, h: int) -> Distribution:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import contracts, kernels, traces
+from . import contracts, traces
 from .contracts import Contract
 from .errors import (
     DistributionError,
@@ -130,6 +130,10 @@ def from_table(ports: Iterable[Port], h, table: Mapping[Run, Fraction]) -> Distr
     return Distribution(ports, hh, tuple(weights))
 
 
+def _weight_array(d: Distribution) -> np.ndarray:
+    return np.array(d.weights, dtype=object)
+
+
 def product_dist(d1: Distribution, d2: Distribution) -> Distribution:
     """Independent product over disjoint port sets."""
     if d1.horizon != d2.horizon:
@@ -138,12 +142,12 @@ def product_dist(d1: Distribution, d2: Distribution) -> Distribution:
         raise ProbPortOverlapError(
             f"distributions overlap on ports {sorted(d1.names & d2.names)}")
     ports = tuple(sorted(d1.ports + d2.ports, key=lambda p: p.name))
-    sig = _dist_sig(ports)
-    space = traces.space_of(sig, d1.horizon)
-    r1 = traces._restrict_map(space, traces.space_of(d1.signature, d1.horizon))
-    r2 = traces._restrict_map(space, traces.space_of(d2.signature, d2.horizon))
-    weights = tuple(d1.weights[r1[i]] * d2.weights[r2[i]] for i in range(space.size))
-    return Distribution(ports, d1.horizon, weights)
+    space = traces.space_of(_dist_sig(ports), d1.horizon)
+    w1 = traces._spread(_weight_array(d1), traces.space_of(d1.signature, d1.horizon), space)
+    w2 = traces._spread(_weight_array(d2), traces.space_of(d2.signature, d2.horizon), space)
+    # a product of two 0-d object arrays is a bare Fraction, hence asarray
+    weights = np.asarray(w1 * w2, dtype=object).reshape(-1)
+    return Distribution(ports, d1.horizon, tuple(weights))
 
 
 def marginal(d: Distribution, names: Iterable[str]) -> Distribution:
@@ -152,13 +156,9 @@ def marginal(d: Distribution, names: Iterable[str]) -> Distribution:
     if not keep <= d.names:
         raise DistributionError(f"ports {sorted(keep - d.names)} not in distribution")
     ports = tuple(p for p in d.ports if p.name in keep)
-    sub_sig = _dist_sig(ports)
-    sub = traces.space_of(sub_sig, d.horizon)
-    rmap = traces._restrict_map(traces.space_of(d.signature, d.horizon), sub)
-    weights = [ZERO] * sub.size
-    for i, w in enumerate(d.weights):
-        if w:
-            weights[rmap[i]] += w
+    sub = traces.space_of(_dist_sig(ports), d.horizon)
+    weights = traces._reduce(np.add, _weight_array(d),
+                             traces.space_of(d.signature, d.horizon), sub)
     return Distribution(ports, d.horizon, tuple(weights))
 
 
@@ -170,11 +170,10 @@ def renamed_dist(d: Distribution, old: str, new: str) -> Distribution:
         raise DistributionError(f"port name {new!r} already taken")
     ports = tuple(sorted((p.renamed(new) if p.name == old else p for p in d.ports),
                          key=lambda p: p.name))
-    new_sig = _dist_sig(ports)
-    new_space = traces.space_of(new_sig, d.horizon)
-    back = traces._restrict_map(new_space, traces.space_of(d.signature, d.horizon),
-                                name_map={old: new})
-    return Distribution(ports, d.horizon, tuple(d.weights[back[i]] for i in range(new_space.size)))
+    new_space = traces.space_of(_dist_sig(ports), d.horizon)
+    weights = traces._spread(_weight_array(d), traces.space_of(d.signature, d.horizon),
+                             new_space, {old: new}).reshape(-1)
+    return Distribution(ports, d.horizon, tuple(weights))
 
 
 # --- probabilistic contracts --------------------------------------------------
@@ -254,9 +253,7 @@ def _good_history_mask(target: Assertion, pc: ProbContract) -> np.ndarray:
     run extending it lies in ``target`` (already lifted to the base signature)."""
     omega_space = traces.space_of(pc.dist.signature, pc.horizon)
     big = traces.space_of(pc.base.signature, pc.horizon)
-    rmap = traces._restrict_map(big, omega_space)
-    bad = kernels.group_any(rmap, ~target.mask, omega_space.size)
-    return ~bad
+    return ~traces._reduce(np.logical_or, ~target.mask, big, omega_space)
 
 
 def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
@@ -287,9 +284,8 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
     mm = traces.lift(m, sig_c)
     big = traces.space_of(sig_c, pc.horizon)
     omega_space = traces.space_of(pc.dist.signature, pc.horizon)
-    rmap = traces._restrict_map(big, omega_space)
     viol = mm.mask & ~pc.base.guarantee.mask
-    bad = kernels.group_any(rmap, viol, omega_space.size)
+    bad = traces._reduce(np.logical_or, viol, big, omega_space)
 
     level = ZERO
     witness = None

@@ -16,6 +16,7 @@ docs/grammar.ebnf; parsing and printing are pure and round-trip:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -782,11 +783,13 @@ def _resolve_cmp(e: Cmp, doc: Document) -> None:
 # --- denotation ---------------------------------------------------------------
 
 class _Denoter:
+    """Evaluates expressions at one step as boolean arrays on the axis view
+    of ``traces.slot_values``, or numpy scalars where no port is read."""
+
     def __init__(self, sig: Signature, h: int, defs: dict):
         self.sig = sig
         self.h = h
         self.defs = defs or {}
-        self.size = traces.space_of(sig, h).size
         self._memo = {}
 
     def port(self, name, loc) -> Port:
@@ -800,12 +803,9 @@ class _Denoter:
     def digits(self, name, t) -> np.ndarray:
         return traces.slot_values(self.sig, self.h, name, t)
 
-    def full(self, value: bool) -> np.ndarray:
-        return np.full(self.size, value, dtype=bool)
-
     def eval(self, e: Expr, t: int) -> np.ndarray:
         if isinstance(e, Lit):
-            return self.full(e.value)
+            return np.bool_(e.value)
         if isinstance(e, NameRef):
             if e.name in self.defs:
                 return self.eval(self.defs[e.name], t)
@@ -827,11 +827,11 @@ class _Denoter:
             if key not in self._memo:
                 steps = [self.eval(e.body, u) for u in range(self.h)]
                 if e.op == "always":
-                    out = np.logical_and.reduce(steps)
+                    out = functools.reduce(np.logical_and, steps)
                 elif e.op == "never":
-                    out = ~np.logical_or.reduce(steps)
+                    out = ~functools.reduce(np.logical_or, steps)
                 else:
-                    out = np.logical_or.reduce(steps)
+                    out = functools.reduce(np.logical_or, steps)
                 self._memo[key] = out
             return self._memo[key]
         if isinstance(e, At):
@@ -850,8 +850,7 @@ class _Denoter:
                 raise SemanticError(
                     f"init value {op.init!r} not in domain of port {op.name!r}", *op.loc)
             if t == 0:
-                return p.domain, np.full(self.size, traces.domain_index(p.domain, op.init),
-                                         dtype=np.int64)
+                return p.domain, np.int64(traces.domain_index(p.domain, op.init))
             return p.domain, self.digits(op.name, t - 1)
         if isinstance(op, PortOperand):
             try:
@@ -882,10 +881,7 @@ def denote(e: Expr, sig: Signature, h, defs: dict = None) -> Assertion:
     """The runs over ``sig`` satisfying ``e`` at every step."""
     hh = traces._hlen(h)
     den = _Denoter(sig, hh, defs)
-    mask = np.ones(den.size, dtype=bool)
-    for t in range(hh):
-        mask &= den.eval(e, t)
-    return Assertion(sig, hh, mask)
+    return traces.from_step_predicate(sig, hh, lambda t, _values_of: den.eval(e, t))
 
 
 # --- building core objects ------------------------------------------------------

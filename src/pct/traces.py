@@ -13,6 +13,12 @@ ports in lexicographic name order, steps ascending within a port, digit
 least significant digit.  This index is the normative serialization of
 run sets (see docs/format.md) and everything here round-trips through it
 bit-exactly.
+
+Computation works on a free view of that vector instead: reshaped in C
+order to one axis per slot, slot k becomes axis n-1-k.  Lifting is then a
+broadcast, projection an ``any`` over the dropped axes and renaming a
+transpose.  Only this module knows that layout; ``_spread`` and
+``_reduce`` carry vectors of any dtype between spaces for the others.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     CapacityError,
     DomainMismatchError,
@@ -112,22 +117,6 @@ def _hlen(h) -> int:
     if isinstance(h, Horizon):
         return h.length
     return Horizon(h).length
-
-
-@dataclass(frozen=True)
-class History:
-    """The value sequence of a single port over the horizon."""
-
-    port: Port
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
-        for v in vals:
-            domain_index(self.port.domain, v)
-        if len(vals) < 1:
-            raise PctError("history must cover at least one step")
 
 
 @dataclass(frozen=True)
@@ -249,13 +238,8 @@ def _check_shared_roles(s1: Signature, s2: Signature) -> None:
 
 def union_signature(s1: Signature, s2: Signature) -> Signature:
     """Union requiring shared ports to agree on domain and role."""
-    _check_shared_domains(s1, s2)
     _check_shared_roles(s1, s2)
-    ports = {p.name: p for p in s1.ports}
-    ports.update({p.name: p for p in s2.ports})
-    c = s1.controlled | s2.controlled
-    return Signature(tuple(sorted(ports.values(), key=lambda p: p.name)),
-                     frozenset(c), frozenset(ports) - c)
+    return merge_signature_controlled(s1, s2)
 
 
 def merge_signature_controlled(s1: Signature, s2: Signature) -> Signature:
@@ -288,33 +272,31 @@ def is_subsignature(s1: Signature, s2: Signature) -> bool:
 
 @dataclass(frozen=True)
 class _Space:
+    """A run space: its slots' radices and strides, and the axis view.
+
+    ``shape`` and ``axes`` describe the view of a run-indexed vector
+    reshaped in C order: one axis per slot, the last slot first, so slot
+    k is axis n-1-k.  ``axes`` names the (port, step) of each axis.  Slots
+    of one-value ports (digit always 0) get no axis.
+    """
+
     ports: tuple          # name-sorted
     horizon: int
     radices: tuple        # one per slot, port-major then step
     strides: tuple
     size: int
-
-    def slot(self, name: str, step: int) -> int:
-        for i, p in enumerate(self.ports):
-            if p.name == name:
-                return i * self.horizon + step
-        raise SignatureError(f"no port named {name!r}")
-
-    def np_strides(self) -> np.ndarray:
-        return np.asarray(self.strides, dtype=np.int64)
+    axes: tuple
+    shape: tuple
 
 
 @lru_cache(maxsize=512)
 def _space(ports: tuple, horizon: int) -> _Space:
-    radices = []
-    for p in ports:
-        radices.extend([len(p.domain)] * horizon)
-    size = 1
-    strides = []
-    for r in radices:
-        strides.append(size)
-        size *= r
-    return _Space(ports, horizon, tuple(radices), tuple(strides), size)
+    slots = [(p.name, t) for p in ports for t in range(horizon)]
+    radices = [len(p.domain) for p in ports for _ in range(horizon)]
+    strides = [math.prod(radices[:k]) for k in range(len(radices))]
+    view = [(slot, r) for slot, r in zip(reversed(slots), reversed(radices)) if r > 1]
+    return _Space(ports, horizon, tuple(radices), tuple(strides), math.prod(radices),
+                  tuple(slot for slot, _ in view), tuple(r for _, r in view))
 
 
 def space_of(sig: Signature, h) -> _Space:
@@ -325,35 +307,33 @@ def space_of(sig: Signature, h) -> _Space:
     return space
 
 
-@lru_cache(maxsize=256)
-def _restrict_map_cached(src_ports: tuple, dst_ports: tuple, horizon: int,
-                         pairing: tuple) -> np.ndarray:
-    src = _space(src_ports, horizon)
-    dst = _space(dst_ports, horizon)
-    src_strides, src_radices, dst_strides = [], [], []
-    for dst_slot, src_slot in pairing:
-        src_strides.append(src.strides[src_slot])
-        src_radices.append(src.radices[src_slot])
-        dst_strides.append(dst.strides[dst_slot])
-    out = kernels.mixed_radix_map(src.size, src_strides, src_radices, dst_strides)
-    out.setflags(write=False)
-    return out
+def _spread(values: np.ndarray, src: _Space, dst: _Space, name_map=None) -> np.ndarray:
+    """A vector over ``src`` as a view on ``dst``'s axes, ready to broadcast.
 
-
-def _restrict_map(src: _Space, dst: _Space, name_map=None) -> np.ndarray:
-    """src index -> dst index keeping only dst's slots.
-
-    ``name_map`` maps a dst port name to the src port name carrying its
-    digits (defaults to the identity), which also covers renamings.
+    Each slot of ``src`` must be a slot of ``dst`` once its port is renamed
+    through ``name_map``.  The axes are put in ``dst``'s order and every
+    slot ``src`` lacks gets a size-1 axis.
     """
-    pairing = []
-    h = dst.horizon
-    for j, p in enumerate(dst.ports):
-        src_name = name_map.get(p.name, p.name) if name_map else p.name
-        base = src.slot(src_name, 0)
-        for t in range(h):
-            pairing.append((j * h + t, base + t))
-    return _restrict_map_cached(src.ports, dst.ports, h, tuple(pairing))
+    name_map = name_map or {}
+    pos = {slot: a for a, slot in enumerate(dst.axes)}
+    at = [pos[(name_map.get(name, name), t)] for name, t in src.axes]
+    shape = [1] * len(dst.axes)
+    for a, r in zip(at, src.shape):
+        shape[a] = r
+    order = sorted(range(len(at)), key=at.__getitem__)
+    return values.reshape(src.shape).transpose(order).reshape(shape)
+
+
+def _reduce(ufunc: np.ufunc, values: np.ndarray, src: _Space, dst: _Space) -> np.ndarray:
+    """Reduce a vector over ``src`` along the slots ``dst`` lacks.
+
+    ``dst``'s slots must be slots of ``src``; the result is indexed over ``dst``.
+    """
+    keep = set(dst.axes)
+    rest = tuple(a for a, slot in enumerate(src.axes) if slot not in keep)
+    out = ufunc.reduce(values.reshape(src.shape), axis=rest, keepdims=True)
+    # reducing a 0-d object array gives a bare element, hence asarray
+    return np.asarray(out, dtype=values.dtype).reshape(-1)
 
 
 # --- assertions ---------------------------------------------------------------
@@ -460,17 +440,6 @@ def from_runs(sig: Signature, h, rs: Iterable[Run]) -> Assertion:
     return _make(sig, hh, mask)
 
 
-def from_indices(sig: Signature, h, indices: Iterable[int]) -> Assertion:
-    hh = _hlen(h)
-    space = space_of(sig, hh)
-    mask = np.zeros(space.size, dtype=bool)
-    idx = np.fromiter(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= space.size):
-        raise PctError("run index out of range")
-    mask[idx] = True
-    return _make(sig, hh, mask)
-
-
 def runs(e: Assertion) -> Iterator[Run]:
     for i in np.nonzero(e.mask)[0]:
         yield run_at(e.signature, e.horizon, int(i))
@@ -489,8 +458,8 @@ def lift(e: Assertion, sig2: Signature) -> Assertion:
     if sig2 == e.signature:
         return e
     big = space_of(sig2, e.horizon)
-    rmap = _restrict_map(big, e.space)
-    return _make(sig2, e.horizon, e.mask[rmap])
+    view = _spread(e.mask, e.space, big)
+    return _make(sig2, e.horizon, np.broadcast_to(view, big.shape).reshape(-1))
 
 
 def project(e: Assertion, sig2: Signature) -> Assertion:
@@ -500,8 +469,7 @@ def project(e: Assertion, sig2: Signature) -> Assertion:
     if sig2 == e.signature:
         return e
     small = space_of(sig2, e.horizon)
-    rmap = _restrict_map(e.space, small)
-    return _make(sig2, e.horizon, kernels.group_any(rmap, e.mask, small.size))
+    return _make(sig2, e.horizon, _reduce(np.logical_or, e.mask, e.space, small))
 
 
 def complement(e: Assertion) -> Assertion:
@@ -520,10 +488,6 @@ def product(e1: Assertion, e2: Assertion) -> Assertion:
     m1 = lift(e1, sig)
     m2 = lift(e2, sig)
     return _make(sig, e1.horizon, m1.mask & m2.mask)
-
-
-def intersect(e1: Assertion, e2: Assertion) -> Assertion:
-    return product(e1, e2)
 
 
 def union(e1: Assertion, e2: Assertion) -> Assertion:
@@ -553,32 +517,37 @@ def renamed(e: Assertion, old: str, new: str) -> Assertion:
     """Rename a port; the run set is carried across (index order may change)."""
     sig2 = e.signature.renamed(old, new)
     dst = space_of(sig2, e.horizon)
-    # for each index of the renamed space, the index it came from
-    back = _restrict_map(dst, e.space, name_map={old: new})
-    return _make(sig2, e.horizon, e.mask[back])
+    return _make(sig2, e.horizon, _spread(e.mask, e.space, dst, {old: new}).reshape(-1))
 
 
 def slot_values(sig: Signature, h, name: str, step: int) -> np.ndarray:
-    """Domain-position digit of (port, step) for every run index (read-only)."""
+    """Domain-position digit of (port, step) at every run, on the axis view.
+
+    The result has shape (1, ..., r, ..., 1): it broadcasts against the
+    view of any vector over the run space.  Read-only.
+    """
     hh = _hlen(h)
     space = space_of(sig, hh)
-    slot = space.slot(name, step)
-    out = kernels.mixed_radix_map(space.size, [space.strides[slot]],
-                                  [space.radices[slot]], [1])
+    sig.port(name)
+    if not 0 <= step < hh:
+        raise PctError(f"step {step} outside horizon 0..{hh - 1}")
+    shape = tuple(r if slot == (name, step) else 1 for slot, r in zip(space.axes, space.shape))
+    out = np.arange(math.prod(shape)).reshape(shape)
     out.setflags(write=False)
     return out
 
 
 def from_step_predicate(sig: Signature, h, pred) -> Assertion:
-    """Runs satisfying ``pred(values_of)`` at every step.
+    """Runs satisfying ``pred`` at every step.
 
-    ``pred`` receives a step index and a lookup ``name -> digit array`` and
-    returns a boolean array over the run space.
+    ``pred`` receives a step index ``t`` and a lookup ``name ->
+    slot_values(sig, h, name, t)`` and returns a boolean array that
+    broadcasts against the axis view, as any expression in the lookups does.
     """
     hh = _hlen(h)
     space = space_of(sig, hh)
-    mask = np.ones(space.size, dtype=bool)
+    mask = np.ones(space.shape, dtype=bool)
     for t in range(hh):
         lookup = lambda name, t=t: slot_values(sig, hh, name, t)
         mask &= pred(t, lookup)
-    return _make(sig, hh, mask)
+    return _make(sig, hh, mask.reshape(-1))

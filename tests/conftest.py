@@ -70,7 +70,12 @@ class DocGen:
 
     def value(self, domain):
         v = self.rng.choice(domain)
-        return {True: "true", False: "false"}.get(v, str(v))
+        # identity tests: a dict lookup would also map the ints 0 and 1
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        return str(v)
 
     def expr(self, ports, depth, h):
         rng = self.rng

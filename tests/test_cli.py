@@ -1,0 +1,30 @@
+"""`pct verify` input validation: bad budgets and seed counts end in one
+diagnostic line and exit code 2, never a traceback or a pass over zero cases."""
+
+import pytest
+
+from pct import cli
+
+
+@pytest.mark.parametrize("argv", [
+    ["--budget", "ports=x"],
+    ["--budget", "colour=3"],
+    ["--budget", "space=0"],
+    ["--budget", "h=-1"],
+    ["--budget", "ports=2,dom=0"],
+    ["--seeds", "0"],
+    ["--seeds", "-5"],
+])
+def test_verify_rejects_bad_input(argv, capsys):
+    assert cli.main(["verify", "--suite", "lemma2_sat", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_verify_accepts_a_small_valid_budget(capsys):
+    assert cli.main(["verify", "--suite", "lemma2_sat", "--seeds", "2",
+                     "--budget", "ports=2,h=1,dom=2,space=64"]) == 0
+    out, _ = capsys.readouterr()
+    assert "lemma2_sat: 2/2" in out

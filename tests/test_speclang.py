@@ -172,10 +172,10 @@ def test_denote_is_compositional(docgen):
         db = pct.denote(pct.parse_expr(b_text), sig, h)
         assert pct.denote(pct.parse_expr(f"({a_text}) and ({b_text})"), sig, h) == \
             pct.product(da, db)
-        assert pct.denote(pct.parse_expr(f"not ({a_text})"), sig, h) == \
-            pct.complement(pct.denote(pct.parse_expr(f"({a_text})"), sig, h))
-        # note: bare "not phi" / "phi or psi" are per-step, so complement and
+        # bare "not phi" / "phi or psi" are per-step, so complement and
         # union only match the run-level operators under a temporal guard
+        assert pct.denote(pct.parse_expr(f"not (always({a_text}))"), sig, h) == \
+            pct.complement(da)
         assert pct.denote(pct.parse_expr(f"always(({a_text}) or ({b_text}))"), sig, h) == \
             pct.denote(pct.parse_expr(f"always(not (not ({a_text}) and not ({b_text})))"),
                        sig, h)

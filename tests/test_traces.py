@@ -1,5 +1,8 @@
 """Assertion algebra: enumerated examples plus the algebraic laws."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +169,32 @@ def test_run_index_is_little_endian_mixed_radix():
     # slots: (a,0), (a,1), (x,0), (x,1); strides 1, 2, 4, 12
     r = Run.of({"a": (True, False), "x": (0, 2)})
     assert pct.run_index(sig, 2, r) == 1 * 1 + 0 * 2 + 0 * 4 + 2 * 12
+
+
+def test_format_doc_worked_example():
+    """docs/format.md's example table agrees with run_index, run_at and the view."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "format.md").read_text()
+    example = text[text.index("## Worked example"):]
+    rows = re.findall(r"^\| (\d+) +\| (\w), (\d) +\| (\d+) +\| (\d+) +\| (\d+) +\| (\d+) +\|$",
+                      example, re.MULTILINE)
+    index = int(re.search(r"index = [^\n]* = (\d+)", example).group(1))
+    sig = Signature.of(controlled=(A,), uncontrolled=(X3,))
+    run = Run.of({"a": (True, False), "x": (2, 1)})
+    space = traces.space_of(sig, 2)
+    assert len(rows) == 4
+    position = [None] * 4
+    for k, name, step, radix, stride, digit, axis in (map(_int_or_str, r) for r in rows):
+        assert (space.radices[k], space.strides[k]) == (radix, stride)
+        assert space.axes[axis] == (name, step) and axis == 3 - k
+        assert sig.port(name).domain.index(run.history(name)[step]) == digit
+        position[axis] = digit
+    assert pct.run_index(sig, 2, run) == index == 21
+    assert pct.run_at(sig, 2, index) == run
+    assert np.ravel_multi_index(position, space.shape) == index
+
+
+def _int_or_str(text):
+    return int(text) if text.isdigit() else text
 
 
 def test_run_index_validation():
