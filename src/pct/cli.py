@@ -43,7 +43,8 @@ def _load(path: str) -> speclang.Document:
 
 def cmd_sat(args) -> int:
     doc = _load(args.file)
-    m, pc = speclang.lookup_satisfaction_pair(doc, args.impl, args.contract)
+    m = speclang.build_impl(doc, args.impl)
+    pc = speclang.lookup_probcontract(doc, args.contract)
     report = probabilistic.sat_level(m, pc)
     print(f"level = {_q(report.level)}")
     if report.witness_bad is not None:
@@ -57,14 +58,10 @@ def cmd_sat(args) -> int:
     return 0
 
 
-def _lookup_for_compose(doc, name):
-    if name in doc.probcontracts:
-        decl = doc.probcontracts[name]
-        return speclang.build_probcontract(doc, name), doc.contracts[decl.contract], decl.ports
-    if name in doc.contracts:
-        return (probabilistic.from_contract(speclang.build_contract(doc, name)),
-                doc.contracts[name], ())
-    raise PctError(f"no contract or probabilistic contract named {name!r}")
+def _contract_decl(doc, name) -> speclang.ContractDecl:
+    """The declaration of a contract, or of a probabilistic contract's base."""
+    pdecl = doc.probcontracts.get(name)
+    return doc.contracts[pdecl.contract if pdecl else name]
 
 
 def _canonical_guarantee_expr(decl) -> speclang.Expr:
@@ -82,8 +79,8 @@ def cmd_compose(args) -> int:
         if out_name in taken or f"{out_name}_base" in taken or f"{out_name}_g" in taken:
             raise PctError(f"name {out_name!r} (or a derived name) is already declared")
 
-    pc_a, decl_a, ports_a = _lookup_for_compose(doc, names[0])
-    pc_b, decl_b, ports_b = _lookup_for_compose(doc, names[1])
+    pc_a, pc_b = (speclang.lookup_probcontract(doc, name) for name in names)
+    decl_a, decl_b = (_contract_decl(doc, name) for name in names)
     composed = probabilistic.compose_prob(pc_a, pc_b)
     probabilistic_result = bool(composed.pports)
 
@@ -110,7 +107,7 @@ def cmd_compose(args) -> int:
     pdict = dict(doc.probcontracts)
     if probabilistic_result:
         pdict[out_name] = speclang.ProbContractDecl(
-            out_name, base_name, tuple(sorted(ports_a + ports_b)))
+            out_name, base_name, tuple(sorted(composed.pports)))
     out_doc = speclang.Document(doc.horizon, ports, defs, cdict, dict(doc.impls), pdict)
 
     # the emitted document must denote exactly the composed object
@@ -135,14 +132,8 @@ def cmd_compose(args) -> int:
 
 def cmd_refine(args) -> int:
     doc = _load(args.file)
-    def build(name):
-        if name in doc.probcontracts:
-            return speclang.build_probcontract(doc, name)
-        if name in doc.contracts:
-            return probabilistic.from_contract(speclang.build_contract(doc, name))
-        raise PctError(f"no contract or probabilistic contract named {name!r}")
-    pc1 = build(args.src)
-    pc2 = build(args.dst)
+    pc1 = speclang.lookup_probcontract(doc, args.src)
+    pc2 = speclang.lookup_probcontract(doc, args.dst)
     report = probabilistic.refine_level(pc1, pc2)
     print(f"conditioning probability = {_q(report.p_g1)}")
     if report.degenerate:

@@ -178,17 +178,33 @@ def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
 
 @dataclass(frozen=True)
 class Budget:
-    """Size bounds for generated instances."""
+    """Size bounds for generated instances.
+
+    ``max_ports_per_side`` counts a compose side's own ports: with a shared
+    port and the peer's output, default sides have up to 5 ports, and
+    refinement instances have 2 to 4 ports whatever it says.  ``max_space``
+    bounds the run space of every signature: the generators lower the
+    horizon to fit, and a budget that an instance cannot fit at horizon 1
+    is rejected.
+    """
 
     max_ports_per_side: int = 3
     max_horizon: int = 3
     max_domain: int = 3
-    max_space: int = 4096     # run-space cap for any signature in an instance
+    max_space: int = 4096
 
     def __post_init__(self):
         for name, value in vars(self).items():
             if type(value) is not int or value < 1:
                 raise PctError(f"budget {name} must be a positive integer, got {value!r}")
+        d = min(self.max_domain, 3)               # the widest domain drawn
+        side = min(self.max_ports_per_side, 4)    # own ports: 2 prob, 1 controlled, 1 extra
+        # at horizon 1: a composed pair with its shared port, a refinement
+        # instance, and two composed refining pairs with boolean extensions
+        need = max(d ** (2 * side + 1), d ** 4, (d * d * min(d, 2)) ** 2)
+        if self.max_space < need:
+            raise PctError(f"budget space={self.max_space} is below {need}, "
+                           f"the run space some instance needs at horizon 1")
 
     @classmethod
     def parse(cls, text: str) -> "Budget":
@@ -215,7 +231,7 @@ def _pick_h(rng: random.Random, budget: Budget) -> int:
 def _pick_domain(rng: random.Random, budget: Budget) -> tuple:
     if budget.max_domain >= 3 and rng.random() < 0.2:
         return (0, 1, 2)
-    return traces.BOOL
+    return traces.BOOL[:budget.max_domain]
 
 
 def _rand_mask(rng: random.Random, size: int, keep: float) -> np.ndarray:
@@ -374,7 +390,7 @@ def gen_refining_contracts(seed: int, budget: Budget = Budget(), tag: str = "",
         h = _pick_h(rng, budget)
     ctrl = [Port(f"c{tag}0", _pick_domain(rng, budget))]
     unctrl = [Port(f"u{tag}0", _pick_domain(rng, budget))]
-    extend = [Port(f"x{tag}0", traces.BOOL)] if rng.random() < 0.5 else []
+    extend = [Port(f"x{tag}0", traces.BOOL[:budget.max_domain])] if rng.random() < 0.5 else []
     sig1 = Signature.of(controlled=ctrl, uncontrolled=unctrl)
     sig2 = Signature.of(controlled=ctrl, uncontrolled=unctrl + extend)
     while h > 1 and traces.universe_size(sig2, h) > budget.max_space:

@@ -98,7 +98,7 @@ def bernoulli_iid(port: Port, p_true_per_step, h) -> Distribution:
     p = Fraction(p_true_per_step)
     if not 0 <= p <= 1:
         raise DistributionError(f"per-step probability {p} outside [0, 1]")
-    if port.domain != traces.BOOL:
+    if not port.is_boolean:
         raise DistributionError(f"port {port.name} is not boolean")
     hh = traces._hlen(h)
     sig = _dist_sig((port,))

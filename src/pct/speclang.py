@@ -17,6 +17,7 @@ docs/grammar.ebnf; parsing and printing are pure and round-trip:
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -291,6 +292,17 @@ class _Parser:
     def loc(self) -> tuple:
         return (self.tok.line, self.tok.col)
 
+    def comma_list(self, item) -> list:
+        """``item (, item)*``."""
+        items = [item()]
+        while self.at("PUNCT", ","):
+            self.advance()
+            items.append(item())
+        return items
+
+    def port_names(self) -> list:
+        return self.comma_list(lambda: self.ident("port name").text)
+
     # document --------------------------------------------------------------
 
     def document(self) -> Document:
@@ -353,10 +365,7 @@ class _Parser:
             domain = ()
         elif self.at("PUNCT", "{"):
             self.advance()
-            values = [self.value_token()]
-            while self.at("PUNCT", ","):
-                self.advance()
-                values.append(self.value_token())
+            values = self.comma_list(self.value_token)
             self.expect("PUNCT", "}")
             if len(set(values)) != len(values):
                 raise SemanticError(f"duplicate values in domain of {name.text!r}",
@@ -434,10 +443,7 @@ class _Parser:
 
     def history_literal(self) -> tuple:
         self.expect("PUNCT", "[")
-        values = [self.value_token()]
-        while self.at("PUNCT", ","):
-            self.advance()
-            values.append(self.value_token())
+        values = self.comma_list(self.value_token)
         self.expect("PUNCT", "]")
         return tuple(values)
 
@@ -446,10 +452,7 @@ class _Parser:
         inputs, outputs = None, None
         while self.at_kw("input", "output"):
             kw = self.advance()
-            names = [self.ident("port name").text]
-            while self.at("PUNCT", ","):
-                self.advance()
-                names.append(self.ident("port name").text)
+            names = self.port_names()
             self.expect("PUNCT", ";")
             if kw.text == "input":
                 inputs = tuple(sorted((inputs or ()) + tuple(names)))
@@ -492,12 +495,8 @@ class _Parser:
         ports = ()
         if self.at_kw("ports"):
             self.advance()
-            names = [self.ident("port name").text]
-            while self.at("PUNCT", ","):
-                self.advance()
-                names.append(self.ident("port name").text)
+            ports = tuple(sorted(self.port_names()))
             self.expect("PUNCT", ";")
-            ports = tuple(sorted(names))
         self.expect("PUNCT", "}")
         return ProbContractDecl(name.text, base.text, ports, (kw.line, kw.col))
 
@@ -600,18 +599,10 @@ class _Parser:
             init = self.value_token()
             self.expect("PUNCT", ")")
             return PrevOperand(loc, name.text, init)
-        if self.at_kw("true"):
-            self.advance()
-            return ValueOperand(loc, True)
-        if self.at_kw("false"):
-            self.advance()
-            return ValueOperand(loc, False)
-        if self.tok.kind == "INT":
-            t = self.advance()
-            return ValueOperand(loc, int(t.text))
         if self.tok.kind == "IDENT":
-            t = self.advance()
-            return PortOperand(loc, t.text)
+            return PortOperand(loc, self.advance().text)
+        if self.at_kw("true", "false") or self.tok.kind == "INT":
+            return ValueOperand(loc, self.value_token())
         raise self.error(
             f"expected {'a value or port' if comparison_only else 'an expression'}, "
             f"found {self.tok.text or 'end of input'!r}")
@@ -633,19 +624,25 @@ def parse_expr(text: str) -> Expr:
 # --- resolution ---------------------------------------------------------------
 
 def _resolve(doc: Document) -> None:
-    """Document-wide name and type checks; raises located diagnostics."""
-    for decl in doc.ports.values():
+    """Document-wide name and type checks; raises located diagnostics.
+
+    Definitions, contracts and implementations are compiled against the
+    signature of every declared port, and the step functions are dropped.
+    """
+    ports = [decl.port() for decl in doc.ports.values()]
+    for port, decl in zip(ports, doc.ports.values()):
         if decl.dist is not None:
-            _check_dist_decl(decl, doc)
-    for name, body in doc.defs.items():
-        _resolve_expr(body, doc, stack=(name,))
+            _check_dist_decl(port, decl.dist, doc.horizon)
+    compiler = _Compiler(Signature.of(uncontrolled=ports), doc.horizon, doc.defs)
+    for name in doc.defs:
+        compiler.definition(name)
     for decl in doc.contracts.values():
         _check_io(decl, doc)
-        _resolve_expr(decl.assume, doc, ())
-        _resolve_expr(decl.guarantee, doc, ())
+        compiler.compile(decl.assume)
+        compiler.compile(decl.guarantee)
     for decl in doc.impls.values():
         _check_io(decl, doc)
-        _resolve_expr(decl.behavior, doc, ())
+        compiler.compile(decl.behavior)
     for decl in doc.probcontracts.values():
         if decl.contract not in doc.contracts:
             raise ResolveError(f"undefined contract {decl.contract!r}", *decl.loc)
@@ -659,32 +656,29 @@ def _resolve(doc: Document) -> None:
             raise SemanticError("repeated probabilistic port", *decl.loc)
 
 
-def _domain_of(decl: PortDecl) -> tuple:
-    return decl.domain or traces.BOOL
+def _position(value, dom: tuple) -> Optional[int]:
+    """Index of ``value`` in ``dom``, matching type as well as value; None if absent."""
+    for i, v in enumerate(dom):
+        if type(v) is type(value) and v == value:
+            return i
+    return None
 
 
-def _in_domain(value, dom: tuple) -> bool:
-    return any(type(v) is type(value) and v == value for v in dom)
-
-
-def _check_dist_decl(decl: PortDecl, doc: Document) -> None:
-    dom = _domain_of(decl)
-    d = decl.dist
+def _check_dist_decl(port: Port, d, horizon: Optional[int]) -> None:
     if isinstance(d, BernoulliDecl):
-        if dom != traces.BOOL:
+        if not port.is_boolean:
             raise SemanticError(
-                f"bernoulli distribution needs a boolean port, {decl.name!r} is not", *d.loc)
+                f"bernoulli distribution needs a boolean port, {port.name!r} is not", *d.loc)
         return
     total = Fraction(0)
     for hist, w in d.entries:
-        if doc.horizon is not None and len(hist) != doc.horizon:
+        if horizon is not None and len(hist) != horizon:
             raise SemanticError(
-                f"history {list(hist)} has length {len(hist)}, horizon is {doc.horizon}",
-                *d.loc)
+                f"history {list(hist)} has length {len(hist)}, horizon is {horizon}", *d.loc)
         for v in hist:
-            if v not in dom:
+            if _position(v, port.domain) is None:
                 raise SemanticError(
-                    f"value {v!r} not in domain of port {decl.name!r}", *d.loc)
+                    f"value {v!r} not in domain of port {port.name!r}", *d.loc)
         if w < 0:
             raise SemanticError("negative probability", *d.loc)
         total += w
@@ -703,185 +697,175 @@ def _check_io(decl, doc: Document) -> None:
             seen.add(pname)
 
 
-def _resolve_expr(e: Expr, doc: Document, stack: tuple) -> None:
-    if isinstance(e, Lit):
-        return
-    if isinstance(e, NameRef):
-        if e.name in doc.ports:
-            if _domain_of(doc.ports[e.name]) != traces.BOOL:
-                raise SemanticError(
-                    f"port {e.name!r} is not boolean; compare it against a value", *e.loc)
-            return
-        if e.name in doc.defs:
-            if e.name in stack:
-                raise SemanticError(f"definition cycle through {e.name!r}", *e.loc)
-            _resolve_expr(doc.defs[e.name], doc, stack + (e.name,))
-            return
-        raise ResolveError(f"undefined name {e.name!r}", *e.loc)
-    if isinstance(e, Not):
-        _resolve_expr(e.body, doc, stack)
-        return
-    if isinstance(e, (And, Or, Implies)):
-        _resolve_expr(e.left, doc, stack)
-        _resolve_expr(e.right, doc, stack)
-        return
-    if isinstance(e, Temporal):
-        _resolve_expr(e.body, doc, stack)
-        return
-    if isinstance(e, At):
-        if doc.horizon is not None and not 0 <= e.step < doc.horizon:
-            raise SemanticError(
-                f"step {e.step} outside horizon 0..{doc.horizon - 1}", *e.loc)
-        _resolve_expr(e.body, doc, stack)
-        return
-    if isinstance(e, Cmp):
-        _resolve_cmp(e, doc)
-        return
-    raise AssertionError(f"unhandled node {e!r}")
+# --- compiling expressions ----------------------------------------------------
+
+_CONNECTIVES = {And: operator.and_, Or: operator.or_, Implies: lambda a, b: ~a | b}
+
+_TEMPORAL = {
+    "always": lambda steps: functools.reduce(np.logical_and, steps),
+    "never": lambda steps: ~functools.reduce(np.logical_or, steps),
+    "eventually": lambda steps: functools.reduce(np.logical_or, steps),
+}
 
 
-def _operand_port(op, doc: Document):
-    if isinstance(op, PortOperand) and op.name in doc.ports:
-        return doc.ports[op.name]
-    if isinstance(op, PrevOperand):
-        if op.name not in doc.ports:
-            raise ResolveError(f"undefined port {op.name!r}", *op.loc)
-        return doc.ports[op.name]
-    return None
+def _memo(fn):
+    """``fn`` evaluated at most once per argument."""
+    values = {}
+
+    def once(t):
+        if t not in values:
+            values[t] = fn(t)
+        return values[t]
+    return once
 
 
-def _resolve_cmp(e: Cmp, doc: Document) -> None:
-    pl = _operand_port(e.left, doc)
-    pr = _operand_port(e.right, doc)
-    if isinstance(e.left, PrevOperand) and not _in_domain(e.left.init, _domain_of(pl)):
-        raise SemanticError(
-            f"init value {e.left.init!r} not in domain of port {e.left.name!r}", *e.left.loc)
-    if isinstance(e.right, PrevOperand) and not _in_domain(e.right.init, _domain_of(pr)):
-        raise SemanticError(
-            f"init value {e.right.init!r} not in domain of port {e.right.name!r}", *e.right.loc)
-    if pl is None and pr is None:
-        bad = e.left if isinstance(e.left, PortOperand) else \
-            (e.right if isinstance(e.right, PortOperand) else None)
-        if bad is not None:
-            raise ResolveError(f"undefined name {bad.name!r}", *bad.loc)
-        raise SemanticError("comparison needs at least one port", *e.loc)
-    for op, p, peer in ((e.left, pl, pr), (e.right, pr, pl)):
-        if p is None and isinstance(op, PortOperand):
-            # identifier that is not a port: must be a value of the peer's domain
-            if not _in_domain(op.name, _domain_of(peer)):
-                raise ResolveError(f"undefined name {op.name!r}", *op.loc)
-        elif p is None and isinstance(op, ValueOperand):
-            if not _in_domain(op.value, _domain_of(peer)):
-                raise SemanticError(
-                    f"value {op.value!r} not in domain of port {peer.name!r}", *op.loc)
-    if pl is not None and pr is not None \
-            and not traces.same_domain(_domain_of(pl), _domain_of(pr)):
-        raise SemanticError(
-            f"ports {pl.name!r} and {pr.name!r} have different domains", *e.loc)
+class _Compiler:
+    """Checks expressions against one signature and compiles them.
 
+    ``compile(e)`` returns a step function: step ``t`` to a boolean array
+    on the axis view of ``traces.slot_values``, or a numpy scalar where no
+    port is read.  Every name, type and step check happens here; the step
+    functions check nothing.  A definition is compiled once and evaluated
+    once per step, a temporal node once in all.  With ``h`` None (a
+    document without a horizon) step bounds go unchecked and the step
+    functions must not be called.
+    """
 
-# --- denotation ---------------------------------------------------------------
-
-class _Denoter:
-    """Evaluates expressions at one step as boolean arrays on the axis view
-    of ``traces.slot_values``, or numpy scalars where no port is read."""
-
-    def __init__(self, sig: Signature, h: int, defs: dict):
+    def __init__(self, sig: Signature, h: Optional[int], defs: dict):
         self.sig = sig
         self.h = h
         self.defs = defs or {}
-        self._memo = {}
+        self.ports = {p.name: p for p in sig.ports}
+        self._compiled = {}
 
-    def port(self, name, loc) -> Port:
-        if name in self.defs:
-            raise SemanticError(f"{name!r} is a definition, not a port", *loc)
-        try:
-            return self.sig.port(name)
-        except SignatureError:
-            raise ResolveError(f"unknown port {name!r}", *loc) from None
+    def definition(self, name: str):
+        """The step function of a definition, evaluated once per step.
 
-    def digits(self, name, t) -> np.ndarray:
-        return traces.slot_values(self.sig, self.h, name, t)
+        The definitions it reaches are compiled first, deepest first, so a
+        long chain of definitions does not nest compile calls.
+        """
+        if name in self._compiled:
+            return self._compiled[name]
+        path, on_path = [(name, self.references(name))], {name}
+        while path:
+            current, refs = path[-1]
+            if not refs:
+                path.pop()
+                on_path.discard(current)
+                self._compiled[current] = _memo(self.compile(self.defs[current]))
+                continue
+            ref = refs.pop()
+            if ref.name in on_path:
+                raise SemanticError(f"definition cycle through {ref.name!r}", *ref.loc)
+            if ref.name not in self._compiled:
+                path.append((ref.name, self.references(ref.name)))
+                on_path.add(ref.name)
+        return self._compiled[name]
 
-    def eval(self, e: Expr, t: int) -> np.ndarray:
-        if isinstance(e, Lit):
-            return np.bool_(e.value)
-        if isinstance(e, NameRef):
-            if e.name in self.defs:
-                return self.eval(self.defs[e.name], t)
-            p = self.port(e.name, e.loc)
-            if p.domain != traces.BOOL:
-                raise SemanticError(
-                    f"port {e.name!r} is not boolean; compare it against a value", *e.loc)
-            return self.digits(e.name, t) == 1
-        if isinstance(e, Not):
-            return ~self.eval(e.body, t)
-        if isinstance(e, And):
-            return self.eval(e.left, t) & self.eval(e.right, t)
-        if isinstance(e, Or):
-            return self.eval(e.left, t) | self.eval(e.right, t)
-        if isinstance(e, Implies):
-            return ~self.eval(e.left, t) | self.eval(e.right, t)
-        if isinstance(e, Temporal):
-            key = (id(e), e.op)
-            if key not in self._memo:
-                steps = [self.eval(e.body, u) for u in range(self.h)]
-                if e.op == "always":
-                    out = functools.reduce(np.logical_and, steps)
-                elif e.op == "never":
-                    out = ~functools.reduce(np.logical_or, steps)
-                else:
-                    out = functools.reduce(np.logical_or, steps)
-                self._memo[key] = out
-            return self._memo[key]
-        if isinstance(e, At):
-            if not 0 <= e.step < self.h:
-                raise SemanticError(f"step {e.step} outside horizon 0..{self.h - 1}", *e.loc)
-            return self.eval(e.body, e.step)
-        if isinstance(e, Cmp):
-            return self.eval_cmp(e, t)
-        raise AssertionError(f"unhandled node {e!r}")
+    def references(self, name: str) -> list:
+        """The bare names in a definition's body that refer to definitions."""
+        refs, stack = [], [self.defs[name]]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, NameRef):
+                if e.name in self.defs:
+                    refs.append(e)
+            else:
+                stack += [v for v in vars(e).values() if isinstance(v, Expr)]
+        return refs
 
-    def operand(self, op, t):
-        """Returns (domain or None, digit array or raw literal value)."""
-        if isinstance(op, PrevOperand):
-            p = self.port(op.name, op.loc)
-            if not _in_domain(op.init, p.domain):
-                raise SemanticError(
-                    f"init value {op.init!r} not in domain of port {op.name!r}", *op.loc)
-            if t == 0:
-                return p.domain, np.int64(traces.domain_index(p.domain, op.init))
-            return p.domain, self.digits(op.name, t - 1)
+    def compile(self, e: Expr):
+        """Checks ``e`` and returns its step function."""
+        return _RULES[type(e)](self, e)
+
+    def literal(self, e: Lit):
+        value = np.bool_(e.value)
+        return lambda t: value
+
+    def name(self, e: NameRef):
+        if e.name in self.defs:
+            return self.definition(e.name)
+        p = self.ports.get(e.name)
+        if p is None:
+            raise ResolveError(f"undefined name {e.name!r}", *e.loc)
+        if not p.is_boolean:
+            raise SemanticError(
+                f"port {e.name!r} is not boolean; compare it against a value", *e.loc)
+        sig, h, name = self.sig, self.h, e.name
+        return lambda t: traces.slot_values(sig, h, name, t) == 1
+
+    def negation(self, e: Not):
+        body = self.compile(e.body)
+        return lambda t: ~body(t)
+
+    def connective(self, e):
+        left, right, op = self.compile(e.left), self.compile(e.right), _CONNECTIVES[type(e)]
+        return lambda t: op(left(t), right(t))
+
+    def temporal(self, e: Temporal):
+        body, combine, h = self.compile(e.body), _TEMPORAL[e.op], self.h
+        whole = _memo(lambda _: combine([body(u) for u in range(h)]))
+        return lambda t: whole(None)
+
+    def at(self, e: At):
+        if self.h is not None and not 0 <= e.step < self.h:
+            raise SemanticError(f"step {e.step} outside horizon 0..{self.h - 1}", *e.loc)
+        body, step = self.compile(e.body), e.step
+        return lambda t: body(step)
+
+    def operand(self, op):
+        """``(port, step function of its domain position)`` for an operand
+        that reads a port, else None: a literal, or an identifier that names
+        no port and so must be a value of the other side's domain."""
+        if isinstance(op, ValueOperand):
+            return None
+        p = self.ports.get(op.name)
+        sig, h, name = self.sig, self.h, op.name
         if isinstance(op, PortOperand):
-            try:
-                p = self.sig.port(op.name)
-            except Exception:
-                return None, op.name    # treated as an enum literal of the peer
-            return p.domain, self.digits(op.name, t)
-        return None, op.value
+            return None if p is None else (p, lambda t: traces.slot_values(sig, h, name, t))
+        if p is None:
+            raise ResolveError(f"undefined port {name!r}", *op.loc)
+        first = _position(op.init, p.domain)
+        if first is None:
+            raise SemanticError(
+                f"init value {op.init!r} not in domain of port {name!r}", *op.loc)
+        first = np.int64(first)
+        return p, lambda t: first if t == 0 else traces.slot_values(sig, h, name, t - 1)
 
-    def eval_cmp(self, e: Cmp, t: int) -> np.ndarray:
-        ldom, lval = self.operand(e.left, t)
-        rdom, rval = self.operand(e.right, t)
-        if ldom is None and rdom is None:
+    def comparison(self, e: Cmp):
+        left, right = self.operand(e.left), self.operand(e.right)
+        if left and right:
+            (pl, read_left), (pr, read_right) = left, right
+            if not traces.same_domain(pl.domain, pr.domain):
+                raise SemanticError(
+                    f"ports {pl.name!r} and {pr.name!r} have different domains", *e.loc)
+            return lambda t: read_left(t) == read_right(t)
+        if not (left or right):
+            for op in (e.left, e.right):
+                if isinstance(op, PortOperand):
+                    raise ResolveError(f"undefined name {op.name!r}", *op.loc)
             raise SemanticError("comparison needs at least one port", *e.loc)
-        if ldom is not None and rdom is not None:
-            if not traces.same_domain(ldom, rdom):
-                raise SemanticError("compared ports have different domains", *e.loc)
-            return lval == rval
-        dom, arr = (ldom, lval) if ldom is not None else (rdom, rval)
-        lit = rval if ldom is not None else lval
-        if not _in_domain(lit, dom):
-            raise SemanticError(f"value {lit!r} not in the compared port's domain",
-                                *e.loc)
-        return arr == traces.domain_index(dom, lit)
+        (p, read), lit = (left, e.right) if left else (right, e.left)
+        value = lit.name if isinstance(lit, PortOperand) else lit.value
+        index = _position(value, p.domain)
+        if index is None:
+            if isinstance(lit, PortOperand):
+                raise ResolveError(f"undefined name {value!r}", *lit.loc)
+            raise SemanticError(f"value {value!r} not in domain of port {p.name!r}", *lit.loc)
+        return lambda t: read(t) == index
+
+
+_RULES = {Lit: _Compiler.literal, NameRef: _Compiler.name, Not: _Compiler.negation,
+          And: _Compiler.connective, Or: _Compiler.connective,
+          Implies: _Compiler.connective, Temporal: _Compiler.temporal, At: _Compiler.at,
+          Cmp: _Compiler.comparison}
 
 
 def denote(e: Expr, sig: Signature, h, defs: dict = None) -> Assertion:
     """The runs over ``sig`` satisfying ``e`` at every step."""
     hh = traces._hlen(h)
-    den = _Denoter(sig, hh, defs)
-    return traces.from_step_predicate(sig, hh, lambda t, _values_of: den.eval(e, t))
+    step = _Compiler(sig, hh, defs).compile(e)
+    return traces.from_step_predicate(sig, hh, lambda t, _values_of: step(t))
 
 
 # --- building core objects ------------------------------------------------------
@@ -939,9 +923,6 @@ def build_port_distribution(doc: Document, name: str) -> _prob.Distribution:
         return _prob.bernoulli_iid(port, d.p, h)
     table = {}
     for hist, w in d.entries:
-        if len(hist) != h:
-            raise SemanticError(
-                f"history {list(hist)} has length {len(hist)}, horizon is {h}", *d.loc)
         omega = traces.Run.of({name: hist})
         table[omega] = table.get(omega, Fraction(0)) + w
     return _prob.from_table((port,), h, table)
@@ -962,18 +943,14 @@ def build_probcontract(doc: Document, name: str) -> _prob.ProbContract:
         raise SemanticError(str(exc), *decl.loc) from exc
 
 
-def lookup_satisfaction_pair(doc: Document, impl_name: str, contract_name: str):
-    """Resolve names for a satisfaction query.
-
-    The contract name may denote a probabilistic contract or a plain one
-    (the latter is treated as probability-free).
-    """
-    m = build_impl(doc, impl_name)
-    if contract_name in doc.probcontracts:
-        return m, build_probcontract(doc, contract_name)
-    if contract_name in doc.contracts:
-        return m, _prob.from_contract(build_contract(doc, contract_name))
-    raise ResolveError(f"undefined contract {contract_name!r}", 1, 1)
+def lookup_probcontract(doc: Document, name: str) -> _prob.ProbContract:
+    """The probabilistic contract named ``name``; a plain contract of that
+    name is taken as probability-free."""
+    if name in doc.probcontracts:
+        return build_probcontract(doc, name)
+    if name in doc.contracts:
+        return _prob.from_contract(build_contract(doc, name))
+    raise ResolveError(f"undefined contract {name!r}", 1, 1)
 
 
 # --- printing -------------------------------------------------------------------
@@ -1080,10 +1057,5 @@ def print_document(doc: Document) -> str:
 
 
 def _fmt_io(d) -> list:
-    lines = []
-    if d.inputs is not None or d.outputs is not None:
-        if d.inputs:
-            lines.append(f"  input {', '.join(sorted(d.inputs))};")
-        if d.outputs:
-            lines.append(f"  output {', '.join(sorted(d.outputs))};")
-    return lines
+    return [f"  {kw} {', '.join(sorted(names))};"
+            for kw, names in (("input", d.inputs), ("output", d.outputs)) if names]

@@ -96,7 +96,9 @@ class Port:
 
     @property
     def is_boolean(self) -> bool:
-        return same_domain(self.domain, BOOL)
+        # same_domain(self.domain, BOOL), unrolled: it is asked once per bare port name
+        d = self.domain
+        return len(d) == 2 and d[0] is False and d[1] is True
 
     def renamed(self, new_name: str) -> "Port":
         return Port(new_name, self.domain)

@@ -1,5 +1,7 @@
-"""`pct verify` input validation: bad budgets and seed counts end in one
+"""CLI input validation: bad budgets, seed counts and names end in one
 diagnostic line and exit code 2, never a traceback or a pass over zero cases."""
+
+from importlib import resources
 
 import pytest
 
@@ -14,6 +16,7 @@ from pct import cli
     ["--budget", "ports=2,dom=0"],
     ["--seeds", "0"],
     ["--seeds", "-5"],
+    ["--budget", "space=2"],
 ])
 def test_verify_rejects_bad_input(argv, capsys):
     assert cli.main(["verify", "--suite", "lemma2_sat", *argv]) == 2
@@ -28,3 +31,18 @@ def test_verify_accepts_a_small_valid_budget(capsys):
                      "--budget", "ports=2,h=1,dom=2,space=64"]) == 0
     out, _ = capsys.readouterr()
     assert "lemma2_sat: 2/2" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat", "--impl", "m1", "--contract", "nope"],
+    ["compose", "--contracts", "stage1_rel,nope"],
+    ["refine", "--from", "nope", "--to", "relaxed_rel"],
+])
+def test_unknown_contract_name_is_one_diagnostic(argv, tmp_path, capsys):
+    path = tmp_path / "two_stage.pct"
+    path.write_text(resources.files("pct.data").joinpath("two_stage.pct").read_text("utf-8"))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "'nope'" in lines[0], err

@@ -1,19 +1,23 @@
 """Parser, printer, and denotation of the `.pct` format."""
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import pct
 from pct import (
     BOOL,
+    DistributionError,
     ParseError,
     Port,
     ResolveError,
     SemanticError,
     Signature,
     SpecLangError,
+    probabilistic,
     speclang,
     traces,
 )
@@ -82,6 +86,24 @@ def test_bernoulli_requires_bool():
         pct.parse("horizon 1; port m : {lo, hi} uncontrolled prob bernoulli(1/2);")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("horizon 1;\nport n : {0, 1} uncontrolled prob bernoulli(1/3);", 2),
+    ("horizon 1;\nport n : {0, 1} uncontrolled;\ndef d = n;", 3),
+    ("horizon 1;\nport b : bool uncontrolled prob table { [0]: 1; };", 2),
+    ("horizon 1;\nport k : {0, 1, 2} uncontrolled prob table { [true]: 1; };", 2),
+], ids=["bernoulli-on-0-1", "bare-0-1-port", "int-in-bool-table", "bool-in-int-table"])
+def test_bools_and_ints_never_match(text, line):
+    # (0, 1) == (False, True) in Python, but the domains are different
+    with pytest.raises(SemanticError) as exc:
+        pct.parse(text)
+    assert exc.value.line == line
+
+
+def test_bernoulli_iid_requires_a_boolean_port():
+    with pytest.raises(DistributionError):
+        probabilistic.bernoulli_iid(Port("n", (0, 1)), Fraction(1, 3), 1)
+
+
 def test_probcontract_needs_distributions():
     with pytest.raises(SemanticError):
         pct.parse("""horizon 1;
@@ -148,10 +170,43 @@ def test_denote_enum_comparison():
     sig = Signature.of(uncontrolled=(m,))
     e = pct.denote(pct.parse_expr("never(m == fail)"), sig, 2)
     assert len(e) == 4
-    with pytest.raises(SemanticError):
+    with pytest.raises(ResolveError):
         pct.denote(pct.parse_expr("m == bogus"), sig, 2)
     with pytest.raises(SemanticError):
         pct.denote(pct.parse_expr("m"), sig, 2)
+
+
+def test_denote_cyclic_definitions():
+    defs = {"f": pct.parse_expr("g and x"), "g": pct.parse_expr("not f")}
+    with pytest.raises(SemanticError):
+        pct.denote(pct.parse_expr("always(f)"), XY, 2, defs)
+
+
+def test_names_outside_the_io_clause_are_undefined():
+    doc = pct.parse("""horizon 1;
+port a : bool uncontrolled;
+port b : bool uncontrolled;
+port y : bool controlled;
+contract c { input a; output y; assume true; guarantee y == b; }
+""")
+    with pytest.raises(ResolveError) as exc:
+        pct.build_contract(doc, "c")
+    assert "'b'" in exc.value.message and exc.value.line == 5
+
+
+def test_definition_chain_is_evaluated_once_per_step(monkeypatch):
+    lines = ["horizon 2;", "port a : bool uncontrolled;", "port y : bool controlled;",
+             "def d0 = a;"]
+    lines += [f"def d{i} = d{i - 1} and d{i - 1};" for i in range(1, 17)]
+    lines.append("contract c { assume d16; guarantee d16 implies y; }")
+    calls = []
+    slot_values = traces.slot_values
+    monkeypatch.setattr(traces, "slot_values",
+                        lambda *args: calls.append(args) or slot_values(*args))
+    c = pct.build_contract(pct.parse("\n".join(lines)), "c")
+    # a and y, once per step, for each of the two clauses
+    assert len(calls) <= 8
+    assert c.assumption == pct.denote(pct.parse_expr("a"), c.signature, 2)
 
 
 def test_denote_unknown_port():
@@ -246,3 +301,16 @@ def test_fuzz_parser_never_crashes(docgen):
         except SpecLangError as exc:
             assert exc.line >= 1 and exc.col >= 1
     assert ok >= 0  # reaching here without another exception type is the point
+
+
+# --- grammar -------------------------------------------------------------------------
+
+def test_grammar_examples_parse_and_every_keyword_is_covered():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "grammar.ebnf").read_text("utf-8")
+    examples = re.findall(r"\(\* example\n(.*?)\*\)", text, re.S)
+    assert len(examples) >= 2
+    for example in examples:
+        doc = pct.parse(example)
+        assert doc.contracts and pct.parse(speclang.print_document(doc)) == doc
+    assert [k for k in sorted(speclang.KEYWORDS) if f'"{k}"' not in text] == []
+    assert f"MAX_NESTING = {speclang.MAX_NESTING}" in text
