@@ -54,10 +54,14 @@ class PortRoleError(PctError):
 
 
 class SpecLangError(PctError):
-    """A `.pct` document problem, carrying a source location."""
+    """A `.pct` document problem, carrying a source location when it has one.
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+    A name asked for from outside the document (say, on the command line)
+    has no location: ``line`` and ``col`` are None then.
+    """
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if line is None else f"{line}:{col}: {message}")
         self.message = message
         self.line = line
         self.col = col

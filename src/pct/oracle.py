@@ -8,11 +8,21 @@ probabilities are summed per history.  None of the engine's mask
 algebra is reused, so an engine bug and an oracle bug would have to
 coincide to go unnoticed.  The suites evaluate every quantity with both
 implementations and record any disagreement.
+
+Run indices are turned into runs by ``_Decoder``, written from the
+documented index format alone: per port in name order, ``np.divmod`` by
+|D|^h splits off the port's history number, and a table of that port's
+histories (digit t of the number is the value at step t) gives the
+history.  ``materialize`` decodes only the indices a mask holds;
+``oracle_universe`` and the weight loops decode every index in order.
+The decoder and the run-set functions use nothing of ``traces`` but its
+types (``tests/test_oracle.py`` checks this); only the instance
+generators use its layout helpers.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,29 +41,45 @@ ZERO = Fraction(0)
 
 # --- independent run-set semantics ---------------------------------------------
 
-def _own_index(ports, h: int, values_by_name: dict) -> int:
-    # the documented little-endian mixed-radix formula, coded from scratch
-    idx = 0
-    mult = 1
-    for p in sorted(ports, key=lambda q: q.name):
-        vals = values_by_name[p.name]
-        for t in range(h):
-            idx += p.domain.index(vals[t]) * mult
-            mult *= len(p.domain)
-    return idx
+def _histories(domain: tuple, h: int) -> list:
+    """Every history over ``domain``, indexed by its number: digit t of the
+    number, base |domain|, is the position of the value at step t."""
+    d = len(domain)
+    return [tuple(domain[n // d ** t % d] for t in range(h)) for n in range(d ** h)]
+
+
+class _Decoder:
+    """Run indices of one signature and horizon, decoded to ``Run``s.
+
+    The index is the documented little-endian mixed radix: ports in name
+    order, each taking a block of |D|^h values, so ``np.divmod`` by that
+    block peels one port's history number off the low end.
+    """
+
+    def __init__(self, ports, h: int):
+        ports = sorted(ports, key=lambda p: p.name)
+        self.blocks = [len(p.domain) ** h for p in ports]
+        self.entries = [[(p.name, hist) for hist in _histories(p.domain, h)] for p in ports]
+        self.size = math.prod(self.blocks)
+
+    def runs(self, indices: np.ndarray) -> list:
+        """The runs at ``indices``, in that order."""
+        if not self.entries:
+            return [Run(())] * len(indices)
+        columns = []
+        for block, entries in zip(self.blocks, self.entries):
+            indices, digits = np.divmod(indices, block)
+            columns.append([entries[k] for k in digits.tolist()])
+        return [Run(e) for e in zip(*columns)]
+
+    def all_runs(self) -> list:
+        """Every run, in index order."""
+        return self.runs(np.arange(self.size))
 
 
 def materialize(e: Assertion) -> frozenset:
     """Explicit run set of an assertion, decoded independently."""
-    ports = sorted(e.signature.ports, key=lambda p: p.name)
-    h = e.horizon
-    hist_choices = [list(itertools.product(p.domain, repeat=h)) for p in ports]
-    out = []
-    for combo in itertools.product(*hist_choices):
-        values = {p.name: hist for p, hist in zip(ports, combo)}
-        if e.mask[_own_index(ports, h, values)]:
-            out.append(Run.of(values))
-    return frozenset(out)
+    return frozenset(_Decoder(e.signature.ports, e.horizon).runs(np.flatnonzero(e.mask)))
 
 
 def oracle_lift(rs: Iterable[Run], sig_from: Signature, sig_to: Signature, h: int) -> frozenset:
@@ -61,20 +87,12 @@ def oracle_lift(rs: Iterable[Run], sig_from: Signature, sig_to: Signature, h: in
     extra = [p for p in sig_to.ports if p.name not in sig_from]
     if not extra:
         return frozenset(rs)
-    hist_choices = [list(itertools.product(p.domain, repeat=h)) for p in extra]
-    out = []
-    for r in rs:
-        base = dict(r.entries)
-        for combo in itertools.product(*hist_choices):
-            d = dict(base)
-            for p, hist in zip(extra, combo):
-                d[p.name] = hist
-            out.append(Run.of(d))
-    return frozenset(out)
+    extensions = [r.entries for r in _Decoder(extra, h).all_runs()]
+    return frozenset(Run(tuple(sorted(r.entries + x))) for r in rs for x in extensions)
 
 
 def oracle_universe(sig: Signature, h: int) -> frozenset:
-    return oracle_lift([Run.of({})], Signature.of(), sig, h)
+    return frozenset(_Decoder(sig.ports, h).all_runs())
 
 
 def oracle_included(e1: Assertion, e2: Assertion, sig: Signature) -> bool:
@@ -135,12 +153,7 @@ def oracle_sat_level(m: Assertion, pc: ProbContract) -> Fraction:
     pnames = frozenset(p.name for p in pc.dist.ports)
     fibers = _fibers(mm, pnames)
     level = ZERO
-    dports = pc.dist.ports
-    hist_choices = [list(itertools.product(p.domain, repeat=h)) for p in dports]
-    for combo in itertools.product(*hist_choices):
-        values = {p.name: hist for p, hist in zip(dports, combo)}
-        omega = Run.of(values)
-        w = pc.dist.weights[_own_index(dports, h, values)]
+    for omega, w in zip(_Decoder(pc.dist.ports, h).all_runs(), pc.dist.weights):
         fiber = fibers.get(omega, [])
         if all(r in gg for r in fiber):
             level += w
@@ -156,14 +169,9 @@ def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
     pnames = frozenset(p.name for p in pc2.dist.ports)
     universe = oracle_universe(sig2, h)
     fibers = _fibers(universe, pnames)
-    dports = pc2.dist.ports
     p_g1 = ZERO
     p_both = ZERO
-    hist_choices = [list(itertools.product(p.domain, repeat=h)) for p in dports]
-    for combo in itertools.product(*hist_choices):
-        values = {p.name: hist for p, hist in zip(dports, combo)}
-        omega = Run.of(values)
-        w = pc2.dist.weights[_own_index(dports, h, values)]
+    for omega, w in zip(_Decoder(pc2.dist.ports, h).all_runs(), pc2.dist.weights):
         fiber = fibers[omega]
         if all(r in g1 for r in fiber):
             p_g1 += w

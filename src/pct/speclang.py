@@ -719,6 +719,34 @@ def _memo(fn):
     return once
 
 
+class _Definition:
+    """A definition's step function, evaluated once per step.
+
+    On first use it is evaluated at every step, after every definition it
+    reaches that is not yet evaluated, deepest first.  A reference inside
+    a body then only reads stored values, so a chain of definitions of
+    any length nests no calls.
+    """
+
+    def __init__(self, body, h: Optional[int], refs: list):
+        self.body, self.h, self.refs = body, h, refs
+        self.values = None
+
+    def __call__(self, t):
+        if self.values is None:
+            stack = [self]
+            while stack:
+                d = stack[-1]
+                pending = [r for r in d.refs if r.values is None]
+                if pending:
+                    stack += pending
+                    continue
+                stack.pop()
+                if d.values is None:
+                    d.values = [d.body(u) for u in range(d.h)]
+        return self.values[t]
+
+
 class _Compiler:
     """Checks expressions against one signature and compiles them.
 
@@ -752,7 +780,10 @@ class _Compiler:
             if not refs:
                 path.pop()
                 on_path.discard(current)
-                self._compiled[current] = _memo(self.compile(self.defs[current]))
+                reached = dict.fromkeys(r.name for r in self.references(current))
+                self._compiled[current] = _Definition(
+                    self.compile(self.defs[current]), self.h,
+                    [self._compiled[n] for n in reached])
                 continue
             ref = refs.pop()
             if ref.name in on_path:
@@ -872,7 +903,7 @@ def denote(e: Expr, sig: Signature, h, defs: dict = None) -> Assertion:
 
 def _doc_horizon(doc: Document) -> int:
     if doc.horizon is None:
-        raise SemanticError("document declares no horizon", 1, 1)
+        raise SemanticError("document declares no horizon")
     return doc.horizon
 
 
@@ -896,7 +927,7 @@ def signature_of(doc: Document, decl) -> Signature:
 def build_contract(doc: Document, name: str) -> _contracts.Contract:
     decl = doc.contracts.get(name)
     if decl is None:
-        raise ResolveError(f"undefined contract {name!r}", 1, 1)
+        raise ResolveError(f"undefined contract {name!r}")
     h = _doc_horizon(doc)
     sig = signature_of(doc, decl)
     return _contracts.contract(denote(decl.assume, sig, h, doc.defs),
@@ -906,7 +937,7 @@ def build_contract(doc: Document, name: str) -> _contracts.Contract:
 def build_impl(doc: Document, name: str) -> Assertion:
     decl = doc.impls.get(name)
     if decl is None:
-        raise ResolveError(f"undefined implementation {name!r}", 1, 1)
+        raise ResolveError(f"undefined implementation {name!r}")
     h = _doc_horizon(doc)
     sig = signature_of(doc, decl)
     return denote(decl.behavior, sig, h, doc.defs)
@@ -931,7 +962,7 @@ def build_port_distribution(doc: Document, name: str) -> _prob.Distribution:
 def build_probcontract(doc: Document, name: str) -> _prob.ProbContract:
     decl = doc.probcontracts.get(name)
     if decl is None:
-        raise ResolveError(f"undefined probabilistic contract {name!r}", 1, 1)
+        raise ResolveError(f"undefined probabilistic contract {name!r}")
     base = build_contract(doc, decl.contract)
     h = _doc_horizon(doc)
     dist = _prob.point_mass_empty(h)
@@ -950,7 +981,7 @@ def lookup_probcontract(doc: Document, name: str) -> _prob.ProbContract:
         return build_probcontract(doc, name)
     if name in doc.contracts:
         return _prob.from_contract(build_contract(doc, name))
-    raise ResolveError(f"undefined contract {name!r}", 1, 1)
+    raise ResolveError(f"undefined contract {name!r}")
 
 
 # --- printing -------------------------------------------------------------------

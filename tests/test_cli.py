@@ -46,3 +46,5 @@ def test_unknown_contract_name_is_one_diagnostic(argv, tmp_path, capsys):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "'nope'" in lines[0], err
+    # the name comes from the command line, so there is no source location
+    assert "1:1:" not in err

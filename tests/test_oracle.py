@@ -1,8 +1,134 @@
-"""Budgets bound the instances the verification suites generate."""
+"""The oracle: its run decoder against a reference enumeration, its
+independence from the engine's mask code, agreement with the engine at a
+larger budget, and the budgets that bound the generated instances."""
 
+import ast
+import inspect
+import itertools
+import random
+
+import numpy as np
 import pytest
 
-from pct import PctError, oracle, traces
+from pct import BOOL, Assertion, PctError, Port, Run, Signature, oracle, traces
+
+TRI = (0, 1, 2)
+ONE = ("only",)
+
+
+# --- the decoder ---------------------------------------------------------------------
+
+def reference_runs(ports, h):
+    """Every run over the ports, keyed by its index: ``itertools.product``
+    over the histories and the little-endian mixed-radix formula."""
+    ports = sorted(ports, key=lambda p: p.name)
+    out = {}
+    hist_choices = [list(itertools.product(p.domain, repeat=h)) for p in ports]
+    for combo in itertools.product(*hist_choices):
+        values = {p.name: hist for p, hist in zip(ports, combo)}
+        idx, mult = 0, 1
+        for p in ports:
+            for t in range(h):
+                idx += p.domain.index(values[p.name][t]) * mult
+                mult *= len(p.domain)
+        out[idx] = Run.of(values)
+    return out
+
+
+def decoder_cases():
+    """(signature, horizon): the empty signature, {0,1,2}, boolean and
+    one-value domains, horizons 1 to 3."""
+    out = [(Signature.of(), h) for h in (1, 2, 3)]
+    for h in (1, 2, 3):
+        out += [(Signature.of(uncontrolled=(Port("b", TRI),)), h),
+                (Signature.of(uncontrolled=(Port("b", ONE),)), h),
+                (Signature.of(controlled=(Port("d"),), uncontrolled=(Port("b", TRI),)), h),
+                (Signature.of(controlled=(Port("d", ONE),),
+                              uncontrolled=(Port("b"), Port("f", TRI))), h)]
+    return [(sig, h) for sig, h in out if traces.universe_size(sig, h) <= 729]
+
+
+DECODER_CASES = decoder_cases()
+
+
+def masks(sig, h):
+    size = traces.universe_size(sig, h)
+    rng = random.Random(f"{sig}{h}")
+    yield np.zeros(size, dtype=bool)
+    yield np.ones(size, dtype=bool)
+    yield np.array([rng.random() < 0.5 for _ in range(size)], dtype=bool)
+
+
+@pytest.mark.parametrize("sig,h", DECODER_CASES)
+def test_decoder_gives_the_runs_in_index_order(sig, h):
+    ref = reference_runs(sig.ports, h)
+    assert oracle._Decoder(sig.ports, h).all_runs() == [ref[i] for i in range(len(ref))]
+    assert oracle.oracle_universe(sig, h) == frozenset(ref.values())
+
+
+@pytest.mark.parametrize("sig,h", DECODER_CASES)
+def test_materialize_matches_the_reference(sig, h):
+    ref = reference_runs(sig.ports, h)
+    for mask in masks(sig, h):
+        want = frozenset(ref[i] for i in range(len(ref)) if mask[i])
+        assert oracle.materialize(Assertion(sig, h, mask)) == want
+
+
+@pytest.mark.parametrize("sig,h", DECODER_CASES)
+def test_lift_extends_every_run_by_every_history(sig, h):
+    # "a0" sorts before the base ports, "c0" between them, "z0" after them
+    for extra in ([Port("a0", TRI)], [Port("c0"), Port("z0", ONE)], [Port("z0")],
+                  [Port("a0"), Port("c0", ONE), Port("e0")]):
+        big = Signature.of(controlled=[sig.port(n) for n in sorted(sig.controlled)],
+                           uncontrolled=[sig.port(n) for n in sorted(sig.uncontrolled)] + extra)
+        if traces.universe_size(big, h) > 2000:
+            continue
+        universe = reference_runs(big.ports, h).values()
+        for mask in masks(sig, h):
+            base = oracle.materialize(Assertion(sig, h, mask))
+            want = frozenset(r for r in universe if r.restricted(sig.names) in base)
+            assert oracle.oracle_lift(base, sig, big, h) == want
+
+
+def test_decoder_cases_cover_the_shapes_that_matter():
+    assert {h for _, h in DECODER_CASES} == {1, 2, 3}
+    assert any(not sig.ports for sig, _ in DECODER_CASES)
+    domains = {p.domain for sig, _ in DECODER_CASES for p in sig.ports}
+    assert {TRI, ONE, BOOL} <= domains
+
+
+# --- independence from the engine's mask code ----------------------------------------
+
+INDEPENDENT = [oracle.materialize, oracle.oracle_lift, oracle.oracle_universe,
+               oracle._Decoder, oracle._histories]
+
+
+@pytest.mark.parametrize("obj", INDEPENDENT, ids=lambda o: o.__name__)
+def test_the_run_set_semantics_uses_nothing_of_traces_but_its_types(obj):
+    tree = ast.parse(inspect.getsource(obj))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert node.value.id != "traces", f"reads traces.{node.attr}"
+        if isinstance(node, ast.Name):
+            used = getattr(oracle, node.id, None)
+            from_traces = getattr(used, "__module__", None) == traces.__name__
+            assert not from_traces or isinstance(used, type), f"calls traces.{node.id}"
+
+
+# --- agreement at a larger budget -----------------------------------------------------
+
+LARGE = oracle.Budget.parse("ports=4,space=65536")
+
+
+@pytest.mark.parametrize("suite", sorted(oracle.SUITES))
+def test_engine_and_oracle_agree_at_a_larger_budget(suite):
+    for case in oracle.run_suite(suite, range(3), LARGE):
+        assert case.oracle_ok, case
+        # theorem2 checks a bound that has counterexamples; it only has to agree
+        assert case.ok or suite == "theorem2", case
+
+
+# --- budgets -------------------------------------------------------------------------
 
 
 def _instance_signatures(seed, budget):

@@ -209,6 +209,25 @@ def test_definition_chain_is_evaluated_once_per_step(monkeypatch):
     assert c.assumption == pct.denote(pct.parse_expr("a"), c.signature, 2)
 
 
+@pytest.mark.parametrize("behavior", ["d899 implies y", "always(d899) implies y"])
+def test_a_long_definition_chain_builds(behavior, monkeypatch):
+    lines = ["horizon 2;", "port a : bool uncontrolled;", "port y : bool controlled;",
+             "def d0 = a;"]
+    lines += [f"def d{i} = d{i - 1} and a;" for i in range(1, 900)]
+    lines.append(f"impl m {{ behavior {behavior}; }}")
+    doc = pct.parse("\n".join(lines))
+    calls = []
+    slot_values = traces.slot_values
+    monkeypatch.setattr(traces, "slot_values",
+                        lambda *args: calls.append(args) or slot_values(*args))
+    m = pct.build_impl(doc, "m")
+    # each definition reads a once per step, and y is read once per step
+    assert len(calls) <= 2 * (900 + 1)
+    monkeypatch.undo()
+    short = behavior.replace("d899", "a")
+    assert m == pct.denote(pct.parse_expr(short), m.signature, 2)
+
+
 def test_denote_unknown_port():
     with pytest.raises(ResolveError):
         pct.denote(pct.parse_expr("always(q)"), XY, 1)
