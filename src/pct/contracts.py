@@ -47,7 +47,8 @@ class Contract:
 
 
 def _is_canonical(a: Assertion, g: Assertion) -> bool:
-    return not bool((~a.mask & ~g.mask).any())
+    # complement(A) within G: every run is in A or in G
+    return bool((a.mask | g.mask).all())
 
 
 def contract(assumption: Assertion, guarantee: Assertion) -> Contract:

@@ -15,6 +15,8 @@ documented index format alone: per port in name order, ``np.divmod`` by
 histories (digit t of the number is the value at step t) gives the
 history.  ``materialize`` decodes only the indices a mask holds;
 ``oracle_universe`` and the weight loops decode every index in order.
+The weight of a history is a product of the distribution's factors
+(``_weighted_histories``), computed here and not by ``probabilistic``.
 The decoder and the run-set functions use nothing of ``traces`` but its
 types (``tests/test_oracle.py`` checks this); only the instance
 generators use its layout helpers.
@@ -137,6 +139,26 @@ def oracle_compose_sets(c1: Contract, c2: Contract):
     return a, g, sig
 
 
+def _weighted_histories(d: Distribution) -> list:
+    """Every joint history of ``d`` with its weight, in index order, from
+    the documented factor format alone: the product, over the factors, of
+    the factor's numerator at the history's restriction to its ports, over
+    the product of the factors' denominators."""
+    tables = []
+    for f in d.factors:
+        names = [p.name for p in f.ports]
+        blocks = _Decoder(f.ports, d.horizon).all_runs()
+        tables.append((names, {tuple(hist for _, hist in r.entries): n
+                               for r, n in zip(blocks, f.num.tolist())}))
+    den = math.prod(f.den for f in d.factors)
+    out = []
+    for omega in _Decoder(d.ports, d.horizon).all_runs():
+        hists = dict(omega.entries)
+        num = math.prod(table[tuple(hists[n] for n in names)] for names, table in tables)
+        out.append((omega, Fraction(num, den)))
+    return out
+
+
 def _fibers(runs: Iterable[Run], pnames: frozenset) -> dict:
     out = {}
     for r in runs:
@@ -153,7 +175,7 @@ def oracle_sat_level(m: Assertion, pc: ProbContract) -> Fraction:
     pnames = frozenset(p.name for p in pc.dist.ports)
     fibers = _fibers(mm, pnames)
     level = ZERO
-    for omega, w in zip(_Decoder(pc.dist.ports, h).all_runs(), pc.dist.weights):
+    for omega, w in _weighted_histories(pc.dist):
         fiber = fibers.get(omega, [])
         if all(r in gg for r in fiber):
             level += w
@@ -171,7 +193,7 @@ def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
     fibers = _fibers(universe, pnames)
     p_g1 = ZERO
     p_both = ZERO
-    for omega, w in zip(_Decoder(pc2.dist.ports, h).all_runs(), pc2.dist.weights):
+    for omega, w in _weighted_histories(pc2.dist):
         fiber = fibers[omega]
         if all(r in g1 for r in fiber):
             p_g1 += w

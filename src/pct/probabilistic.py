@@ -7,10 +7,19 @@ histories for which every consistent run of the implementation lies in
 the guarantee, whatever the remaining nondeterministic choices are.
 All probabilities are exact rationals; floats appear only in display
 code.
+
+A distribution is a product of independent factors, one per block of
+ports (a declared port, or a joint table).  A factor holds integer
+numerators over one denominator (docs/format.md), so products, marginals
+and levels are integer array operations; a level is contracted against
+the factors one at a time and never needs the weight of every joint
+history.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -33,42 +42,114 @@ from .traces import Assertion, Port, Run, Signature
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _dist_sig(ports: Iterable[Port]) -> Signature:
     # roles are irrelevant for indexing joint histories; treat all as uncontrolled
     return Signature.of(uncontrolled=tuple(ports))
 
 
-@dataclass(frozen=True)
+def _space(ports: tuple, h: int):
+    """The history space of name-sorted ports."""
+    return traces.space_of(Signature(ports, frozenset(), frozenset(p.name for p in ports)), h)
+
+
+def _int_dtype(bound: int):
+    """int64 when no value can exceed ``bound``, else Python ints."""
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """One independent block of a distribution.
+
+    ``num[i] / den`` is the probability of the history with run index ``i``
+    over the block's name-sorted ``ports``.  The numerators are nonnegative,
+    sum to ``den`` and share no divisor with it, so equal laws have equal
+    factors.  ``num`` is int64 when ``den`` fits in it, else Python ints.
+    """
+
+    ports: tuple
+    num: np.ndarray
+    den: int
+
+    def __post_init__(self):
+        self.num.setflags(write=False)
+
+
+def _factor(ports: tuple, h: int, num: Iterable[int], den: int) -> Factor:
+    """A checked factor in lowest terms from integer numerators over ``den``."""
+    size = _space(ports, h).size
+    num = list(num)
+    if len(num) != size:
+        raise DistributionError(
+            f"expected {size} weights for this history space, got {len(num)}")
+    if any(n < 0 for n in num):
+        raise DistributionError("negative probability")
+    if sum(num) != den:
+        raise DistributionError(f"weights sum to {Fraction(sum(num), den)}, not 1")
+    g = math.gcd(den, *num)
+    return Factor(ports, np.array([n // g for n in num], dtype=_int_dtype(den // g)), den // g)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Distribution:
     """Exact, finitely supported distribution over joint histories.
 
-    ``weights[i]`` is the probability of the joint history with canonical
-    index ``i`` in the run space of ``ports`` at ``horizon``.
+    It is the product of independent ``factors`` over disjoint blocks of
+    ``ports`` (name-sorted).  ``Distribution(ports, horizon, weights)``
+    makes a law of one block: ``weights[i]`` is the probability of the
+    joint history with canonical index ``i`` in the run space of ``ports``
+    at ``horizon``.  The ``weights`` tuple of any distribution is built on
+    first use.
     """
 
     ports: tuple
     horizon: int
-    weights: tuple
+    factors: tuple
 
-    def __post_init__(self):
-        ports = tuple(self.ports)
-        object.__setattr__(self, "ports", ports)
+    def __init__(self, ports, horizon: int, weights):
+        ports, horizon = tuple(ports), traces._hlen(horizon)
         if list(p.name for p in ports) != sorted(p.name for p in ports):
             raise DistributionError("distribution ports must be in name order "
                                     "(the weight vector indexes that space)")
         if len(set(p.name for p in ports)) != len(ports):
             raise DistributionError("duplicate port names in distribution")
-        space = traces.space_of(_dist_sig(ports), self.horizon)
-        ws = tuple(Fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
-        if len(ws) != space.size:
-            raise DistributionError(
-                f"expected {space.size} weights for this history space, got {len(ws)}")
-        if any(w < 0 for w in ws):
-            raise DistributionError("negative probability")
-        if sum(ws) != ONE:
-            raise DistributionError(f"weights sum to {sum(ws)}, not 1")
+        ws = [Fraction(w) for w in weights]
+        den = math.lcm(*(w.denominator for w in ws))
+        factor = _factor(ports, horizon, (w.numerator * (den // w.denominator) for w in ws), den)
+        self._set(ports, horizon, (factor,))
+
+    @classmethod
+    def of_factors(cls, horizon: int, factors: Iterable[Factor]) -> "Distribution":
+        """The product of factors over disjoint ports."""
+        d = cls.__new__(cls)
+        factors = tuple(factors)
+        d._set(sorted((p for f in factors for p in f.ports), key=lambda p: p.name),
+               traces._hlen(horizon), factors)
+        return d
+
+    def _set(self, ports, horizon: int, factors: tuple) -> None:
+        # a block of no ports is the unit factor; blocks go in the order of
+        # their first port, so equal factorizations compare factor by factor
+        factors = sorted((f for f in factors if f.ports), key=lambda f: f.ports[0].name)
+        object.__setattr__(self, "ports", tuple(ports))
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "factors", tuple(factors))
+
+    def __eq__(self, other):
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        if self.ports != other.ports or self.horizon != other.horizon:
+            return False
+        if [f.ports for f in self.factors] == [f.ports for f in other.factors]:
+            return all(f.den == g.den and np.array_equal(f.num, g.num)
+                       for f, g in zip(self.factors, other.factors))
+        return self.weights == other.weights
+
+    def __hash__(self):
+        return hash((self.ports, self.horizon))
 
     @property
     def signature(self) -> Signature:
@@ -77,6 +158,26 @@ class Distribution:
     @property
     def names(self) -> frozenset:
         return frozenset(p.name for p in self.ports)
+
+    @property
+    def denominator(self) -> int:
+        """The common denominator of every joint history's weight."""
+        return math.prod(f.den for f in self.factors)
+
+    def numerators(self) -> np.ndarray:
+        """The weight numerators of every joint history over ``denominator``,
+        in run-index order: the product of the factors' numerators."""
+        space = _space(self.ports, self.horizon)
+        out = np.ones(space.shape, dtype=_int_dtype(self.denominator))
+        for f in self.factors:
+            out = out * traces._spread(f.num.astype(out.dtype, copy=False),
+                                       _space(f.ports, self.horizon), space)
+        return out.reshape(-1)
+
+    @functools.cached_property
+    def weights(self) -> tuple:
+        den = self.denominator
+        return tuple(Fraction(n, den) for n in self.numerators().tolist())
 
     def weight_of(self, omega: Run) -> Fraction:
         return self.weights[traces.run_index(self.signature, self.horizon, omega)]
@@ -88,29 +189,47 @@ class Distribution:
                 yield traces.run_at(sig, self.horizon, i), w
 
 
+def _mass(d: Distribution, mask: np.ndarray) -> Fraction:
+    """The probability of the joint histories that ``mask`` holds.
+
+    The mask is contracted against one factor at a time: multiplied by the
+    factor's numerators and summed over its ports.  Every partial sum is
+    at most the product of the denominators contracted so far.
+    """
+    ports, h = d.ports, d.horizon
+    src = _space(ports, h)
+    held = mask.astype(_int_dtype(d.denominator))
+    for f in d.factors:
+        names = {p.name for p in f.ports}
+        ports = tuple(p for p in ports if p.name not in names)
+        dst = _space(ports, h)
+        term = held.reshape(src.shape) * traces._spread(
+            f.num.astype(held.dtype, copy=False), _space(f.ports, h), src)
+        held, src = traces._reduce(np.add, term.reshape(-1), src, dst), dst
+    return Fraction(int(held[0]), d.denominator)
+
+
 def point_mass_empty(h) -> Distribution:
     """The unit distribution: no probabilistic ports, one empty history."""
-    return Distribution((), traces._hlen(h), (ONE,))
+    return Distribution.of_factors(h, ())
 
 
 def bernoulli_iid(port: Port, p_true_per_step, h) -> Distribution:
-    """Step-independent coin on one boolean port."""
+    """Step-independent coin on one boolean port.
+
+    Its numerators are the outer product of ``h`` vectors ``[1-p, p]``
+    scaled to the denominator of ``p``; the vectors are equal, so the
+    order of the steps in the product does not matter.
+    """
     p = Fraction(p_true_per_step)
     if not 0 <= p <= 1:
         raise DistributionError(f"per-step probability {p} outside [0, 1]")
     if not port.is_boolean:
         raise DistributionError(f"port {port.name} is not boolean")
     hh = traces._hlen(h)
-    sig = _dist_sig((port,))
-    space = traces.space_of(sig, hh)
-    weights = []
-    for i in range(space.size):
-        w = ONE
-        for t in range(hh):
-            digit = (i // space.strides[t]) % 2
-            w *= p if digit else (ONE - p)
-        weights.append(w)
-    return Distribution((port,), hh, tuple(weights))
+    step = np.array([p.denominator - p.numerator, p.numerator], dtype=object)
+    num = functools.reduce(np.multiply.outer, [step] * hh).reshape(-1)
+    return Distribution.of_factors(hh, [_factor((port,), hh, num.tolist(), p.denominator ** hh)])
 
 
 def uniform(ports: Iterable[Port], h) -> Distribution:
@@ -130,36 +249,32 @@ def from_table(ports: Iterable[Port], h, table: Mapping[Run, Fraction]) -> Distr
     return Distribution(ports, hh, tuple(weights))
 
 
-def _weight_array(d: Distribution) -> np.ndarray:
-    return np.array(d.weights, dtype=object)
-
-
 def product_dist(d1: Distribution, d2: Distribution) -> Distribution:
-    """Independent product over disjoint port sets."""
+    """Independent product over disjoint port sets: the two factor lists joined."""
     if d1.horizon != d2.horizon:
         raise HorizonMismatchError(f"horizons differ: {d1.horizon} vs {d2.horizon}")
     if d1.names & d2.names:
         raise ProbPortOverlapError(
             f"distributions overlap on ports {sorted(d1.names & d2.names)}")
-    ports = tuple(sorted(d1.ports + d2.ports, key=lambda p: p.name))
-    space = traces.space_of(_dist_sig(ports), d1.horizon)
-    w1 = traces._spread(_weight_array(d1), traces.space_of(d1.signature, d1.horizon), space)
-    w2 = traces._spread(_weight_array(d2), traces.space_of(d2.signature, d2.horizon), space)
-    # a product of two 0-d object arrays is a bare Fraction, hence asarray
-    weights = np.asarray(w1 * w2, dtype=object).reshape(-1)
-    return Distribution(ports, d1.horizon, tuple(weights))
+    return Distribution.of_factors(d1.horizon, d1.factors + d2.factors)
 
 
 def marginal(d: Distribution, names: Iterable[str]) -> Distribution:
-    """Sum out every port not named."""
+    """Sum out every port not named: a factor with none of them is dropped,
+    and one with some of them is summed over the others."""
     keep = frozenset(names)
     if not keep <= d.names:
         raise DistributionError(f"ports {sorted(keep - d.names)} not in distribution")
-    ports = tuple(p for p in d.ports if p.name in keep)
-    sub = traces.space_of(_dist_sig(ports), d.horizon)
-    weights = traces._reduce(np.add, _weight_array(d),
-                             traces.space_of(d.signature, d.horizon), sub)
-    return Distribution(ports, d.horizon, tuple(weights))
+    h = d.horizon
+    factors = []
+    for f in d.factors:
+        kept = tuple(p for p in f.ports if p.name in keep)
+        if len(kept) == len(f.ports):
+            factors.append(f)
+        elif kept:
+            sums = traces._reduce(np.add, f.num, _space(f.ports, h), _space(kept, h))
+            factors.append(_factor(kept, h, sums.tolist(), f.den))
+    return Distribution.of_factors(h, factors)
 
 
 def renamed_dist(d: Distribution, old: str, new: str) -> Distribution:
@@ -168,12 +283,16 @@ def renamed_dist(d: Distribution, old: str, new: str) -> Distribution:
         raise DistributionError(f"no port named {old!r} in distribution")
     if new in d.names:
         raise DistributionError(f"port name {new!r} already taken")
-    ports = tuple(sorted((p.renamed(new) if p.name == old else p for p in d.ports),
-                         key=lambda p: p.name))
-    new_space = traces.space_of(_dist_sig(ports), d.horizon)
-    weights = traces._spread(_weight_array(d), traces.space_of(d.signature, d.horizon),
-                             new_space, {old: new}).reshape(-1)
-    return Distribution(ports, d.horizon, tuple(weights))
+    h = d.horizon
+    factors = []
+    for f in d.factors:
+        if old in (p.name for p in f.ports):
+            ports = tuple(sorted((p.renamed(new) if p.name == old else p for p in f.ports),
+                                 key=lambda p: p.name))
+            num = traces._spread(f.num, _space(f.ports, h), _space(ports, h), {old: new})
+            f = Factor(ports, num.reshape(-1), f.den)
+        factors.append(f)
+    return Distribution.of_factors(h, factors)
 
 
 # --- probabilistic contracts --------------------------------------------------
@@ -287,19 +406,14 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
     viol = mm.mask & ~pc.base.guarantee.mask
     bad = traces._reduce(np.logical_or, viol, big, omega_space)
 
-    level = ZERO
     witness = None
-    witness_w = None
-    for i in range(omega_space.size):
-        w = pc.dist.weights[i]
-        if bad[i]:
-            if w and (witness_w is None or w > witness_w):
-                witness, witness_w = i, w
-        else:
-            level += w
-    witness_run = (traces.run_at(pc.dist.signature, pc.horizon, witness)
-                   if witness is not None else None)
-    return SatReport(level, witness_run)
+    if bad.any():
+        # the worst violating history: the first of the heaviest bad ones
+        bad_weights = np.where(bad, pc.dist.numerators(), 0)
+        worst = int(bad_weights.argmax())
+        if bad_weights[worst] > 0:
+            witness = traces.run_at(pc.dist.signature, pc.horizon, worst)
+    return SatReport(_mass(pc.dist, ~bad), witness)
 
 
 def compose_prob(pc1: ProbContract, pc2: ProbContract) -> ProbContract:
@@ -397,13 +511,7 @@ def refine_level(pc1: ProbContract, pc2: ProbContract) -> RefineReport:
     good1 = _good_history_mask(g1, pc2)
     good2 = _good_history_mask(pc2.base.guarantee, pc2)
 
-    p_g1 = ZERO
-    p_both = ZERO
-    for i, w in enumerate(pc2.dist.weights):
-        if good1[i]:
-            p_g1 += w
-            if good2[i]:
-                p_both += w
+    p_g1 = _mass(pc2.dist, good1)
     if p_g1 == 0:
         return RefineReport(ZERO, ZERO, degenerate=True)
-    return RefineReport(p_both / p_g1, p_g1, degenerate=False)
+    return RefineReport(_mass(pc2.dist, good1 & good2) / p_g1, p_g1, degenerate=False)

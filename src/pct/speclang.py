@@ -708,15 +708,23 @@ _TEMPORAL = {
 }
 
 
-def _memo(fn):
-    """``fn`` evaluated at most once per argument."""
-    values = {}
+class _Once:
+    """The step function of a step-invariant node: one value at every step,
+    computed on first use and then returned as the same object."""
 
-    def once(t):
-        if t not in values:
-            values[t] = fn(t)
-        return values[t]
-    return once
+    invariant = True
+
+    def __init__(self, fn):
+        self.fn, self.done, self.value = fn, False, None
+
+    def __call__(self, t):
+        if not self.done:
+            self.value, self.done = self.fn(), True
+        return self.value
+
+
+def _invariant(step) -> bool:
+    return getattr(step, "invariant", False)
 
 
 class _Definition:
@@ -725,11 +733,12 @@ class _Definition:
     On first use it is evaluated at every step, after every definition it
     reaches that is not yet evaluated, deepest first.  A reference inside
     a body then only reads stored values, so a chain of definitions of
-    any length nests no calls.
+    any length nests no calls.  It is step-invariant when its body is.
     """
 
     def __init__(self, body, h: Optional[int], refs: list):
         self.body, self.h, self.refs = body, h, refs
+        self.invariant = _invariant(body)
         self.values = None
 
     def __call__(self, t):
@@ -754,9 +763,11 @@ class _Compiler:
     on the axis view of ``traces.slot_values``, or a numpy scalar where no
     port is read.  Every name, type and step check happens here; the step
     functions check nothing.  A definition is compiled once and evaluated
-    once per step, a temporal node once in all.  With ``h`` None (a
-    document without a horizon) step bounds go unchecked and the step
-    functions must not be called.
+    once per step.  A step-invariant node (a temporal operator, ``at``, a
+    literal, or a negation or connective of invariant operands) is
+    evaluated once in all and gives the same object at every step.  With
+    ``h`` None (a document without a horizon) step bounds go unchecked and
+    the step functions must not be called.
     """
 
     def __init__(self, sig: Signature, h: Optional[int], defs: dict):
@@ -811,7 +822,7 @@ class _Compiler:
 
     def literal(self, e: Lit):
         value = np.bool_(e.value)
-        return lambda t: value
+        return _Once(lambda: value)
 
     def name(self, e: NameRef):
         if e.name in self.defs:
@@ -827,22 +838,27 @@ class _Compiler:
 
     def negation(self, e: Not):
         body = self.compile(e.body)
+        if _invariant(body):
+            return _Once(lambda: ~body(0))
         return lambda t: ~body(t)
 
     def connective(self, e):
         left, right, op = self.compile(e.left), self.compile(e.right), _CONNECTIVES[type(e)]
+        if _invariant(left) and _invariant(right):
+            return _Once(lambda: op(left(0), right(0)))
         return lambda t: op(left(t), right(t))
 
     def temporal(self, e: Temporal):
         body, combine, h = self.compile(e.body), _TEMPORAL[e.op], self.h
-        whole = _memo(lambda _: combine([body(u) for u in range(h)]))
-        return lambda t: whole(None)
+        # an invariant body has one value, which the operator need not repeat
+        steps = 1 if _invariant(body) else h
+        return _Once(lambda: combine([body(u) for u in range(steps)]))
 
     def at(self, e: At):
         if self.h is not None and not 0 <= e.step < self.h:
             raise SemanticError(f"step {e.step} outside horizon 0..{self.h - 1}", *e.loc)
         body, step = self.compile(e.body), e.step
-        return lambda t: body(step)
+        return body if _invariant(body) else _Once(lambda: body(step))
 
     def operand(self, op):
         """``(port, step function of its domain position)`` for an operand

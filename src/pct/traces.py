@@ -545,11 +545,19 @@ def from_step_predicate(sig: Signature, h, pred) -> Assertion:
     ``pred`` receives a step index ``t`` and a lookup ``name ->
     slot_values(sig, h, name, t)`` and returns a boolean array that
     broadcasts against the axis view, as any expression in the lookups does.
+    The step values are combined in their broadcast shape, and a value that
+    is the same object as the previous step's (as a step-invariant
+    expression gives) is not combined again; the full-size vector is made
+    once, at the end.  Step values are never written to, and the mask may
+    share memory with a full-size one.
     """
     hh = _hlen(h)
     space = space_of(sig, hh)
-    mask = np.ones(space.shape, dtype=bool)
+    held = last = None
     for t in range(hh):
         lookup = lambda name, t=t: slot_values(sig, hh, name, t)
-        mask &= pred(t, lookup)
-    return _make(sig, hh, mask.reshape(-1))
+        value = pred(t, lookup)
+        if value is not last:
+            held = value if held is None else held & value
+            last = value
+    return _make(sig, hh, np.broadcast_to(held, space.shape).reshape(-1))

@@ -202,6 +202,64 @@ def test_refinement_preserves_satisfaction_randomized():
         assert pct.satisfies(m, c2)
 
 
+def _one_run_of(mask, c1, c2):
+    """A run of ``mask`` (over c2's signature), restricted to c1's signature,
+    as a mask over c1's run space; None when ``mask`` is empty."""
+    hits = np.flatnonzero(mask)
+    if not len(hits):
+        return None
+    one = np.zeros(mask.shape, dtype=bool)
+    one[hits[len(hits) // 2]] = True
+    return pct.project(Assertion(c2.signature, c2.horizon, one), c1.signature).mask
+
+
+def _break_one_inclusion(c1, c2, which):
+    """c1 changed so that exactly one inclusion of ``refines(c1, c2)`` fails:
+    a run of A2 is dropped from A1, or a run outside G2 is added to G1."""
+    if which == "assumption":
+        run = _one_run_of(c2.assumption.mask, c1, c2)
+        if run is None:
+            return None
+        a = Assertion(c1.signature, c1.horizon, c1.assumption.mask & ~run)
+        return contracts.Contract(c1.signature, a, c1.guarantee)
+    run = _one_run_of(~c2.guarantee.mask, c1, c2)
+    if run is None:
+        return None
+    g = Assertion(c1.signature, c1.horizon, c1.guarantee.mask | run)
+    return contracts.Contract(c1.signature, c1.assumption, g, canonical=c1.canonical)
+
+
+def _refining_pairs(seed):
+    """A refining pair, and the composition of two of them (as lemma2_compose)."""
+    from pct import oracle
+    c1, c2, h = oracle.gen_refining_contracts(seed, tag="l")
+    c3, c4, _ = oracle.gen_refining_contracts(seed, tag="r", h=h)
+    yield c1, c2
+    if traces.universe_size(traces.merge_signature_controlled(c2.signature, c4.signature),
+                            h) <= oracle.Budget().max_space:
+        yield contracts.compose(c1, c3), contracts.compose(c2, c4)
+
+
+@pytest.mark.parametrize("which", ["assumption", "guarantee"])
+def test_refines_fails_when_one_inclusion_fails(which):
+    from pct import oracle
+    checked = 0
+    for seed in range(60):
+        for c1, c2 in _refining_pairs(seed):
+            assert pct.refines(c1, c2)
+            broken = _break_one_inclusion(c1, c2, which)
+            if broken is None:
+                continue
+            sig = c2.signature
+            inclusions = (oracle.oracle_included(c2.assumption, broken.assumption, sig),
+                          oracle.oracle_included(broken.guarantee, c2.guarantee, sig))
+            assert inclusions == ((False, True) if which == "assumption" else (True, False))
+            assert pct.refines(broken, c2) is False
+            assert oracle.oracle_refines(broken, c2) is False
+            checked += 1
+    assert checked >= 80
+
+
 def test_renamed_contract():
     rng = random.Random(13)
     c = rand_contract(rng, SIG, 2)

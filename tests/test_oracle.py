@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from pct import BOOL, Assertion, PctError, Port, Run, Signature, oracle, traces
+from pct import BOOL, Assertion, PctError, Port, Run, Signature, oracle, probabilistic, traces
 
 TRI = (0, 1, 2)
 ONE = ("only",)
@@ -113,6 +113,35 @@ def test_the_run_set_semantics_uses_nothing_of_traces_but_its_types(obj):
             used = getattr(oracle, node.id, None)
             from_traces = getattr(used, "__module__", None) == traces.__name__
             assert not from_traces or isinstance(used, type), f"calls traces.{node.id}"
+
+
+# what a Distribution computes from its factors; the oracle must not use it
+FACTOR_HELPERS = {"weights", "numerators", "denominator", "weight_of", "support"}
+WEIGHTS = [oracle._weighted_histories, oracle.oracle_sat_level, oracle.oracle_refine_level]
+
+
+@pytest.mark.parametrize("obj", WEIGHTS, ids=lambda o: o.__name__)
+def test_the_oracle_weighs_histories_with_a_product_of_its_own(obj):
+    tree = ast.parse(inspect.getsource(obj))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in FACTOR_HELPERS, f"reads .{node.attr}"
+            if isinstance(node.value, ast.Name):
+                assert node.value.id != "probabilistic", f"reads probabilistic.{node.attr}"
+        if isinstance(node, ast.Name):
+            used = getattr(oracle, node.id, None)
+            from_prob = getattr(used, "__module__", None) == probabilistic.__name__
+            assert not from_prob or isinstance(used, type), f"calls probabilistic.{node.id}"
+
+
+def test_weighted_histories_match_the_distribution():
+    for seed in range(40):
+        inst = oracle.gen_compose_instance(seed)
+        for d in (inst.pc1.dist, inst.pc2.dist,
+                  probabilistic.product_dist(inst.pc1.dist, inst.pc2.dist)):
+            ref = reference_runs(d.ports, d.horizon)
+            want = [(ref[i], w) for i, w in enumerate(d.weights)]
+            assert oracle._weighted_histories(d) == want
 
 
 # --- agreement at a larger budget -----------------------------------------------------

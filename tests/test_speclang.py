@@ -1,10 +1,12 @@
 """Parser, printer, and denotation of the `.pct` format."""
 
+import functools
 import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pct
@@ -126,6 +128,41 @@ def test_deep_nesting_is_a_diagnostic():
         pct.parse("def d = " + "not " * 3000 + "true;")
 
 
+def _deepest(text, monkeypatch):
+    """The largest ``_Parser.depth`` reached while parsing an expression,
+    with the limit lifted.
+
+    The depth rises on entering ``expr``, ``unary`` and ``atom``; the
+    deepest point of any expression is the entry to some atom.
+    """
+    parser = speclang._Parser(speclang._tokenize(text))
+    reached, atom = [], parser.atom
+    parser.atom = lambda: reached.append(parser.depth + 1) or atom()
+    with monkeypatch.context() as m:
+        m.setattr(speclang, "MAX_NESTING", 10**6)
+        parser.expr()
+    return max(reached)
+
+
+@pytest.mark.parametrize("nest", [lambda k: "not " * k + "a",
+                                  lambda k: "always(" * 20 + "not " * k + "a" + ")" * 20],
+                         ids=["not", "always-not"])
+def test_nesting_limit_is_exact(nest, monkeypatch):
+    # each "not" is one level, so some k reaches MAX_NESTING exactly
+    limit = speclang.MAX_NESTING
+    k = max(k for k in range(limit) if _deepest(nest(k), monkeypatch) <= limit)
+    assert _deepest(nest(k), monkeypatch) == limit
+    assert pct.parse_expr(nest(k)) is not None
+    assert _deepest(nest(k + 1), monkeypatch) > limit
+    with pytest.raises(ParseError, match="nested too deeply"):
+        pct.parse_expr(nest(k + 1))
+
+
+def test_a_bare_value_is_not_a_predicate():
+    with pytest.raises(ParseError, match="a bare value is not a predicate"):
+        pct.parse("horizon 1;\nport a : bool controlled;\nimpl m { behavior 3; }")
+
+
 # --- denotation ---------------------------------------------------------------------
 
 def test_denote_constants():
@@ -226,6 +263,130 @@ def test_a_long_definition_chain_builds(behavior, monkeypatch):
     monkeypatch.undo()
     short = behavior.replace("d899", "a")
     assert m == pct.denote(pct.parse_expr(short), m.signature, 2)
+
+
+def _counting(monkeypatch):
+    """Counts of the conjunctions evaluated, of the step values the temporal
+    operators combine, and of the slot values read."""
+    counts = {"and": 0, "steps": 0, "slot_values": 0}
+    conj, slot_values = speclang._CONNECTIVES[speclang.And], traces.slot_values
+
+    def counted_and(a, b):
+        counts["and"] += 1
+        return conj(a, b)
+
+    def counted_slot_values(*args):
+        counts["slot_values"] += 1
+        return slot_values(*args)
+
+    def counted(combine):
+        def combine_counted(steps):
+            counts["steps"] += len(steps)
+            return combine(steps)
+        return combine_counted
+    monkeypatch.setitem(speclang._CONNECTIVES, speclang.And, counted_and)
+    for op, combine in list(speclang._TEMPORAL.items()):
+        monkeypatch.setitem(speclang._TEMPORAL, op, counted(combine))
+    monkeypatch.setattr(traces, "slot_values", counted_slot_values)
+    return counts
+
+
+@pytest.mark.parametrize("text,ands,steps,reads", [
+    # the conjunction of two temporal nodes is invariant: one evaluation in all
+    ("always(x) and always(y)", 1, 6, 6),
+    # the body of at(k, ...) is evaluated at step k only, once
+    ("at(1, x and y)", 1, 0, 2),
+    ("not at(2, x) and eventually(x and y)", 1 + 3, 3, 1 + 6),
+    # an invariant body has one value for the outer operator to take
+    ("never(always(x) and eventually(y))", 1, 1 + 3 + 3, 6),
+])
+def test_step_invariant_nodes_are_evaluated_once(text, ands, steps, reads, monkeypatch):
+    want = pct.denote(pct.parse_expr(text), XY, 3)
+    counts = _counting(monkeypatch)
+    got = pct.denote(pct.parse_expr(text), XY, 3)
+    assert counts == {"and": ands, "steps": steps, "slot_values": reads}
+    monkeypatch.undo()
+    assert got == want
+
+
+def per_step_mask(e, sig, h, defs):
+    """The mask of ``e`` as the parent algorithm computes it: ``e`` is
+    evaluated at every step separately, temporal operators and ``at``
+    included, and each step's value is ANDed into a full-size mask of ones."""
+    ports = {p.name: p for p in sig.ports}
+
+    def position(value, port):
+        return next(i for i, v in enumerate(port.domain)
+                    if type(v) is type(value) and v == value)
+
+    def read(op, t):
+        """(port, digit array) for an operand that reads a port, else None."""
+        if isinstance(op, speclang.PrevOperand):
+            p = ports[op.name]
+            return p, (np.int64(position(op.init, p)) if t == 0
+                       else traces.slot_values(sig, h, op.name, t - 1))
+        if isinstance(op, speclang.PortOperand) and op.name in ports:
+            return ports[op.name], traces.slot_values(sig, h, op.name, t)
+        return None
+
+    def value(e, t):
+        if isinstance(e, speclang.Lit):
+            return np.bool_(e.value)
+        if isinstance(e, speclang.NameRef):
+            if e.name in defs:
+                return value(defs[e.name], t)
+            return traces.slot_values(sig, h, e.name, t) == 1
+        if isinstance(e, speclang.Not):
+            return ~value(e.body, t)
+        if isinstance(e, speclang.And):
+            return value(e.left, t) & value(e.right, t)
+        if isinstance(e, speclang.Or):
+            return value(e.left, t) | value(e.right, t)
+        if isinstance(e, speclang.Implies):
+            return ~value(e.left, t) | value(e.right, t)
+        if isinstance(e, speclang.Temporal):
+            steps = [value(e.body, u) for u in range(h)]
+            if e.op == "always":
+                return functools.reduce(np.logical_and, steps)
+            any_step = functools.reduce(np.logical_or, steps)
+            return any_step if e.op == "eventually" else ~any_step
+        if isinstance(e, speclang.At):
+            return value(e.body, e.step)
+        left, right = read(e.left, t), read(e.right, t)
+        if left and right:
+            return left[1] == right[1]
+        (port, digits), lit = (left, e.right) if left else (right, e.left)
+        lit_value = lit.name if isinstance(lit, speclang.PortOperand) else lit.value
+        return digits == position(lit_value, port)
+
+    mask = np.ones(traces.space_of(sig, h).shape, dtype=bool)
+    for t in range(h):
+        mask &= value(e, t)
+    return mask.reshape(-1)
+
+
+def test_denote_matches_the_per_step_algorithm(docgen):
+    compared = 0
+    for seed in range(400):
+        doc = pct.parse(docgen(seed).document())
+        for name, decl in doc.contracts.items():
+            try:
+                c = pct.build_contract(doc, name)
+            except SpecLangError:
+                continue
+            for clause, built in ((decl.assume, c.assumption), (decl.guarantee, c.guarantee)):
+                want = per_step_mask(clause, c.signature, doc.horizon, doc.defs)
+                assert np.array_equal(built.mask, want), (seed, name)
+                compared += 1
+        for name, decl in doc.impls.items():
+            try:
+                m = pct.build_impl(doc, name)
+            except SpecLangError:
+                continue
+            assert np.array_equal(m.mask, per_step_mask(decl.behavior, m.signature,
+                                                        doc.horizon, doc.defs)), (seed, name)
+            compared += 1
+    assert compared > 900
 
 
 def test_denote_unknown_port():

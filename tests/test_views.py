@@ -2,6 +2,7 @@
 computes on, against explicit run sets and a from-scratch index formula."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -163,6 +164,16 @@ def test_from_step_predicate_matches_explicit_runs(sig, h):
     assert materialize(traces.from_step_predicate(sig, h, pred)) == want
 
 
+def test_from_step_predicate_takes_a_repeated_step_value_once():
+    sig = Signature.of(uncontrolled=(Port("a"), Port("b", TRI)))
+    space = traces.space_of(sig, 3)
+    value = np.random.default_rng(0).random(space.shape) < 0.5
+    e = traces.from_step_predicate(sig, 3, lambda t, val: value)
+    # nothing was combined or copied: the mask is the one step value
+    assert np.shares_memory(e.mask, value)
+    assert e.mask.tolist() == value.reshape(-1).tolist()
+
+
 # --- distributions -----------------------------------------------------------------
 
 def random_dist(rng, ports, h):
@@ -230,3 +241,147 @@ def test_receptive_adds_the_first_run_of_each_uncovered_fiber():
             assert out[fiber].tolist() == mask[fiber].tolist()
         else:
             assert out[fiber].tolist() == [True] + [False] * (len(fiber) - 1)
+
+
+# --- distributions as products of factors --------------------------------------------
+#
+# Each law is given by its parts: a Bernoulli coin on one port, or an explicit
+# joint table over one or two ports.  The reference weight of a joint history
+# is the product of the parts' weights, computed per history with Fractions.
+
+BIG = Fraction(1, 2**40)        # its denominator at h = 2 does not fit in int64
+NEAR = Fraction(1, 2**31 - 1)   # int64 per factor; three of them overflow jointly
+
+
+def coin(name, p):
+    return ("coin", Port(name), p)
+
+
+FACTOR_CASES = [
+    # (parts, horizons); a table's weights are drawn per horizon
+    ([coin("b", Fraction(1, 3)), ("table", (Port("m", TRI), Port("n")))], (1, 2)),
+    ([coin("f", Fraction(2, 5)), ("table", (Port("k", ONE),))], (1, 2, 3)),
+    ([("table", (Port("a"), Port("c", TRI))), coin("d", Fraction(1, 10))], (1, 2)),
+    ([coin("e", BIG), coin("g", Fraction(1, 3))], (1, 2)),
+    ([coin("p", NEAR), coin("q", NEAR), coin("r", NEAR)], (1,)),
+]
+
+
+def build(parts, h, seed):
+    """(distribution, reference weight of a history) for the parts at h."""
+    rng = random.Random(f"{seed}:{h}")
+    dist, refs = probabilistic.point_mass_empty(h), []
+    for part in parts:
+        if part[0] == "coin":
+            _, port, p = part
+            d = probabilistic.bernoulli_iid(port, p, h)
+            refs.append(lambda r, n=port.name, p=p: math.prod(p if v else 1 - p for v in r[n]))
+        else:
+            ports = part[1]
+            size = traces.universe_size(Signature.of(uncontrolled=ports), h)
+            raw = [rng.randint(0, 4) for _ in range(size)]
+            raw[-1] += 1
+            ws = [Fraction(w, sum(raw)) for w in raw]
+            d = probabilistic.Distribution(ports, h, ws)
+            refs.append(lambda r, ports=ports, ws=ws: ws[index_of(ports, h, r)])
+        dist = probabilistic.product_dist(dist, d)
+    return dist, lambda r: math.prod((ref(r) for ref in refs), start=Fraction(1))
+
+
+def factor_cases():
+    return [(parts, h, k) for k, (parts, hs) in enumerate(FACTOR_CASES) for h in hs]
+
+
+@pytest.mark.parametrize("parts,h,k", factor_cases())
+def test_factored_weights_match_the_per_history_product(parts, h, k):
+    d, ref = build(parts, h, k)
+    runs = all_runs(d.ports, h)
+    assert list(d.weights) == [ref(r) for r in runs]
+    assert all(type(w) is Fraction for w in d.weights)
+    assert len(d.factors) == len(parts)
+    assert d.numerators().tolist() == [w * d.denominator for w in d.weights]
+
+
+def test_both_numerator_types_are_exercised():
+    big, _ = build(FACTOR_CASES[3][0], 2, 3)
+    assert {f.num.dtype for f in big.factors} == {np.dtype(object), np.dtype(np.int64)}
+    near, _ = build(FACTOR_CASES[4][0], 1, 4)
+    assert {f.num.dtype for f in near.factors} == {np.dtype(np.int64)}
+    assert near.denominator > np.iinfo(np.int64).max
+    assert near.numerators().dtype == object
+    small, _ = build(FACTOR_CASES[0][0], 2, 0)
+    assert small.numerators().dtype == np.int64
+
+
+@pytest.mark.parametrize("parts,h,k", factor_cases())
+def test_factored_marginals_match_the_per_history_sum(parts, h, k):
+    d, ref = build(parts, h, k)
+    runs = all_runs(d.ports, h)
+    for n in range(len(d.ports) + 1):
+        for keep in itertools.combinations(d.ports, n):
+            want = [Fraction(0)] * traces.universe_size(Signature.of(uncontrolled=keep), h)
+            for r in runs:
+                want[index_of(keep, h, r)] += ref(r)
+            got = probabilistic.marginal(d, [p.name for p in keep])
+            assert list(got.weights) == want
+            assert got == probabilistic.Distribution(keep, h, want)
+
+
+@pytest.mark.parametrize("parts,h,k", factor_cases())
+def test_factored_renaming_matches_the_per_history_table(parts, h, k):
+    d, ref = build(parts, h, k)
+    for old in (d.ports[0].name, d.ports[-1].name):
+        for new in ("a0", "zz"):
+            got = probabilistic.renamed_dist(d, old, new)
+            moved = [p.renamed(new) if p.name == old else p for p in d.ports]
+            want = [Fraction(0)] * len(d.weights)
+            for r in all_runs(d.ports, h):
+                want[index_of(moved, h, {new if n == old else n: v for n, v in r.items()})] = ref(r)
+            assert list(got.weights) == want
+
+
+def test_equality_compares_factors_or_joint_weights():
+    d, _ = build(FACTOR_CASES[2][0], 2, 2)
+    joint = probabilistic.Distribution(d.ports, 2, d.weights)
+    assert len(joint.factors) == 1 and len(d.factors) == 2
+    assert d == joint and joint == d
+    other, _ = build(FACTOR_CASES[2][0], 2, 99)
+    assert other != d and other != joint
+
+
+def _levels_by_history(m, g1, g2, dist, sig, h):
+    """sat_level's level and witness for m against g2, and the masses of the
+    histories pinning g1 and pinning both, by a loop over the histories."""
+    runs = all_runs(sig.ports, h)
+    level, witness, p_g1, p_both = Fraction(0), None, Fraction(0), Fraction(0)
+    for omega, w in zip(all_runs(dist.ports, h), dist.weights):
+        fiber = [i for i, r in enumerate(runs)
+                 if all(r[n] == v for n, v in omega.items())]
+        if all(g2[i] or not m[i] for i in fiber):
+            level += w
+        elif w and (witness is None or w > witness[1]):
+            witness = (Run.of(omega), w)
+        if all(g1[i] for i in fiber):
+            p_g1 += w
+            if all(g2[i] for i in fiber):
+                p_both += w
+    return level, witness and witness[0], p_g1, p_both
+
+
+@pytest.mark.parametrize("parts,h,k", [c for c in factor_cases() if c[1] < 3])
+def test_factored_levels_match_the_per_history_loop(parts, h, k):
+    d, _ = build(parts, h, k)
+    sig = Signature.of(controlled=(Port("y"),), uncontrolled=d.ports)
+    rng = random.Random(f"levels:{k}:{h}")
+    universe = pct.universe(sig, h)
+    for keep in (0.5, 0.8, 0.95):
+        g1, g2, m = (Assertion(sig, h, np.array([rng.random() < keep for _ in range(len(universe))]))
+                     for _ in range(3))
+        pc1 = probabilistic.prob_contract(pct.contract(universe, g1), d.names, d)
+        pc2 = probabilistic.prob_contract(pct.contract(universe, g2), d.names, d)
+        level, witness, p_g1, p_both = _levels_by_history(m.mask, g1.mask, g2.mask, d, sig, h)
+        report = probabilistic.sat_level(m, pc2)
+        assert (report.level, report.witness_bad) == (level, witness)
+        refine = probabilistic.refine_level(pc1, pc2)
+        assert (refine.p_g1, refine.degenerate) == (p_g1, p_g1 == 0)
+        assert refine.level == (p_both / p_g1 if p_g1 else 0)
