@@ -46,13 +46,15 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _dist_sig(ports: Iterable[Port]) -> Signature:
-    # roles are irrelevant for indexing joint histories; treat all as uncontrolled
-    return Signature.of(uncontrolled=tuple(ports))
+    """The signature of name-sorted ports, all uncontrolled: roles are
+    irrelevant for indexing joint histories."""
+    ports = tuple(ports)
+    return Signature(ports, frozenset(), frozenset(p.name for p in ports))
 
 
-def _space(ports: tuple, h: int):
+def _space(ports: Iterable[Port], h: int):
     """The history space of name-sorted ports."""
-    return traces.space_of(Signature(ports, frozenset(), frozenset(p.name for p in ports)), h)
+    return traces.space_of(_dist_sig(ports), h)
 
 
 def _int_dtype(bound: int):
@@ -146,7 +148,11 @@ class Distribution:
         if [f.ports for f in self.factors] == [f.ports for f in other.factors]:
             return all(f.den == g.den and np.array_equal(f.num, g.num)
                        for f, g in zip(self.factors, other.factors))
-        return self.weights == other.weights
+        # every factor is in lowest terms with numerators summing to its
+        # denominator, so its numerators have gcd 1, and so do their products:
+        # the joint numerators over the denominator are in lowest terms too
+        return (self.denominator == other.denominator
+                and np.array_equal(self.numerators(), other.numerators()))
 
     def __hash__(self):
         return hash((self.ports, self.horizon))
@@ -233,9 +239,9 @@ def bernoulli_iid(port: Port, p_true_per_step, h) -> Distribution:
 
 
 def uniform(ports: Iterable[Port], h) -> Distribution:
-    hh = traces._hlen(h)
-    size = traces.space_of(_dist_sig(tuple(ports)), hh).size
-    return Distribution(tuple(ports), hh, (Fraction(1, size),) * size)
+    hh, ports = traces._hlen(h), tuple(ports)
+    size = _space(ports, hh).size
+    return Distribution(ports, hh, (Fraction(1, size),) * size)
 
 
 def from_table(ports: Iterable[Port], h, table: Mapping[Run, Fraction]) -> Distribution:

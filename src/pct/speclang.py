@@ -912,7 +912,8 @@ def denote(e: Expr, sig: Signature, h, defs: dict = None) -> Assertion:
     """The runs over ``sig`` satisfying ``e`` at every step."""
     hh = traces._hlen(h)
     step = _Compiler(sig, hh, defs).compile(e)
-    return traces.from_step_predicate(sig, hh, lambda t, _values_of: step(t))
+    # the compiler is this call's own, and nothing writes to its values
+    return traces.from_step_predicate(sig, hh, lambda t, _values_of: step(t), owned=True)
 
 
 # --- building core objects ------------------------------------------------------

@@ -539,25 +539,28 @@ def slot_values(sig: Signature, h, name: str, step: int) -> np.ndarray:
     return out
 
 
-def from_step_predicate(sig: Signature, h, pred) -> Assertion:
+def from_step_predicate(sig: Signature, h, pred, *, owned: bool = False) -> Assertion:
     """Runs satisfying ``pred`` at every step.
 
     ``pred`` receives a step index ``t`` and a lookup ``name ->
     slot_values(sig, h, name, t)`` and returns a boolean array that
     broadcasts against the axis view, as any expression in the lookups does.
     The step values are combined in their broadcast shape, and a value that
-    is the same object as the previous step's (as a step-invariant
-    expression gives) is not combined again; the full-size vector is made
-    once, at the end.  Step values are never written to, and the mask may
-    share memory with a full-size one.
+    is the same object as the previous step's is combined once: ``pred``
+    must not write to an array it has returned.  The mask is a new array,
+    unless ``owned`` says that the values were made for this call alone and
+    nothing else holds them; the mask may then be one of them.
     """
     hh = _hlen(h)
-    space = space_of(sig, hh)
     held = last = None
+    combined = False
     for t in range(hh):
-        lookup = lambda name, t=t: slot_values(sig, hh, name, t)
-        value = pred(t, lookup)
+        value = pred(t, lambda name, t=t: slot_values(sig, hh, name, t))
         if value is not last:
+            combined = held is not None
             held = value if held is None else held & value
             last = value
-    return _make(sig, hh, np.broadcast_to(held, space.shape).reshape(-1))
+    mask = np.broadcast_to(held, space_of(sig, hh).shape).reshape(-1)
+    if not (owned or combined) and np.may_share_memory(mask, held):
+        mask = mask.copy()
+    return _make(sig, hh, mask)

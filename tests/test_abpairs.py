@@ -1,6 +1,7 @@
 """The summary arithmetic of tools/abpairs.py on a fixed set of runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,14 @@ def test_summary_of_a_lower_is_better_metric():
 def test_summary_of_a_higher_is_better_metric():
     [row] = abpairs.summarize(runs("w", [1, 2, 3], [4, 5, 6], "rate"), {"rate": "higher"})
     assert (row["wins"], row["separated"], row["ratio"]) == (3, True, 2.5)
+
+
+def test_run_length_and_directions_come_from_the_benchmark(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 12,
+        "end_to_end": [{"name": "sat_s", "better": "lower"},
+                       {"name": "rate", "better": "higher"}]}), encoding="utf-8")
+    assert abpairs.spec_of(tmp_path) == (12, {"sat_s": "lower", "rate": "higher"})
+    with pytest.raises(SystemExit):
+        abpairs.main(["--parent", str(tmp_path), "--out", str(tmp_path / "o.json"),
+                      "--seconds", "5"])

@@ -168,8 +168,27 @@ def test_from_step_predicate_takes_a_repeated_step_value_once():
     sig = Signature.of(uncontrolled=(Port("a"), Port("b", TRI)))
     space = traces.space_of(sig, 3)
     value = np.random.default_rng(0).random(space.shape) < 0.5
-    e = traces.from_step_predicate(sig, 3, lambda t, val: value)
-    # nothing was combined or copied: the mask is the one step value
+    calls = []
+
+    class Counted(np.ndarray):
+        def __and__(self, other):
+            calls.append(1)
+            return super().__and__(other)
+
+    step = value.view(Counted)
+    e = traces.from_step_predicate(sig, 3, lambda t, val: step)
+    assert calls == []
+    assert e.mask.tolist() == value.reshape(-1).tolist()
+    # the caller's array is not the mask: writing to it later changes nothing
+    assert not np.shares_memory(e.mask, value)
+    value[...] = ~value
+    assert e.mask.tolist() == (~value).reshape(-1).tolist()
+
+
+def test_owned_step_values_become_the_mask_without_a_copy():
+    sig = Signature.of(uncontrolled=(Port("a"), Port("b", TRI)))
+    value = np.random.default_rng(1).random(traces.space_of(sig, 3).shape) < 0.5
+    e = traces.from_step_predicate(sig, 3, lambda t, val: value, owned=True)
     assert np.shares_memory(e.mask, value)
     assert e.mask.tolist() == value.reshape(-1).tolist()
 
@@ -340,13 +359,18 @@ def test_factored_renaming_matches_the_per_history_table(parts, h, k):
             assert list(got.weights) == want
 
 
-def test_equality_compares_factors_or_joint_weights():
-    d, _ = build(FACTOR_CASES[2][0], 2, 2)
-    joint = probabilistic.Distribution(d.ports, 2, d.weights)
+@pytest.mark.parametrize("k", [2, 3])
+def test_equality_compares_factors_or_joint_numerators(k):
+    parts = FACTOR_CASES[k][0]
+    ws = build(parts, 2, k)[0].weights
+    d, _ = build(parts, 2, k)
+    joint = probabilistic.Distribution(d.ports, 2, ws)
+    other = probabilistic.Distribution(d.ports, 2, ws[::-1])
     assert len(joint.factors) == 1 and len(d.factors) == 2
     assert d == joint and joint == d
-    other, _ = build(FACTOR_CASES[2][0], 2, 99)
-    assert other != d and other != joint
+    assert other != d and d != other and other != joint
+    # the factorizations differ, yet no per-history Fraction was made
+    assert not {"weights"} & (vars(d).keys() | vars(joint).keys() | vars(other).keys())
 
 
 def _levels_by_history(m, g1, g2, dist, sig, h):

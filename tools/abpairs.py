@@ -11,8 +11,10 @@ of the machine does not always fall on one side.  Every run is written to
 the ``--out`` JSON file as soon as it ends.  Per workload and end-to-end
 metric the summary gives the median and quartiles of each side, the ratio
 of the medians (change / parent), in how many pairs the change was better,
-and whether every change run beat every parent run.  Which direction is
-better is read from the change checkout's ``BENCHMARK.json``.
+and whether every change run beat every parent run.  The run length ``S``
+(``run_seconds``) and which direction of each metric is better are read
+from the change checkout's ``BENCHMARK.json``, so both sides run as long
+as the benchmark itself does.
 
 Standard library only.
 """
@@ -80,9 +82,10 @@ def format_row(row: dict) -> str:
             f"  all-beat {'yes' if row['separated'] else 'no'}")
 
 
-def better_of(checkout: Path) -> dict:
+def spec_of(checkout: Path) -> tuple:
+    """(``run_seconds``, metric -> better direction) of a checkout's benchmark."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -108,7 +111,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default="verify_suites,query_large,query_wide_omega")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=9000, help="seed of pair 0")
-    ap.add_argument("--seconds", type=int, default=35)
     ap.add_argument("--out", type=Path, help="JSON file of every run")
     ap.add_argument("--summarize", type=Path, help="print the summary of a JSON file and exit")
     args = ap.parse_args(argv)
@@ -121,8 +123,8 @@ def main(argv=None) -> int:
     if args.parent is None or args.out is None:
         ap.error("--parent and --out are needed to run pairs")
 
-    better = better_of(args.change)
-    data = {"command": "pctbench/run.py --trace 0", "seconds": args.seconds,
+    seconds, better = spec_of(args.change)
+    data = {"command": "pctbench/run.py --trace 0", "seconds": seconds,
             "better": better, "runs": []}
     for workload in args.workloads.split(","):
         for i in range(args.pairs):
@@ -130,7 +132,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for k, side in enumerate(order):
                 checkout = args.parent if side == "parent" else args.change
-                record = run_once(checkout, workload, seed, args.seconds)
+                record = run_once(checkout, workload, seed, seconds)
                 data["runs"].append({"workload": workload, "pair": i, "seed": seed,
                                      "side": side, "position": k, **record})
                 args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
