@@ -70,7 +70,6 @@ from .speclang import (
 from .traces import (
     BOOL,
     Assertion,
-    Horizon,
     Port,
     Run,
     Signature,

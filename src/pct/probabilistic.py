@@ -328,7 +328,7 @@ class ProbContract:
         if self.dist.horizon != self.base.horizon:
             raise HorizonMismatchError("distribution horizon differs from the contract's")
         for p in self.dist.ports:
-            if not traces.same_domain(self.base.signature.port(p.name).domain, p.domain):
+            if self.base.signature.port(p.name) != p:
                 raise SignatureError(f"port {p.name}: distribution domain differs from signature")
 
     @property

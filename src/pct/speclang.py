@@ -16,6 +16,7 @@ docs/grammar.ebnf; parsing and printing are pure and round-trip:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 import re
@@ -48,49 +49,55 @@ KEYWORDS = frozenset("""
 
 # --- tokens -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str          # IDENT INT DECIMAL PUNCT KEYWORD EOF
-    text: str
-    line: int
-    col: int
-
-
+# One match per lexeme.  Whitespace and comments between tokens are one
+# ``skip`` match; any character no other group takes is ``bad``.
 _TOKEN_RE = re.compile(r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<decimal>\d+\.\d+)
-    | (?P<int>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<punct>==|[{}()\[\]:;,=/])
-""", re.VERBOSE)
+      (?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
+    | (?P<DECIMAL>\d+\.\d+)
+    | (?P<INT>\d+)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<PUNCT>==|[{}()\[\]:;,=/])
+    | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+_NEWLINE_RE = re.compile("\n")
 
 
 def _tokenize(text: str) -> list:
+    """The tokens of ``text`` as ``(kind, text, offset)`` tuples, ending in EOF.
+
+    ``kind`` is IDENT, KEYWORD, INT, DECIMAL, PUNCT or EOF; ``offset`` is
+    the index of the token's first character in ``text``.
+    """
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "skip":
+            continue
         lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            if kind == "ident" and lexeme in KEYWORDS:
-                tokens.append(Token("KEYWORD", lexeme, line, col))
-            else:
-                tokens.append(Token(kind.upper(), lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+        if kind == "IDENT" and lexeme in KEYWORDS:
+            kind = "KEYWORD"
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}",
+                             *_line_col(_line_starts(text), m.start()))
+        tokens.append((kind, lexeme, m.start()))
+    tokens.append(("EOF", "", len(text)))
     return tokens
+
+
+KIND, TEXT, OFFSET = 0, 1, 2    # the fields of a token
+
+
+def _line_starts(text: str) -> list:
+    """The offset at which each line of ``text`` starts."""
+    return [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
+
+
+def _line_col(starts: list, offset: int) -> tuple:
+    """1-based (line, column) of an offset, given the line starts; a tab is
+    one column."""
+    line = bisect.bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
 
 
 # --- expression AST -----------------------------------------------------------
@@ -245,52 +252,68 @@ class Document:
 # --- parser -------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the tokens of one text.
+
+    Line and column are computed from the text's line starts, only for a
+    diagnostic or a node's ``loc``.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.starts = None
         self.i = 0
+        self.tok = self.tokens[0]
         self.depth = 0
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.i]
+    def where(self, tok) -> tuple:
+        """(line, col) of a token."""
+        if self.starts is None:
+            self.starts = _line_starts(self.text)
+        return _line_col(self.starts, tok[OFFSET])
 
-    def error(self, message, tok=None):
-        t = tok or self.tok
-        raise ParseError(message, t.line, t.col)
+    def loc(self) -> tuple:
+        return self.where(self.tok)
 
-    def advance(self) -> Token:
+    def error(self, message):
+        raise ParseError(message, *self.loc())
+
+    def found(self) -> str:
+        return repr(self.tok[TEXT] or "end of input")
+
+    def advance(self) -> tuple:
         t = self.tok
-        if t.kind != "EOF":
+        if t[KIND] != "EOF":
             self.i += 1
+            self.tok = self.tokens[self.i]
         return t
 
     def at(self, kind, text=None) -> bool:
         t = self.tok
-        return t.kind == kind and (text is None or t.text == text)
+        return t[KIND] == kind and (text is None or t[TEXT] == text)
 
     def at_kw(self, *words) -> bool:
-        return self.tok.kind == "KEYWORD" and self.tok.text in words
+        t = self.tok
+        return t[KIND] == "KEYWORD" and t[TEXT] in words
 
-    def expect(self, kind, text=None) -> Token:
+    def expect(self, kind, text=None) -> tuple:
         if not self.at(kind, text):
             want = text or kind.lower()
-            raise self.error(f"expected {want!r}, found {self.tok.text or 'end of input'!r}")
+            raise self.error(f"expected {want!r}, found {self.found()}")
         return self.advance()
 
-    def expect_kw(self, word) -> Token:
+    def expect_kw(self, word) -> tuple:
         if not self.at_kw(word):
-            raise self.error(f"expected {word!r}, found {self.tok.text or 'end of input'!r}")
+            raise self.error(f"expected {word!r}, found {self.found()}")
         return self.advance()
 
-    def ident(self, what="name") -> Token:
-        if self.tok.kind == "KEYWORD":
-            raise self.error(f"{self.tok.text!r} is a keyword and cannot be used as a {what}")
-        if self.tok.kind != "IDENT":
-            raise self.error(f"expected {what}, found {self.tok.text or 'end of input'!r}")
+    def ident(self, what="name") -> tuple:
+        kind, text, _ = self.tok
+        if kind == "KEYWORD":
+            raise self.error(f"{text!r} is a keyword and cannot be used as a {what}")
+        if kind != "IDENT":
+            raise self.error(f"expected {what}, found {self.found()}")
         return self.advance()
-
-    def loc(self) -> tuple:
-        return (self.tok.line, self.tok.col)
 
     def comma_list(self, item) -> list:
         """``item (, item)*``."""
@@ -301,7 +324,7 @@ class _Parser:
         return items
 
     def port_names(self) -> list:
-        return self.comma_list(lambda: self.ident("port name").text)
+        return self.comma_list(lambda: self.ident("port name")[TEXT])
 
     # document --------------------------------------------------------------
 
@@ -318,11 +341,11 @@ class _Parser:
             if self.at_kw("horizon"):
                 t = self.advance()
                 if horizon is not None:
-                    raise SemanticError("horizon declared twice", t.line, t.col)
+                    raise SemanticError("horizon declared twice", *self.where(t))
                 num = self.expect("INT")
-                horizon = int(num.text)
+                horizon = int(num[TEXT])
                 if horizon < 1:
-                    raise SemanticError("horizon must be at least 1", num.line, num.col)
+                    raise SemanticError("horizon must be at least 1", *self.where(num))
                 self.expect("PUNCT", ";")
             elif self.at_kw("port"):
                 d = self.port_decl()
@@ -331,11 +354,11 @@ class _Parser:
             elif self.at_kw("def"):
                 self.advance()
                 name = self.ident("definition name")
-                declare(name.text, (name.line, name.col))
+                declare(name[TEXT], self.where(name))
                 self.expect("PUNCT", "=")
                 body = self.expr()
                 self.expect("PUNCT", ";")
-                defs[name.text] = body
+                defs[name[TEXT]] = body
             elif self.at_kw("contract"):
                 d = self.contract_decl()
                 declare(d.name, d.loc)
@@ -350,7 +373,7 @@ class _Parser:
                 pdecls[d.name] = d
             else:
                 raise self.error(
-                    f"expected a declaration, found {self.tok.text or 'end of input'!r}")
+                    f"expected a declaration, found {self.found()}")
 
         doc = Document(horizon, ports, defs, cdecls, idecls, pdecls)
         _resolve(doc)
@@ -368,13 +391,13 @@ class _Parser:
             values = self.comma_list(self.value_token)
             self.expect("PUNCT", "}")
             if len(set(values)) != len(values):
-                raise SemanticError(f"duplicate values in domain of {name.text!r}",
-                                    name.line, name.col)
+                raise SemanticError(f"duplicate values in domain of {name[TEXT]!r}",
+                                    *self.where(name))
             domain = tuple(values)
         else:
             raise self.error("expected 'bool' or a '{...}' value list")
         if self.at_kw("controlled", "uncontrolled"):
-            role = self.advance().text
+            role = self.advance()[TEXT]
         else:
             raise self.error("expected 'controlled' or 'uncontrolled'")
         dist = None
@@ -382,7 +405,7 @@ class _Parser:
             self.advance()
             dist = self.dist_decl()
         self.expect("PUNCT", ";")
-        return PortDecl(name.text, domain, role, dist, (kw.line, kw.col))
+        return PortDecl(name[TEXT], domain, role, dist, self.where(kw))
 
     def value_token(self):
         t = self.tok
@@ -392,30 +415,30 @@ class _Parser:
         if self.at_kw("false"):
             self.advance()
             return False
-        if t.kind == "INT":
+        if t[KIND] == "INT":
             self.advance()
-            return int(t.text)
-        if t.kind == "IDENT":
+            return int(t[TEXT])
+        if t[KIND] == "IDENT":
             self.advance()
-            return t.text
-        raise self.error(f"expected a value, found {t.text or 'end of input'!r}")
+            return t[TEXT]
+        raise self.error(f"expected a value, found {self.found()}")
 
     def rational(self) -> Fraction:
         t = self.tok
-        if t.kind == "DECIMAL":
+        if t[KIND] == "DECIMAL":
             self.advance()
-            return Fraction(t.text)
-        if t.kind == "INT":
+            return Fraction(t[TEXT])
+        if t[KIND] == "INT":
             self.advance()
-            num = int(t.text)
+            num = int(t[TEXT])
             if self.at("PUNCT", "/"):
                 self.advance()
                 den = self.expect("INT")
-                if int(den.text) == 0:
-                    raise SemanticError("zero denominator", den.line, den.col)
-                return Fraction(num, int(den.text))
+                if int(den[TEXT]) == 0:
+                    raise SemanticError("zero denominator", *self.where(den))
+                return Fraction(num, int(den[TEXT]))
             return Fraction(num)
-        raise self.error(f"expected a probability, found {t.text or 'end of input'!r}")
+        raise self.error(f"expected a probability, found {self.found()}")
 
     def dist_decl(self):
         loc = self.loc()
@@ -454,7 +477,7 @@ class _Parser:
             kw = self.advance()
             names = self.port_names()
             self.expect("PUNCT", ";")
-            if kw.text == "input":
+            if kw[TEXT] == "input":
                 inputs = tuple(sorted((inputs or ()) + tuple(names)))
             else:
                 outputs = tuple(sorted((outputs or ()) + tuple(names)))
@@ -472,7 +495,7 @@ class _Parser:
         guarantee = self.expr()
         self.expect("PUNCT", ";")
         self.expect("PUNCT", "}")
-        return ContractDecl(name.text, inputs, outputs, assume, guarantee, (kw.line, kw.col))
+        return ContractDecl(name[TEXT], inputs, outputs, assume, guarantee, self.where(kw))
 
     def impl_decl(self) -> ImplDecl:
         kw = self.expect_kw("impl")
@@ -483,7 +506,7 @@ class _Parser:
         behavior = self.expr()
         self.expect("PUNCT", ";")
         self.expect("PUNCT", "}")
-        return ImplDecl(name.text, inputs, outputs, behavior, (kw.line, kw.col))
+        return ImplDecl(name[TEXT], inputs, outputs, behavior, self.where(kw))
 
     def probcontract_decl(self) -> ProbContractDecl:
         kw = self.expect_kw("probcontract")
@@ -498,7 +521,7 @@ class _Parser:
             ports = tuple(sorted(self.port_names()))
             self.expect("PUNCT", ";")
         self.expect("PUNCT", "}")
-        return ProbContractDecl(name.text, base.text, ports, (kw.line, kw.col))
+        return ProbContractDecl(name[TEXT], base[TEXT], ports, self.where(kw))
 
     # expressions -------------------------------------------------------------
 
@@ -553,7 +576,7 @@ class _Parser:
         try:
             loc = self.loc()
             if self.at_kw("always", "never", "eventually"):
-                op = self.advance().text
+                op = self.advance()[TEXT]
                 self.expect("PUNCT", "(")
                 body = self.expr()
                 self.expect("PUNCT", ")")
@@ -565,7 +588,7 @@ class _Parser:
                 self.expect("PUNCT", ",")
                 body = self.expr()
                 self.expect("PUNCT", ")")
-                return At(loc, int(step.text), body)
+                return At(loc, int(step[TEXT]), body)
             if self.at("PUNCT", "("):
                 self.advance()
                 body = self.expr()
@@ -598,24 +621,24 @@ class _Parser:
             self.expect("PUNCT", "=")
             init = self.value_token()
             self.expect("PUNCT", ")")
-            return PrevOperand(loc, name.text, init)
-        if self.tok.kind == "IDENT":
-            return PortOperand(loc, self.advance().text)
-        if self.at_kw("true", "false") or self.tok.kind == "INT":
+            return PrevOperand(loc, name[TEXT], init)
+        if self.tok[KIND] == "IDENT":
+            return PortOperand(loc, self.advance()[TEXT])
+        if self.at_kw("true", "false") or self.tok[KIND] == "INT":
             return ValueOperand(loc, self.value_token())
         raise self.error(
             f"expected {'a value or port' if comparison_only else 'an expression'}, "
-            f"found {self.tok.text or 'end of input'!r}")
+            f"found {self.found()}")
 
 
 def parse(text: str) -> Document:
     """Parse a document; raises a located SpecLangError subclass on any problem."""
-    return _Parser(_tokenize(text)).document()
+    return _Parser(text).document()
 
 
 def parse_expr(text: str) -> Expr:
     """Parse a single trace expression (no trailing input allowed)."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     e = p.expr()
     p.expect("EOF")
     return e

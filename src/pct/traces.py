@@ -72,7 +72,12 @@ def domain_index(domain: tuple, value) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Port:
-    """A named channel with an ordered finite value domain."""
+    """A named channel with an ordered finite value domain.
+
+    Ports compare and hash by a key made once, with its hash: the name
+    and each domain value with its type, so that, as in ``same_domain``,
+    bool and int values never match each other.
+    """
 
     name: str
     domain: tuple = BOOL
@@ -86,13 +91,15 @@ class Port:
             raise PctError(f"port {self.name}: domain must have at least one value")
         if len(set(dom)) != len(dom):
             raise PctError(f"port {self.name}: domain values must be distinct")
+        key = (self.name, tuple((type(v), v) for v in dom))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
-        return (isinstance(other, Port) and self.name == other.name
-                and same_domain(self.domain, other.domain))
+        return self is other or (isinstance(other, Port) and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.name, self.domain))
+        return self._hash
 
     @property
     def is_boolean(self) -> bool:
@@ -104,21 +111,11 @@ class Port:
         return Port(new_name, self.domain)
 
 
-@dataclass(frozen=True)
-class Horizon:
-    """Number of discrete steps shared by every run of a system."""
-
-    length: int
-
-    def __post_init__(self):
-        if not isinstance(self.length, int) or self.length < 1:
-            raise PctError("horizon must be a positive integer")
-
-
 def _hlen(h) -> int:
-    if isinstance(h, Horizon):
-        return h.length
-    return Horizon(h).length
+    """``h`` if it is a horizon: an int of at least 1, and not a bool."""
+    if isinstance(h, bool) or not isinstance(h, int) or h < 1:
+        raise PctError("horizon must be a positive integer")
+    return h
 
 
 @dataclass(frozen=True)
@@ -226,7 +223,7 @@ class Signature:
 
 def _check_shared_domains(s1: Signature, s2: Signature) -> None:
     for p in s1.ports:
-        if p.name in s2 and not same_domain(s2.port(p.name).domain, p.domain):
+        if p.name in s2 and s2.port(p.name) != p:
             raise DomainMismatchError(
                 f"port {p.name}: domains differ ({p.domain} vs {s2.port(p.name).domain})")
 
@@ -263,7 +260,7 @@ def is_subsignature(s1: Signature, s2: Signature) -> bool:
     try:
         for p in s1.ports:
             q = s2.port(p.name)
-            if not same_domain(q.domain, p.domain) or s2.role(p.name) != s1.role(p.name):
+            if q != p or s2.role(p.name) != s1.role(p.name):
                 return False
     except SignatureError:
         return False

@@ -1,6 +1,8 @@
 """CLI input validation: bad budgets, seed counts, suites and names end in one
 diagnostic line and exit code 2, never a traceback or a pass over zero cases;
-and the query subcommands do not load the oracle."""
+the query subcommands do not load the oracle; and every subcommand prints
+its golden output on the bundled example, in a process that has already
+run other queries and failed ones."""
 
 import os
 import subprocess
@@ -11,6 +13,66 @@ from pathlib import Path
 import pytest
 
 from pct import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.fixture
+def example(tmp_path):
+    """A copy of the bundled two_stage.pct, as a path string."""
+    path = tmp_path / "two_stage.pct"
+    path.write_text(resources.files("pct.data").joinpath("two_stage.pct").read_text("utf-8"))
+    return str(path)
+
+
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of one cli.main call in this process."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+QUERIES = {
+    "example": ["example"],
+    "sat": ["sat", "{doc}", "--impl", "m1", "--contract", "stage1_rel"],
+    "refine": ["refine", "{doc}", "--from", "pipeline_rel", "--to", "relaxed_rel"],
+    "compose": ["compose", "{doc}", "--contracts", "stage1_rel,stage2_rel"],
+    "fmt": ["fmt", "{doc}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_golden_stdout_on_the_bundled_example(name, example, capsys):
+    argv = [a.format(doc=example) for a in QUERIES[name]]
+    want = (GOLDEN / f"{name}.txt").read_text("utf-8")
+    assert _run(argv, capsys) == (0, want, "")
+
+
+def test_one_process_gives_the_same_answers_around_failed_calls(example, tmp_path, capsys):
+    bad = tmp_path / "bad.pct"
+    bad.write_text("horizon 1;\nport a : bool uncontrolled;@\n")
+    sat = [a.format(doc=example) for a in QUERIES["sat"]]
+    refine = [a.format(doc=example) for a in QUERIES["refine"]]
+    first = _run(sat, capsys)
+    assert first == (0, (GOLDEN / "sat.txt").read_text("utf-8"), "")
+
+    rc, out, err = _run(sat[:-2], capsys)     # --contract left out
+    assert (rc, out) == (2, "") and "the following arguments are required: --contract" in err
+    rc, out, err = _run(sat + ["--bogus", "1"], capsys)
+    assert (rc, out) == (2, "") and "unrecognized arguments: --bogus 1" in err
+    assert _run(["sat", str(bad), "--impl", "m1", "--contract", "c"], capsys) == \
+        (2, "", "error: 2:28: unexpected character '@'\n")
+    assert _run(sat[:-1] + ["nope"], capsys) == \
+        (2, "", "error: undefined contract 'nope'\n")
+    assert _run(sat + ["--at-least", "1"], capsys) == \
+        (1, first[1], "below threshold 1\n")
+
+    assert _run(sat, capsys) == first
+    assert _run(refine, capsys) == (0, (GOLDEN / "refine.txt").read_text("utf-8"), "")
+    assert _run(sat, capsys) == first
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Parser, printer, and denotation of the `.pct` format."""
 
+import dataclasses
 import functools
 import random
 import re
@@ -135,7 +136,7 @@ def _deepest(text, monkeypatch):
     The depth rises on entering ``expr``, ``unary`` and ``atom``; the
     deepest point of any expression is the entry to some atom.
     """
-    parser = speclang._Parser(speclang._tokenize(text))
+    parser = speclang._Parser(text)
     reached, atom = [], parser.atom
     parser.atom = lambda: reached.append(parser.depth + 1) or atom()
     with monkeypatch.context() as m:
@@ -481,6 +482,97 @@ def test_fuzz_parser_never_crashes(docgen):
         except SpecLangError as exc:
             assert exc.line >= 1 and exc.col >= 1
     assert ok >= 0  # reaching here without another exception type is the point
+
+
+# --- source positions ----------------------------------------------------------------
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("@horizon 1;\n", 1, 1, "unexpected character '@'"),
+    ("é", 1, 1, "unexpected character 'é'"),
+    ("horizon 1;\nport a : bool\t@ uncontrolled;\n", 2, 15, "unexpected character '@'"),
+    ("\thorizon 1;\n\t\tport\t\ta : bool uncontrolled;\n\tdef d = a @;\n", 3, 12,
+     "unexpected character '@'"),
+    ("horizon 1;\r\n\r\nport a : bool uncontrolled;\r\ndef d = é;\r\n", 4, 9,
+     "unexpected character 'é'"),
+    ("horizon 1;\nport a : bool uncontrolled;\ndef d = a;@", 3, 11, "unexpected character '@'"),
+    ("horizon 1; # a comment with @ and é\n# another\n@", 3, 1, "unexpected character '@'"),
+    ("horizon 1;\r\n# é @ \t\r\né", 3, 1, "unexpected character 'é'"),
+    ("# head\n\t# indented comment\n\t  horizon 1;\t@\n", 3, 15, "unexpected character '@'"),
+    # a lone carriage return does not end a line
+    ("horizon 1;\rport a : bool uncontrolled;\r@", 1, 40, "unexpected character '@'"),
+    ("horizon 1;\nport a : bool uncontrolled", 2, 27, "expected ';', found 'end of input'"),
+    ("horizon 1;\nport a : bool uncontrolled # no semicolon", 2, 42,
+     "expected ';', found 'end of input'"),
+    ("horizon 1;\n\tport\thorizon : bool uncontrolled;\n", 2, 7,
+     "'horizon' is a keyword and cannot be used as a port name"),
+], ids=["start", "start-e-acute", "middle-after-tab", "middle-after-tabs", "middle-crlf",
+        "end-no-newline", "end-after-comment", "end-after-crlf-comment", "comment-then-tab",
+        "lone-cr", "eof-no-newline", "eof-after-comment", "tab-keyword"])
+def test_parse_errors_carry_line_and_column(text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        pct.parse(text)
+    assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
+    assert str(exc.value) == f"{line}:{col}: {message}"
+
+
+@pytest.mark.parametrize("text, error, line, col", [
+    ("horizon 1;\r\nport a : bool uncontrolled;\r\ncontract c {\r\n\tassume true;\r\n"
+     "\tguarantee at(3, a);\r\n}\r\n", SemanticError, 5, 12),
+    ("\t\thorizon 0;", SemanticError, 1, 11),
+    ("# c\r\nhorizon 2;\r\nport a : bool uncontrolled;\r\n\r\n  def d =\tb;", ResolveError, 5, 11),
+], ids=["crlf-step", "tab-horizon", "crlf-undefined"])
+def test_later_diagnostics_carry_line_and_column(text, error, line, col):
+    with pytest.raises(error) as exc:
+        pct.parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_comments_may_hold_any_character():
+    doc = pct.parse("# @ é \t $\nhorizon 1; # ü @\r\n# last line, no newline: é")
+    assert doc.horizon == 1
+
+
+def _located(node):
+    """Every node under ``node`` that has a ``loc``, with that ``loc``."""
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _located(v)
+    elif isinstance(node, tuple):
+        for v in node:
+            yield from _located(v)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            if f.name == "loc":
+                yield node, value
+            else:
+                yield from _located(value)
+
+
+def test_node_locations_match_their_token_offsets(docgen, monkeypatch):
+    """Parse each document twice: once as usual, and once with locations
+    left as token offsets.  Each node's (line, col) must be what counting
+    newlines before its offset gives."""
+    checked = 0
+    for seed in range(200):
+        text = docgen(seed).document()
+        if seed % 3 == 1:
+            text = text.replace("\n", "\r\n")
+        if seed % 3 == 2:
+            text = text.replace("  ", "\t")
+        doc = pct.parse(text)
+        with monkeypatch.context() as m:
+            m.setattr(speclang, "_line_col", lambda starts, offset: ("offset", offset))
+            raw = pct.parse(text)
+        starts = {t[speclang.OFFSET] for t in speclang._tokenize(text)}
+        located, offsets = list(_located(doc)), list(_located(raw))
+        assert [type(n) for n, _ in located] == [type(n) for n, _ in offsets]
+        for (node, loc), (_, (_, pos)) in zip(located, offsets):
+            assert pos in starts, (seed, node)
+            want = (text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+            assert loc == want, (seed, node, pos)
+            checked += 1
+    assert checked > 5000
 
 
 # --- grammar -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Assertion algebra: enumerated examples plus the algebraic laws."""
 
 import re
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from pct import (
     BOOL,
     CapacityError,
     DomainMismatchError,
-    Horizon,
     HorizonMismatchError,
     PctError,
     Port,
@@ -64,8 +64,64 @@ def test_port_validation():
         Port("p", ())
     with pytest.raises(PctError):
         Port("p", (1, 1))
-    with pytest.raises(PctError):
-        Horizon(0)
+
+
+@pytest.mark.parametrize("h", [True, False, 0, -1, 2.0, "2", None], ids=repr)
+def test_a_horizon_is_a_positive_int_not_a_bool(h):
+    with pytest.raises(PctError, match="horizon must be a positive integer"):
+        traces._hlen(h)
+    with pytest.raises(PctError, match="horizon must be a positive integer"):
+        traces.space_of(SIG_A, h)
+    with pytest.raises(PctError, match="horizon must be a positive integer"):
+        pct.universe(SIG_A, h)
+
+
+def test_port_equality_keeps_value_types_apart():
+    assert Port("a", (0, 1)) != Port("a", (False, True))
+    assert Port("a", (1,)) != Port("a", (1.0,))
+    assert Port("a", (0, 1)) != Port("b", (0, 1))
+    assert Port("a", (0, 1)) != ("a", (0, 1))
+    same = Port("a", (0, "x")), Port("a", [0, "x"])
+    assert same[0] is not same[1]
+    assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+    assert Port("a") == Port("a", BOOL) and hash(Port("a")) == hash(Port("a", BOOL))
+    assert len({Port("a", (0, 1)), Port("a", (False, True)), Port("a", (0, 1))}) == 2
+
+
+def test_space_of_keeps_domain_value_types_apart():
+    ints = Signature.of(uncontrolled=(Port("a", (0, 1)),))
+    bools = Signature.of(uncontrolled=(Port("a", (False, True)),))
+    assert ints != bools
+    s_ints, s_bools = traces.space_of(ints, 2), traces.space_of(bools, 2)
+    assert s_ints is not s_bools
+    assert s_ints.ports[0].domain == (0, 1) and type(s_ints.ports[0].domain[0]) is int
+    assert type(s_bools.ports[0].domain[0]) is bool
+    assert [type(v) for v in pct.run_at(ints, 2, 1).history("a")] == [int, int]
+    assert [type(v) for v in pct.run_at(bools, 2, 1).history("a")] == [bool, bool]
+    assert traces.space_of(ints, 2) is s_ints
+
+
+def test_a_warm_query_compares_no_domains_to_find_a_space(tmp_path, monkeypatch, capsys):
+    """``space_of``'s cache compares ports by their keys, not through
+    ``same_domain``; counted on a repeated ``pct sat``, not timed."""
+    from importlib import resources
+
+    from pct import cli
+    path = tmp_path / "two_stage.pct"
+    path.write_text(resources.files("pct.data").joinpath("two_stage.pct").read_text("utf-8"))
+    argv = ["sat", str(path), "--impl", "m1", "--contract", "stage1_rel"]
+    assert cli.main(argv) == 0
+    callers, same_domain = [], traces.same_domain
+
+    def counted(d1, d2):
+        callers.append({frame.name for frame in traceback.extract_stack()})
+        return same_domain(d1, d2)
+
+    monkeypatch.setattr(traces, "same_domain", counted)
+    for _ in range(3):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("level = 81/100") == 4
+    assert [c for c in callers if {"space_of", "_space"} & c] == []
 
 
 def test_signature_partition():
