@@ -10,10 +10,8 @@ diagnostic errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from . import contracts, probabilistic, speclang
@@ -157,6 +155,7 @@ def cmd_verify(args) -> int:
     results = {name: oracle.run_suite(name, range(args.seeds), budget)
                for name in suites}
     if args.json_lines:
+        import json
         for cases in results.values():
             for case in cases:
                 print(json.dumps(case.as_json_dict(), sort_keys=True))
@@ -166,6 +165,7 @@ def cmd_verify(args) -> int:
 
 
 def example_document() -> speclang.Document:
+    from importlib import resources
     text = resources.files("pct.data").joinpath(EXAMPLE_RESOURCE).read_text("utf-8")
     return speclang.parse(text)
 

@@ -10,36 +10,43 @@ insensitive to canonicalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import traces
 from .errors import ControlledOverlapError, SignatureError
+from .record import Record
 from .traces import Assertion, Signature
 
 
-@dataclass(frozen=True)
-class Contract:
+class Contract(Record):
     """A pair (assumption, guarantee) over a shared signature.
 
     ``canonical`` records that the guarantee already absorbs the negated
-    assumption, i.e. ``complement(assumption) <= guarantee``.
+    assumption, i.e. ``complement(assumption) <= guarantee``; a contract
+    built with ``canonical=True`` is checked for it.
     """
 
-    signature: Signature
-    assumption: Assertion
-    guarantee: Assertion
-    canonical: bool = False
+    __slots__ = ("signature", "assumption", "guarantee", "canonical")
 
-    def __post_init__(self):
-        if (self.assumption.signature != self.signature
-                or self.guarantee.signature != self.signature):
-            raise SignatureError("contract assertions must share the contract signature")
-        if self.assumption.horizon != self.guarantee.horizon:
-            raise SignatureError("contract assertions must share one horizon")
-        if self.canonical and not _is_canonical(self.assumption, self.guarantee):
+    def __init__(self, signature: Signature, assumption: Assertion, guarantee: Assertion,
+                 canonical: bool = False):
+        self._fill(signature, assumption, guarantee, canonical)
+        if canonical and not _is_canonical(assumption, guarantee):
             raise SignatureError("canonical flag set but complement(A) is not within G")
+
+    @classmethod
+    def _known(cls, signature: Signature, assumption: Assertion, guarantee: Assertion,
+               canonical: bool) -> "Contract":
+        """A contract whose canonicity the caller knows by construction:
+        ``canonical`` is taken as given, without a pass over the runs."""
+        c = cls.__new__(cls)
+        c._fill(signature, assumption, guarantee, canonical)
+        return c
+
+    def _fill(self, signature, assumption, guarantee, canonical) -> None:
+        if assumption.signature != signature or guarantee.signature != signature:
+            raise SignatureError("contract assertions must share the contract signature")
+        if assumption.horizon != guarantee.horizon:
+            raise SignatureError("contract assertions must share one horizon")
+        self._assign(signature, assumption, guarantee, canonical)
 
     @property
     def horizon(self) -> int:
@@ -58,7 +65,7 @@ def contract(assumption: Assertion, guarantee: Assertion) -> Contract:
     sig = traces.union_signature(assumption.signature, guarantee.signature)
     a = traces.lift(assumption, sig)
     g = traces.lift(guarantee, sig)
-    return Contract(sig, a, g, canonical=_is_canonical(a, g))
+    return Contract._known(sig, a, g, _is_canonical(a, g))
 
 
 def canonicalize(c: Contract) -> Contract:
@@ -66,7 +73,7 @@ def canonicalize(c: Contract) -> Contract:
     if c.canonical:
         return c
     g = Assertion(c.signature, c.horizon, c.guarantee.mask | ~c.assumption.mask)
-    return Contract(c.signature, c.assumption, g, canonical=True)
+    return Contract._known(c.signature, c.assumption, g, True)
 
 
 def maximal_implementation(c: Contract) -> Assertion:
@@ -127,9 +134,8 @@ def compose(c1: Contract, c2: Contract) -> Contract:
     a2, g2 = _lift_onto(c2, sig)
     g = g1 & g2
     a = (a1 & a2) | ~g
-    out = Contract(sig, Assertion(sig, c1.horizon, a), Assertion(sig, c1.horizon, g),
-                   canonical=True)
-    return out
+    return Contract._known(sig, Assertion(sig, c1.horizon, a), Assertion(sig, c1.horizon, g),
+                           True)
 
 
 def _lift_onto(c: Contract, sig: Signature) -> tuple:
@@ -167,7 +173,8 @@ def refines(c1: Contract, c2: Contract) -> bool:
 
 
 def renamed(c: Contract, old: str, new: str) -> Contract:
-    return Contract(c.signature.renamed(old, new),
-                    traces.renamed(c.assumption, old, new),
-                    traces.renamed(c.guarantee, old, new),
-                    canonical=c.canonical)
+    # renaming a port moves runs, so every run is in A or G as before
+    return Contract._known(c.signature.renamed(old, new),
+                           traces.renamed(c.assumption, old, new),
+                           traces.renamed(c.guarantee, old, new),
+                           c.canonical)

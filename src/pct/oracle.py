@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -36,6 +35,7 @@ from . import contracts, probabilistic, traces
 from .contracts import Contract
 from .errors import PctError
 from .probabilistic import Distribution, ProbContract
+from .record import Record
 from .traces import Assertion, Port, Run, Signature
 
 ZERO = Fraction(0)
@@ -206,8 +206,7 @@ def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
 
 # --- seeded instance generation --------------------------------------------------
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Size bounds for generated instances.
 
     ``max_ports_per_side`` counts a compose side's own ports: with a shared
@@ -218,15 +217,15 @@ class Budget:
     is rejected.
     """
 
-    max_ports_per_side: int = 3
-    max_horizon: int = 3
-    max_domain: int = 3
-    max_space: int = 4096
+    __slots__ = ("max_ports_per_side", "max_horizon", "max_domain", "max_space")
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def __init__(self, max_ports_per_side: int = 3, max_horizon: int = 3,
+                 max_domain: int = 3, max_space: int = 4096):
+        values = (max_ports_per_side, max_horizon, max_domain, max_space)
+        for name, value in zip(self._fields, values):
             if type(value) is not int or value < 1:
                 raise PctError(f"budget {name} must be a positive integer, got {value!r}")
+        self._assign(*values)
         d = min(self.max_domain, 3)               # the widest domain drawn
         side = min(self.max_ports_per_side, 4)    # own ports: 2 prob, 1 controlled, 1 extra
         # at horizon 1: a composed pair with its shared port, a refinement
@@ -328,13 +327,12 @@ def _shrink_to_budget(sig1, sig2, h, budget: Budget):
     return h
 
 
-@dataclass(frozen=True)
-class ComposeInstance:
-    m1: Assertion
-    pc1: ProbContract
-    m2: Assertion
-    pc2: ProbContract
-    seed: int
+class ComposeInstance(Record):
+    __slots__ = ("m1", "pc1", "m2", "pc2", "seed")
+
+    def __init__(self, m1: Assertion, pc1: ProbContract, m2: Assertion, pc2: ProbContract,
+                 seed: int):
+        self._assign(m1, pc1, m2, pc2, seed)
 
 
 def gen_compose_instance(seed: int, budget: Budget = Budget(),
@@ -370,12 +368,11 @@ def _make_impl(rng, sig: Signature, h: int, pports) -> Assertion:
     return Assertion(sig, h, mask)
 
 
-@dataclass(frozen=True)
-class RefineInstance:
-    m: Assertion
-    pc1: ProbContract
-    pc2: ProbContract
-    seed: int
+class RefineInstance(Record):
+    __slots__ = ("m", "pc1", "pc2", "seed")
+
+    def __init__(self, m: Assertion, pc1: ProbContract, pc2: ProbContract, seed: int):
+        self._assign(m, pc1, pc2, seed)
 
 
 def gen_refine_instance(seed: int, budget: Budget = Budget()) -> RefineInstance:
@@ -439,13 +436,13 @@ def gen_refining_contracts(seed: int, budget: Budget = Budget(), tag: str = "",
 
 # --- suites -----------------------------------------------------------------------
 
-@dataclass
-class CaseResult:
-    suite: str
-    seed: int
-    ok: bool
-    oracle_ok: bool
-    detail: dict = field(default_factory=dict)
+class CaseResult(Record):
+    """The outcome of one suite case; ``detail`` holds the values it checked."""
+
+    __slots__ = ("suite", "seed", "ok", "oracle_ok", "detail")
+
+    def __init__(self, suite: str, seed: int, ok: bool, oracle_ok: bool, detail: dict = None):
+        self._assign(suite, seed, ok, oracle_ok, {} if detail is None else detail)
 
     def as_json_dict(self) -> dict:
         return {"suite": self.suite, "seed": self.seed, "ok": self.ok,

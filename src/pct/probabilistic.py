@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -37,6 +36,7 @@ from .errors import (
     ProbPortOverlapError,
     SignatureError,
 )
+from .record import Record, setfield
 from .traces import Assertion, Port, Run, Signature
 
 ZERO = Fraction(0)
@@ -62,22 +62,22 @@ def _int_dtype(bound: int):
     return np.int64 if bound <= _INT64_MAX else object
 
 
-@dataclass(frozen=True, eq=False)
-class Factor:
+class Factor(Record):
     """One independent block of a distribution.
 
     ``num[i] / den`` is the probability of the history with run index ``i``
     over the block's name-sorted ``ports``.  The numerators are nonnegative,
     sum to ``den`` and share no divisor with it, so equal laws have equal
     factors.  ``num`` is int64 when ``den`` fits in it, else Python ints.
+    Factors compare by identity; ``Distribution`` compares their values.
     """
 
-    ports: tuple
-    num: np.ndarray
-    den: int
+    __slots__ = ("ports", "num", "den")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        self.num.setflags(write=False)
+    def __init__(self, ports: tuple, num: np.ndarray, den: int):
+        num.setflags(write=False)
+        self._assign(ports, num, den)
 
 
 def _factor(ports: tuple, h: int, num: Iterable[int], den: int) -> Factor:
@@ -95,8 +95,7 @@ def _factor(ports: tuple, h: int, num: Iterable[int], den: int) -> Factor:
     return Factor(ports, np.array([n // g for n in num], dtype=_int_dtype(den // g)), den // g)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Distribution:
+class Distribution(Record):
     """Exact, finitely supported distribution over joint histories.
 
     It is the product of independent ``factors`` over disjoint blocks of
@@ -107,9 +106,7 @@ class Distribution:
     first use.
     """
 
-    ports: tuple
-    horizon: int
-    factors: tuple
+    __slots__ = ("ports", "horizon", "factors", "_weights")
 
     def __init__(self, ports, horizon: int, weights):
         ports, horizon = tuple(ports), traces._hlen(horizon)
@@ -136,9 +133,10 @@ class Distribution:
         # a block of no ports is the unit factor; blocks go in the order of
         # their first port, so equal factorizations compare factor by factor
         factors = sorted((f for f in factors if f.ports), key=lambda f: f.ports[0].name)
-        object.__setattr__(self, "ports", tuple(ports))
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "factors", tuple(factors))
+        setfield(self, "ports", tuple(ports))
+        setfield(self, "horizon", horizon)
+        setfield(self, "factors", tuple(factors))
+        setfield(self, "_weights", None)
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):
@@ -180,10 +178,12 @@ class Distribution:
                                        _space(f.ports, self.horizon), space)
         return out.reshape(-1)
 
-    @functools.cached_property
+    @property
     def weights(self) -> tuple:
-        den = self.denominator
-        return tuple(Fraction(n, den) for n in self.numerators().tolist())
+        if self._weights is None:
+            den = self.denominator
+            setfield(self, "_weights", tuple(Fraction(n, den) for n in self.numerators().tolist()))
+        return self._weights
 
     def weight_of(self, omega: Run) -> Fraction:
         return self.weights[traces.run_index(self.signature, self.horizon, omega)]
@@ -303,33 +303,31 @@ def renamed_dist(d: Distribution, old: str, new: str) -> Distribution:
 
 # --- probabilistic contracts --------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbContract:
+class ProbContract(Record):
     """A contract, a set of probabilistic uncontrolled ports, and their law.
 
     The base contract is kept in canonical form; use ``prob_contract`` to
     build one from an arbitrary contract.
     """
 
-    base: Contract
-    pports: frozenset
-    dist: Distribution
+    __slots__ = ("base", "pports", "dist")
 
-    def __post_init__(self):
-        if not self.base.canonical:
+    def __init__(self, base: Contract, pports: frozenset, dist: Distribution):
+        if not base.canonical:
             raise SignatureError("probabilistic contracts require a canonical base; "
                                  "use prob_contract()")
-        if not self.pports <= self.base.signature.uncontrolled:
-            extra = self.pports - self.base.signature.uncontrolled
+        if not pports <= base.signature.uncontrolled:
+            extra = pports - base.signature.uncontrolled
             raise SignatureError(
                 f"probabilistic ports must be uncontrolled ports of the base: {sorted(extra)}")
-        if self.dist.names != self.pports:
+        if dist.names != pports:
             raise SignatureError("distribution ports must be exactly the probabilistic ports")
-        if self.dist.horizon != self.base.horizon:
+        if dist.horizon != base.horizon:
             raise HorizonMismatchError("distribution horizon differs from the contract's")
-        for p in self.dist.ports:
-            if self.base.signature.port(p.name) != p:
+        for p in dist.ports:
+            if base.signature.port(p.name) != p:
                 raise SignatureError(f"port {p.name}: distribution domain differs from signature")
+        self._assign(base, pports, dist)
 
     @property
     def horizon(self) -> int:
@@ -349,16 +347,16 @@ def from_contract(c: Contract) -> ProbContract:
     return prob_contract(c, (), point_mass_empty(c.horizon))
 
 
-@dataclass(frozen=True)
-class SatReport:
+class SatReport(Record):
     """Exact satisfaction level plus, if any, a worst violating history."""
 
-    level: Fraction
-    witness_bad: Run | None = None
+    __slots__ = ("level", "witness_bad")
+
+    def __init__(self, level: Fraction, witness_bad: Run | None = None):
+        self._assign(level, witness_bad)
 
 
-@dataclass(frozen=True)
-class RefineReport:
+class RefineReport(Record):
     """Exact refinement level.
 
     ``level`` is the conditional probability that a history pins the
@@ -368,9 +366,10 @@ class RefineReport:
     field then holds 0 and must not be read as a bound).
     """
 
-    level: Fraction
-    p_g1: Fraction
-    degenerate: bool = False
+    __slots__ = ("level", "p_g1", "degenerate")
+
+    def __init__(self, level: Fraction, p_g1: Fraction, degenerate: bool = False):
+        self._assign(level, p_g1, degenerate)
 
 
 def _good_history_mask(target: Assertion, pc: ProbContract) -> np.ndarray:

@@ -20,7 +20,6 @@ import bisect
 import functools
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -36,6 +35,7 @@ from .errors import (
     SemanticError,
     SignatureError,
 )
+from .record import Record, setfield
 from .traces import Assertion, Port, Signature
 
 MAX_NESTING = 80
@@ -53,8 +53,8 @@ KEYWORDS = frozenset("""
 # ``skip`` match; any character no other group takes is ``bad``.
 _TOKEN_RE = re.compile(r"""
       (?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
-    | (?P<DECIMAL>\d+\.\d+)
-    | (?P<INT>\d+)
+    | (?P<DECIMAL>[0-9]+\.[0-9]+)
+    | (?P<INT>[0-9]+)
     | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<PUNCT>==|[{}()\[\]:;,=/])
     | (?P<bad>.)
@@ -102,146 +102,180 @@ def _line_col(starts: list, offset: int) -> tuple:
 
 # --- expression AST -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Expr:
-    loc: tuple = field(default=(0, 0), compare=False)
+# Nodes are records (``record.Record``): equal when their fields other
+# than ``loc`` are equal, whatever their source locations.
+
+class Expr(Record):
+    __slots__ = ("loc",)
+
+    def __init__(self, loc: tuple = (0, 0)):
+        setfield(self, "loc", loc)
 
 
-@dataclass(frozen=True)
 class Lit(Expr):
-    value: bool = True
+    __slots__ = ("value",)
+
+    def __init__(self, loc: tuple = (0, 0), value: bool = True):
+        setfield(self, "loc", loc)
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
 class NameRef(Expr):
     """Bare identifier: a boolean port or a definition reference."""
-    name: str = ""
+    __slots__ = ("name",)
+
+    def __init__(self, loc: tuple = (0, 0), name: str = ""):
+        setfield(self, "loc", loc)
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Not(Expr):
-    body: Expr = None
+    __slots__ = ("body",)
+
+    def __init__(self, loc: tuple = (0, 0), body: Expr = None):
+        setfield(self, "loc", loc)
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True)
-class And(Expr):
-    left: Expr = None
-    right: Expr = None
+class _Binary(Expr):
+    """A node over a ``left`` and a ``right`` operand."""
+    __slots__ = ("left", "right")
+
+    def __init__(self, loc: tuple = (0, 0), left=None, right=None):
+        setfield(self, "loc", loc)
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or(Expr):
-    left: Expr = None
-    right: Expr = None
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Expr):
-    left: Expr = None
-    right: Expr = None
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Implies(_Binary):
+    __slots__ = ()
+
+
 class Temporal(Expr):
-    op: str = "always"      # always | never | eventually
-    body: Expr = None
+    __slots__ = ("op", "body")
+
+    def __init__(self, loc: tuple = (0, 0), op: str = "always", body: Expr = None):
+        # op: always | never | eventually
+        setfield(self, "loc", loc)
+        setfield(self, "op", op)
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True)
 class At(Expr):
-    step: int = 0
-    body: Expr = None
+    __slots__ = ("step", "body")
+
+    def __init__(self, loc: tuple = (0, 0), step: int = 0, body: Expr = None):
+        setfield(self, "loc", loc)
+        setfield(self, "step", step)
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Operand:
-    loc: tuple = field(default=(0, 0), compare=False)
+class Operand(Record):
+    __slots__ = ("loc",)
+
+    def __init__(self, loc: tuple = (0, 0)):
+        setfield(self, "loc", loc)
 
 
-@dataclass(frozen=True)
 class PortOperand(Operand):
-    name: str = ""
+    __slots__ = ("name",)
+
+    def __init__(self, loc: tuple = (0, 0), name: str = ""):
+        setfield(self, "loc", loc)
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
 class ValueOperand(Operand):
     """Literal value: bool, int, or an enum identifier (kept as text)."""
-    value: object = None
+    __slots__ = ("value",)
+
+    def __init__(self, loc: tuple = (0, 0), value=None):
+        setfield(self, "loc", loc)
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
 class PrevOperand(Operand):
-    name: str = ""
-    init: object = None
+    __slots__ = ("name", "init")
+
+    def __init__(self, loc: tuple = (0, 0), name: str = "", init=None):
+        setfield(self, "loc", loc)
+        setfield(self, "name", name)
+        setfield(self, "init", init)
 
 
-@dataclass(frozen=True)
-class Cmp(Expr):
-    left: Operand = None
-    right: Operand = None
+class Cmp(_Binary):
+    """``left == right`` over two operands."""
+    __slots__ = ()
 
 
 # --- document AST ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BernoulliDecl:
-    p: Fraction = Fraction(0)
-    loc: tuple = field(default=(0, 0), compare=False)
+class BernoulliDecl(Record):
+    __slots__ = ("p", "loc")
+
+    def __init__(self, p: Fraction = Fraction(0), loc: tuple = (0, 0)):
+        self._assign(p, loc)
 
 
-@dataclass(frozen=True)
-class TableDecl:
-    entries: tuple = ()     # ((history tuple, Fraction), ...)
-    loc: tuple = field(default=(0, 0), compare=False)
+class TableDecl(Record):
+    __slots__ = ("entries", "loc")
+
+    def __init__(self, entries: tuple = (), loc: tuple = (0, 0)):
+        # entries: ((history tuple, Fraction), ...)
+        self._assign(entries, loc)
 
 
-@dataclass(frozen=True)
-class PortDecl:
-    name: str
-    domain: tuple           # () means bool
-    role: str               # default role: controlled | uncontrolled
-    dist: object = None     # BernoulliDecl | TableDecl | None
-    loc: tuple = field(default=(0, 0), compare=False)
+class PortDecl(Record):
+    __slots__ = ("name", "domain", "role", "dist", "loc")
+
+    def __init__(self, name: str, domain: tuple, role: str, dist=None, loc: tuple = (0, 0)):
+        # domain () means bool; role is the default role, controlled or
+        # uncontrolled; dist is a BernoulliDecl, a TableDecl or None
+        self._assign(name, domain, role, dist, loc)
 
     def port(self) -> Port:
         return Port(self.name, self.domain or traces.BOOL)
 
 
-@dataclass(frozen=True)
-class ContractDecl:
-    name: str
-    inputs: Optional[tuple]   # None: default to document roles
-    outputs: Optional[tuple]
-    assume: Expr = None
-    guarantee: Expr = None
-    loc: tuple = field(default=(0, 0), compare=False)
+class ContractDecl(Record):
+    __slots__ = ("name", "inputs", "outputs", "assume", "guarantee", "loc")
+
+    def __init__(self, name: str, inputs: Optional[tuple], outputs: Optional[tuple],
+                 assume: Expr = None, guarantee: Expr = None, loc: tuple = (0, 0)):
+        # inputs and outputs None: default to the document's roles
+        self._assign(name, inputs, outputs, assume, guarantee, loc)
 
 
-@dataclass(frozen=True)
-class ImplDecl:
-    name: str
-    inputs: Optional[tuple]
-    outputs: Optional[tuple]
-    behavior: Expr = None
-    loc: tuple = field(default=(0, 0), compare=False)
+class ImplDecl(Record):
+    __slots__ = ("name", "inputs", "outputs", "behavior", "loc")
+
+    def __init__(self, name: str, inputs: Optional[tuple], outputs: Optional[tuple],
+                 behavior: Expr = None, loc: tuple = (0, 0)):
+        self._assign(name, inputs, outputs, behavior, loc)
 
 
-@dataclass(frozen=True)
-class ProbContractDecl:
-    name: str
-    contract: str
-    ports: tuple = ()
-    loc: tuple = field(default=(0, 0), compare=False)
+class ProbContractDecl(Record):
+    __slots__ = ("name", "contract", "ports", "loc")
+
+    def __init__(self, name: str, contract: str, ports: tuple = (), loc: tuple = (0, 0)):
+        self._assign(name, contract, ports, loc)
 
 
-@dataclass(frozen=True)
-class Document:
-    horizon: Optional[int] = None
-    ports: dict = field(default_factory=dict)
-    defs: dict = field(default_factory=dict)
-    contracts: dict = field(default_factory=dict)
-    impls: dict = field(default_factory=dict)
-    probcontracts: dict = field(default_factory=dict)
+class Document(Record):
+    __slots__ = ("horizon", "ports", "defs", "contracts", "impls", "probcontracts")
+
+    def __init__(self, horizon: Optional[int] = None, ports: dict = None, defs: dict = None,
+                 contracts: dict = None, impls: dict = None, probcontracts: dict = None):
+        self._assign(horizon, *({} if d is None else d
+                                for d in (ports, defs, contracts, impls, probcontracts)))
 
     @property
     def is_empty(self) -> bool:
@@ -836,7 +870,8 @@ class _Compiler:
                 if e.name in self.defs:
                     refs.append(e)
             else:
-                stack += [v for v in vars(e).values() if isinstance(v, Expr)]
+                fields = (getattr(e, n) for n in e._fields)
+                stack += [v for v in fields if isinstance(v, Expr)]
         return refs
 
     def compile(self, e: Expr):

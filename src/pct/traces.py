@@ -24,7 +24,6 @@ transpose.  Only this module knows that layout; ``_spread`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
@@ -38,6 +37,7 @@ from .errors import (
     RoleConflictError,
     SignatureError,
 )
+from .record import Record, setfield
 
 BOOL = (False, True)
 
@@ -70,8 +70,7 @@ def domain_index(domain: tuple, value) -> int:
     raise PctError(f"value {value!r} not in domain {domain}")
 
 
-@dataclass(frozen=True, eq=False)
-class Port:
+class Port(Record):
     """A named channel with an ordered finite value domain.
 
     Ports compare and hash by a key made once, with its hash: the name
@@ -79,21 +78,21 @@ class Port:
     bool and int values never match each other.
     """
 
-    name: str
-    domain: tuple = BOOL
+    __slots__ = ("name", "domain", "_key", "_hash")
 
-    def __post_init__(self):
-        if not self.name or not isinstance(self.name, str):
+    def __init__(self, name: str, domain: tuple = BOOL):
+        if not name or not isinstance(name, str):
             raise PctError("port name must be a non-empty string")
-        dom = tuple(self.domain)
-        object.__setattr__(self, "domain", dom)
+        dom = tuple(domain)
         if len(dom) < 1:
-            raise PctError(f"port {self.name}: domain must have at least one value")
+            raise PctError(f"port {name}: domain must have at least one value")
         if len(set(dom)) != len(dom):
-            raise PctError(f"port {self.name}: domain values must be distinct")
-        key = (self.name, tuple((type(v), v) for v in dom))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+            raise PctError(f"port {name}: domain values must be distinct")
+        key = (name, tuple((type(v), v) for v in dom))
+        setfield(self, "name", name)
+        setfield(self, "domain", dom)
+        setfield(self, "_key", key)
+        setfield(self, "_hash", hash(key))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Port) and self._key == other._key)
@@ -118,11 +117,19 @@ def _hlen(h) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(Record):
     """One history per port, keyed by port name (name-sorted entries)."""
 
-    entries: tuple
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        setfield(self, "entries", entries)
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Run and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @classmethod
     def of(cls, assignments: Mapping[str, Iterable]) -> "Run":
@@ -158,13 +165,27 @@ class Run:
         return Run.of(d)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Ports of a component, split into controlled and uncontrolled sets."""
 
-    ports: tuple
-    controlled: frozenset
-    uncontrolled: frozenset
+    __slots__ = ("ports", "controlled", "uncontrolled")
+
+    def __init__(self, ports: tuple, controlled: frozenset, uncontrolled: frozenset):
+        if controlled & uncontrolled:
+            raise SignatureError("controlled and uncontrolled port sets overlap")
+        if controlled | uncontrolled != frozenset(p.name for p in ports):
+            raise SignatureError("controlled/uncontrolled split must cover exactly the ports")
+        setfield(self, "ports", ports)
+        setfield(self, "controlled", controlled)
+        setfield(self, "uncontrolled", uncontrolled)
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Signature and self.ports == other.ports
+                                 and self.controlled == other.controlled
+                                 and self.uncontrolled == other.uncontrolled)
+
+    def __hash__(self):
+        return hash((self.ports, self.controlled, self.uncontrolled))
 
     @classmethod
     def of(cls, controlled: Iterable[Port] = (), uncontrolled: Iterable[Port] = ()) -> "Signature":
@@ -174,13 +195,6 @@ class Signature:
             raise SignatureError(f"duplicate port names in signature: {sorted(names)}")
         ports = tuple(sorted(c + u, key=lambda p: p.name))
         return cls(ports, frozenset(p.name for p in c), frozenset(p.name for p in u))
-
-    def __post_init__(self):
-        names = frozenset(p.name for p in self.ports)
-        if self.controlled & self.uncontrolled:
-            raise SignatureError("controlled and uncontrolled port sets overlap")
-        if self.controlled | self.uncontrolled != names:
-            raise SignatureError("controlled/uncontrolled split must cover exactly the ports")
 
     @property
     def names(self) -> tuple:
@@ -269,23 +283,21 @@ def is_subsignature(s1: Signature, s2: Signature) -> bool:
 
 # --- index space ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Space:
+class _Space(Record):
     """A run space: its slots' radices and strides, and the axis view.
 
-    ``shape`` and ``axes`` describe the view of a run-indexed vector
-    reshaped in C order: one axis per slot, the last slot first, so slot
-    k is axis n-1-k.  ``axes`` names the (port, step) of each axis.  Slots
-    of one-value ports (digit always 0) get no axis.
+    ``ports`` are name-sorted; ``radices`` and ``strides`` have one entry
+    per slot, port-major then step.  ``shape`` and ``axes`` describe the
+    view of a run-indexed vector reshaped in C order: one axis per slot,
+    the last slot first, so slot k is axis n-1-k.  ``axes`` names the
+    (port, step) of each axis.  Slots of one-value ports (digit always 0)
+    get no axis.
     """
 
-    ports: tuple          # name-sorted
-    horizon: int
-    radices: tuple        # one per slot, port-major then step
-    strides: tuple
-    size: int
-    axes: tuple
-    shape: tuple
+    __slots__ = ("ports", "horizon", "radices", "strides", "size", "axes", "shape")
+
+    def __init__(self, ports, horizon, radices, strides, size, axes, shape):
+        self._assign(ports, horizon, radices, strides, size, axes, shape)
 
 
 @lru_cache(maxsize=512)
@@ -337,19 +349,20 @@ def _reduce(ufunc: np.ufunc, values: np.ndarray, src: _Space, dst: _Space) -> np
 
 # --- assertions ---------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Assertion:
+class Assertion(Record):
     """A set of runs over a signature at a fixed horizon."""
 
-    signature: Signature
-    horizon: int
-    mask: np.ndarray = field(repr=False)
+    __slots__ = ("signature", "horizon", "mask")
+    _fields = ("signature", "horizon")    # the mask is left out of the repr
 
-    def __post_init__(self):
-        space = space_of(self.signature, self.horizon)
-        if self.mask.dtype != bool or self.mask.shape != (space.size,):
+    def __init__(self, signature: Signature, horizon: int, mask: np.ndarray):
+        space = space_of(signature, horizon)
+        if mask.dtype != bool or mask.shape != (space.size,):
             raise PctError("assertion mask must be a boolean vector over the run space")
-        self.mask.setflags(write=False)
+        mask.setflags(write=False)
+        setfield(self, "signature", signature)
+        setfield(self, "horizon", horizon)
+        setfield(self, "mask", mask)
 
     @property
     def space(self) -> _Space:

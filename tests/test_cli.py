@@ -141,3 +141,14 @@ def test_queries_do_not_import_the_oracle(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "False", proc.stdout
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_json():
+    """A fresh ``import pct.cli`` builds no dataclass and leaves ``json`` to
+    ``verify --json-lines``: both are fixed costs of every pct process."""
+    script = "import sys\nimport pct.cli\nprint(sorted({'dataclasses', 'json'} & set(sys.modules)))\n"
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]", proc.stdout

@@ -15,6 +15,7 @@ from pct import (
     Signature,
     SignatureError,
     contracts,
+    oracle,
     traces,
 )
 
@@ -68,6 +69,28 @@ def test_canonical_flag_is_validated():
     e = pct.from_runs(SIG_A, 1, [Run.of({"a": (True,)})])
     with pytest.raises(SignatureError):
         contracts.Contract(SIG_A, e, e, canonical=True)
+
+
+def test_canonical_flag_holds_on_the_contracts_built_without_the_check():
+    """``contract``, ``canonicalize``, ``compose`` and ``renamed`` set the
+    flag without a pass over the runs; it must still say what the runs do."""
+    def known(c):
+        assert c.canonical == contracts._is_canonical(c.assumption, c.guarantee)
+        return c
+
+    flags = set()
+    for seed in range(40):
+        inst = oracle.gen_compose_instance(seed)
+        # the implementations as guarantees: the contract is rarely canonical
+        c1 = known(pct.contract(inst.pc1.base.assumption, inst.m1))
+        c2 = known(pct.contract(inst.pc2.base.assumption, inst.m2))
+        flags |= {c1.canonical, c2.canonical}
+        for c in (c1, c2, inst.pc1.base, inst.pc2.base):
+            assert known(pct.canonicalize(c)).canonical
+        assert known(pct.compose(c1, c2)).canonical
+        assert known(pct.compose(inst.pc1.base, inst.pc2.base)).canonical
+        assert known(contracts.renamed(c1, "ca0", "zz")).canonical == c1.canonical
+    assert flags == {False, True}
 
 
 def test_satisfies_trivial_cases():
