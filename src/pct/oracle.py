@@ -2,12 +2,20 @@
 
 Everything here recomputes satisfaction, composition and the probability
 measures by direct definition chasing over explicitly enumerated run
-sets: runs are materialized as tuples, inverse projections are computed
-by enumerating extensions, inclusions are plain set inclusions, and
-probabilities are summed per history.  None of the engine's mask
-algebra is reused, so an engine bug and an oracle bug would have to
-coincide to go unnoticed.  The suites evaluate every quantity with both
-implementations and record any disagreement.
+sets: inverse projections are computed by enumerating extensions,
+inclusions are plain set inclusions, and probabilities are summed per
+history.  None of the engine's mask algebra is reused, so an engine bug
+and an oracle bug would have to coincide to go unnoticed.  The suites
+evaluate every quantity with both implementations and record any
+disagreement.
+
+A run is its entry tuple: the name-sorted ``((port, history), ...)``
+pairs, with each history a tuple of values (the same tuple as the
+engine's ``Run.entries``, though the oracle never builds a ``Run``).  A
+run set is a frozenset of entry tuples, so hashing, equality and the
+set operations all run in C.  ``oracle_lift`` joins a run ``r`` with an
+extension ``x`` as ``r + x`` and restores name order with one
+permutation, fixed per call by the two port lists.
 
 Run indices are turned into runs by ``_Decoder``, written from the
 documented index format alone: per port in name order, ``np.divmod`` by
@@ -18,8 +26,8 @@ history.  ``materialize`` decodes only the indices a mask holds;
 The weight of a history is a product of the distribution's factors
 (``_weighted_histories``), computed here and not by ``probabilistic``.
 The decoder and the run-set functions use nothing of ``traces`` but its
-types (``tests/test_oracle.py`` checks this); only the instance
-generators use its layout helpers.
+types, and none of them names ``Run`` (``tests/test_oracle.py`` checks
+both); only the instance generators use its layout helpers.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -36,7 +45,7 @@ from .contracts import Contract
 from .errors import PctError
 from .probabilistic import Distribution, ProbContract
 from .record import Record
-from .traces import Assertion, Port, Run, Signature
+from .traces import Assertion, Port, Signature
 
 ZERO = Fraction(0)
 
@@ -51,7 +60,7 @@ def _histories(domain: tuple, h: int) -> list:
 
 
 class _Decoder:
-    """Run indices of one signature and horizon, decoded to ``Run``s.
+    """Run indices of one signature and horizon, decoded to entry tuples.
 
     The index is the documented little-endian mixed radix: ports in name
     order, each taking a block of |D|^h values, so ``np.divmod`` by that
@@ -61,18 +70,18 @@ class _Decoder:
     def __init__(self, ports, h: int):
         ports = sorted(ports, key=lambda p: p.name)
         self.blocks = [len(p.domain) ** h for p in ports]
-        self.entries = [[(p.name, hist) for hist in _histories(p.domain, h)] for p in ports]
+        self.port_entries = [[(p.name, hist) for hist in _histories(p.domain, h)] for p in ports]
         self.size = math.prod(self.blocks)
 
     def runs(self, indices: np.ndarray) -> list:
         """The runs at ``indices``, in that order."""
-        if not self.entries:
-            return [Run(())] * len(indices)
+        if not self.port_entries:
+            return [()] * len(indices)
         columns = []
-        for block, entries in zip(self.blocks, self.entries):
+        for block, entries in zip(self.blocks, self.port_entries):
             indices, digits = np.divmod(indices, block)
             columns.append([entries[k] for k in digits.tolist()])
-        return [Run(e) for e in zip(*columns)]
+        return list(zip(*columns))
 
     def all_runs(self) -> list:
         """Every run, in index order."""
@@ -84,13 +93,20 @@ def materialize(e: Assertion) -> frozenset:
     return frozenset(_Decoder(e.signature.ports, e.horizon).runs(np.flatnonzero(e.mask)))
 
 
-def oracle_lift(rs: Iterable[Run], sig_from: Signature, sig_to: Signature, h: int) -> frozenset:
-    """Inverse projection by explicit extension enumeration."""
+def oracle_lift(rs: Iterable[tuple], sig_from: Signature, sig_to: Signature, h: int) -> frozenset:
+    """Inverse projection by explicit extension enumeration: every run
+    ``r`` joined with every history ``x`` of the extra ports, the entries
+    of ``r + x`` put back in name order by one fixed permutation."""
     extra = [p for p in sig_to.ports if p.name not in sig_from]
     if not extra:
         return frozenset(rs)
-    extensions = [r.entries for r in _Decoder(extra, h).all_runs()]
-    return frozenset(Run(tuple(sorted(r.entries + x))) for r in rs for x in extensions)
+    extensions = _Decoder(extra, h).all_runs()
+    names = list(sig_from.names) + sorted(p.name for p in extra)
+    perm = sorted(range(len(names)), key=names.__getitem__)
+    if perm == list(range(len(names))):
+        return frozenset(r + x for r in rs for x in extensions)
+    order = itemgetter(*perm)     # at least two indices, so it gives a tuple
+    return frozenset(order(r + x) for r in rs for x in extensions)
 
 
 def oracle_universe(sig: Signature, h: int) -> frozenset:
@@ -148,21 +164,22 @@ def _weighted_histories(d: Distribution) -> list:
     for f in d.factors:
         names = [p.name for p in f.ports]
         blocks = _Decoder(f.ports, d.horizon).all_runs()
-        tables.append((names, {tuple(hist for _, hist in r.entries): n
+        tables.append((names, {tuple(hist for _, hist in r): n
                                for r, n in zip(blocks, f.num.tolist())}))
     den = math.prod(f.den for f in d.factors)
     out = []
     for omega in _Decoder(d.ports, d.horizon).all_runs():
-        hists = dict(omega.entries)
+        hists = dict(omega)
         num = math.prod(table[tuple(hists[n] for n in names)] for names, table in tables)
         out.append((omega, Fraction(num, den)))
     return out
 
 
-def _fibers(runs: Iterable[Run], pnames: frozenset) -> dict:
+def _fibers(runs: Iterable[tuple], pnames: frozenset) -> dict:
+    """The runs grouped by their restriction to the ports ``pnames``."""
     out = {}
     for r in runs:
-        out.setdefault(r.restricted(pnames), []).append(r)
+        out.setdefault(tuple(e for e in r if e[0] in pnames), []).append(r)
     return out
 
 
@@ -176,8 +193,7 @@ def oracle_sat_level(m: Assertion, pc: ProbContract) -> Fraction:
     fibers = _fibers(mm, pnames)
     level = ZERO
     for omega, w in _weighted_histories(pc.dist):
-        fiber = fibers.get(omega, [])
-        if all(r in gg for r in fiber):
+        if gg.issuperset(fibers.get(omega, ())):
             level += w
     return level
 
@@ -195,9 +211,9 @@ def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
     p_both = ZERO
     for omega, w in _weighted_histories(pc2.dist):
         fiber = fibers[omega]
-        if all(r in g1 for r in fiber):
+        if g1.issuperset(fiber):
             p_g1 += w
-            if all(r in g2 for r in fiber):
+            if g2.issuperset(fiber):
                 p_both += w
     if p_g1 == 0:
         return ZERO, ZERO, True

@@ -103,7 +103,13 @@ def _line_col(starts: list, offset: int) -> tuple:
 # --- expression AST -----------------------------------------------------------
 
 # Nodes are records (``record.Record``): equal when their fields other
-# than ``loc`` are equal, whatever their source locations.
+# than ``loc`` are equal, whatever their source locations.  Port values
+# (domains, literals, ``prev`` inits, table histories) compare with their
+# types, as ``Port`` does, so that ``true`` and ``1`` never match.
+
+def _typed(values: tuple) -> tuple:
+    return tuple((type(v), v) for v in values)
+
 
 class Expr(Record):
     __slots__ = ("loc",)
@@ -201,6 +207,9 @@ class ValueOperand(Operand):
         setfield(self, "loc", loc)
         setfield(self, "value", value)
 
+    def _values(self) -> tuple:
+        return _typed((self.value,))
+
 
 class PrevOperand(Operand):
     __slots__ = ("name", "init")
@@ -209,6 +218,9 @@ class PrevOperand(Operand):
         setfield(self, "loc", loc)
         setfield(self, "name", name)
         setfield(self, "init", init)
+
+    def _values(self) -> tuple:
+        return (self.name, *_typed((self.init,)))
 
 
 class Cmp(_Binary):
@@ -232,6 +244,9 @@ class TableDecl(Record):
         # entries: ((history tuple, Fraction), ...)
         self._assign(entries, loc)
 
+    def _values(self) -> tuple:
+        return tuple((_typed(hist), w) for hist, w in self.entries)
+
 
 class PortDecl(Record):
     __slots__ = ("name", "domain", "role", "dist", "loc")
@@ -240,6 +255,9 @@ class PortDecl(Record):
         # domain () means bool; role is the default role, controlled or
         # uncontrolled; dist is a BernoulliDecl, a TableDecl or None
         self._assign(name, domain, role, dist, loc)
+
+    def _values(self) -> tuple:
+        return self.name, _typed(self.domain), self.role, self.dist
 
     def port(self) -> Port:
         return Port(self.name, self.domain or traces.BOOL)

@@ -1,8 +1,9 @@
 """CLI input validation: bad budgets, seed counts, suites and names end in one
 diagnostic line and exit code 2, never a traceback or a pass over zero cases;
-the query subcommands do not load the oracle; and every subcommand prints
-its golden output on the bundled example, in a process that has already
-run other queries and failed ones."""
+the query subcommands do not load the oracle; every subcommand prints its
+golden output on the bundled example, in a process that has already run
+other queries and failed ones; and ``verify --json-lines`` prints its
+golden case records."""
 
 import os
 import subprocess
@@ -49,6 +50,13 @@ def test_golden_stdout_on_the_bundled_example(name, example, capsys):
     argv = [a.format(doc=example) for a in QUERIES[name]]
     want = (GOLDEN / f"{name}.txt").read_text("utf-8")
     assert _run(argv, capsys) == (0, want, "")
+
+
+def test_verify_json_lines_match_the_golden_record(capsys):
+    """Every case record of 40 seeds of every suite, byte for byte."""
+    rc, out, err = _run(["verify", "--seeds", "40", "--json-lines"], capsys)
+    assert rc == 0 and err.endswith("oracle-agreement: 100%\n"), err
+    assert out == (GOLDEN / "verify.jsonl").read_text("utf-8")
 
 
 def test_one_process_gives_the_same_answers_around_failed_calls(example, tmp_path, capsys):

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from pct import BOOL, Assertion, PctError, Port, Run, Signature, oracle, probabilistic, traces
+from pct import BOOL, Assertion, PctError, Port, Signature, oracle, probabilistic, traces
 
 TRI = (0, 1, 2)
 ONE = ("only",)
@@ -18,9 +18,19 @@ ONE = ("only",)
 
 # --- the decoder ---------------------------------------------------------------------
 
+def entry_tuple(values):
+    """A run as the oracle holds it: name-sorted (port, history) pairs."""
+    return tuple(sorted(values.items()))
+
+
+def restricted(run, names):
+    return tuple((n, v) for n, v in run if n in names)
+
+
 def reference_runs(ports, h):
-    """Every run over the ports, keyed by its index: ``itertools.product``
-    over the histories and the little-endian mixed-radix formula."""
+    """Every run over the ports as an entry tuple, keyed by its index:
+    ``itertools.product`` over the histories and the little-endian
+    mixed-radix formula."""
     ports = sorted(ports, key=lambda p: p.name)
     out = {}
     hist_choices = [list(itertools.product(p.domain, repeat=h)) for p in ports]
@@ -31,7 +41,7 @@ def reference_runs(ports, h):
             for t in range(h):
                 idx += p.domain.index(values[p.name][t]) * mult
                 mult *= len(p.domain)
-        out[idx] = Run.of(values)
+        out[idx] = entry_tuple(values)
     return out
 
 
@@ -86,7 +96,7 @@ def test_lift_extends_every_run_by_every_history(sig, h):
         universe = reference_runs(big.ports, h).values()
         for mask in masks(sig, h):
             base = oracle.materialize(Assertion(sig, h, mask))
-            want = frozenset(r for r in universe if r.restricted(sig.names) in base)
+            want = frozenset(r for r in universe if restricted(r, sig.names) in base)
             assert oracle.oracle_lift(base, sig, big, h) == want
 
 
@@ -100,7 +110,7 @@ def test_decoder_cases_cover_the_shapes_that_matter():
 # --- independence from the engine's mask code ----------------------------------------
 
 INDEPENDENT = [oracle.materialize, oracle.oracle_lift, oracle.oracle_universe,
-               oracle._Decoder, oracle._histories]
+               oracle._Decoder, oracle._histories, oracle._fibers, oracle._weighted_histories]
 
 
 @pytest.mark.parametrize("obj", INDEPENDENT, ids=lambda o: o.__name__)
@@ -113,6 +123,25 @@ def test_the_run_set_semantics_uses_nothing_of_traces_but_its_types(obj):
             used = getattr(oracle, node.id, None)
             from_traces = getattr(used, "__module__", None) == traces.__name__
             assert not from_traces or isinstance(used, type), f"calls traces.{node.id}"
+
+
+# every oracle function that builds, moves or reads a run set
+RUN_SETS = INDEPENDENT + [oracle.oracle_included, oracle.oracle_satisfies,
+                          oracle.oracle_satisfaction_formulas, oracle.oracle_compose_sets,
+                          oracle.oracle_sat_level, oracle.oracle_refine_level,
+                          oracle.oracle_refines]
+
+
+@pytest.mark.parametrize("obj", RUN_SETS, ids=lambda o: o.__name__)
+def test_the_run_sets_hold_entry_tuples_not_runs(obj):
+    """A run is its name-sorted (port, history) tuple here; the engine's
+    ``Run`` type appears nowhere, not even in an annotation."""
+    assert not hasattr(oracle, "Run")
+    for node in ast.walk(ast.parse(inspect.getsource(obj))):
+        if isinstance(node, ast.Name):
+            assert node.id != "Run", "names Run"
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("Run", "entries"), f"reads .{node.attr}"
 
 
 # what a Distribution computes from its factors; the oracle must not use it

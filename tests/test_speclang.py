@@ -441,6 +441,37 @@ def test_differently_spaced_documents_print_identically():
     assert speclang.print_document(pct.parse(a)) == speclang.print_document(pct.parse(b))
 
 
+def test_bool_and_int_domains_make_different_documents():
+    ints = pct.parse("horizon 1; port a : {0, 1} uncontrolled;")
+    bools = pct.parse("horizon 1; port a : {false, true} uncontrolled;")
+    again = pct.parse("horizon 1;\nport a : {0, 1} uncontrolled;\n")
+    assert ints != bools
+    assert ints == again and hash(ints.ports["a"]) == hash(again.ports["a"])
+
+
+BOOL_VALUES = """horizon 2;
+port a : {false, true} uncontrolled prob table { [false, true]: 1/2; [true, true]: 1/2; };
+port x : {false, true} controlled;
+contract by_value { assume true; guarantee always(x == true); }
+contract by_prev { assume true; guarantee always(x == prev(a, init=true)); }
+"""
+
+
+def test_a_printer_writing_1_for_true_fails_the_round_trip(monkeypatch):
+    doc = pct.parse(BOOL_VALUES)
+    assert pct.parse(speclang.print_document(doc)) == doc
+    monkeypatch.setattr(speclang, "_fmt_value",
+                        lambda v: str(int(v)) if type(v) is bool else str(v))
+    printed = speclang.print_document(doc)
+    assert "{0, 1}" in printed and "x == 1" in printed and "init=1" in printed
+    again = pct.parse(printed)       # the 0/1 document is valid, just not the same
+    assert again != doc
+    assert again.ports["x"] != doc.ports["x"]                        # the domain
+    assert again.ports["a"].dist != doc.ports["a"].dist              # the table histories
+    assert again.contracts["by_value"] != doc.contracts["by_value"]  # the literal
+    assert again.contracts["by_prev"] != doc.contracts["by_prev"]    # the prev init
+
+
 def test_bundled_example_is_printer_normalized():
     from pct.cli import example_document
     from importlib import resources
