@@ -39,7 +39,16 @@ def _load(path: str) -> speclang.Document:
     return speclang.parse(text)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise PctError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_sat(args) -> int:
+    # a bad threshold is reported before any work is done
+    threshold = None if args.at_least is None else _parse_rational(args.at_least)
     doc = _load(args.file)
     m = speclang.build_impl(doc, args.impl)
     pc = speclang.lookup_probcontract(doc, args.contract)
@@ -48,11 +57,9 @@ def cmd_sat(args) -> int:
     if report.witness_bad is not None:
         hist = {name: list(vals) for name, vals in report.witness_bad.entries}
         print(f"worst violating history: {hist}")
-    if args.at_least is not None:
-        threshold = _parse_rational(args.at_least)
-        if report.level < threshold:
-            print(f"below threshold {threshold}", file=sys.stderr)
-            return 1
+    if threshold is not None and report.level < threshold:
+        print(f"below threshold {threshold}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -121,7 +128,7 @@ def cmd_compose(args) -> int:
 
     text = speclang.print_document(out_doc)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -215,7 +222,7 @@ def cmd_fmt(args) -> int:
     doc = _load(args.file)
     text = speclang.print_document(doc)
     if args.write:
-        Path(args.file).write_text(text, encoding="utf-8")
+        _write(args.file, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -20,9 +20,25 @@ permutation, fixed per call by the two port lists.
 Run indices are turned into runs by ``_Decoder``, written from the
 documented index format alone: per port in name order, ``np.divmod`` by
 |D|^h splits off the port's history number, and a table of that port's
-histories (digit t of the number is the value at step t) gives the
-history.  ``materialize`` decodes only the indices a mask holds;
-``oracle_universe`` and the weight loops decode every index in order.
+histories (digit t of the number is the value at step t, built once per
+port and horizon by ``_port_entries``) gives the history.  ``_universe``
+decodes every index of a port list in order; ``materialize`` gathers the
+runs at the indices a mask holds from that list, and ``oracle_universe``,
+the extensions of ``oracle_lift`` and the weight loops read it whole.
+
+Decoding is scoped to one suite case.  Each ``check_*`` function opens
+the scope itself (``_one_case``), because callers such as the benchmark
+call ``SUITES[name](seed)`` directly.  Inside it, the run list of each
+``(ports, h)`` is decoded once and each assertion's run set is made once,
+memoized by identity with the assertion kept alongside, so that its
+``id`` cannot be reused.  The scope is dropped when the case returns or
+raises: no run or run set outlives its case, so memory stays bounded by
+one case and a second pass over the same seeds does the same work as the
+first.  Only the per-port tables (|D|^h entries each, at most 27 at the
+default budget) are kept across cases, in a bounded cache.  Outside a
+case, as in the tests or a direct ``oracle_sat_level`` call, every call
+decodes afresh.
+
 The weight of a history is a product of the distribution's factors
 (``_weighted_histories``), computed here and not by ``probabilistic``.
 The decoder and the run-set functions use nothing of ``traces`` but its
@@ -32,10 +48,13 @@ both); only the instance generators use its layout helpers.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from fractions import Fraction
-from operator import itemgetter
+from functools import lru_cache
+from itertools import product, starmap
+from operator import add, itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -59,6 +78,15 @@ def _histories(domain: tuple, h: int) -> list:
     return [tuple(domain[n // d ** t % d] for t in range(h)) for n in range(d ** h)]
 
 
+@lru_cache(maxsize=256)
+def _port_entries(port: Port, h: int) -> tuple:
+    """The ``(name, history)`` entries of one port, indexed by history number.
+
+    Keyed by the port itself, which compares its domain values with their
+    types, so a {0, 1} port never gets a boolean port's table."""
+    return tuple((port.name, hist) for hist in _histories(port.domain, h))
+
+
 class _Decoder:
     """Run indices of one signature and horizon, decoded to entry tuples.
 
@@ -68,49 +96,94 @@ class _Decoder:
     """
 
     def __init__(self, ports, h: int):
-        ports = sorted(ports, key=lambda p: p.name)
-        self.blocks = [len(p.domain) ** h for p in ports]
-        self.port_entries = [[(p.name, hist) for hist in _histories(p.domain, h)] for p in ports]
-        self.size = math.prod(self.blocks)
-
-    def runs(self, indices: np.ndarray) -> list:
-        """The runs at ``indices``, in that order."""
-        if not self.port_entries:
-            return [()] * len(indices)
-        columns = []
-        for block, entries in zip(self.blocks, self.port_entries):
-            indices, digits = np.divmod(indices, block)
-            columns.append([entries[k] for k in digits.tolist()])
-        return list(zip(*columns))
+        self.port_entries = [_port_entries(p, h) for p in sorted(ports, key=lambda p: p.name)]
+        self.size = math.prod(len(entries) for entries in self.port_entries)
 
     def all_runs(self) -> list:
         """Every run, in index order."""
-        return self.runs(np.arange(self.size))
+        if not self.port_entries:
+            return [()]
+        indices = np.arange(self.size)
+        columns = []
+        for entries in self.port_entries:
+            indices, digits = np.divmod(indices, len(entries))
+            columns.append(map(entries.__getitem__, digits.tolist()))
+        return list(zip(*columns))
+
+
+class _Case:
+    """What one suite case has decoded: the run list of each ``(ports, h)``
+    and the run set of each assertion, the assertion kept beside it so
+    that its ``id`` cannot be reused while the entry lives."""
+
+    __slots__ = ("universes", "decoded")
+
+    def __init__(self):
+        self.universes = {}
+        self.decoded = {}
+
+
+_case = None      # the _Case of the suite case being checked, if any
+
+
+@contextlib.contextmanager
+def _one_case():
+    """Keep decoded run lists and run sets for the duration of one case."""
+    global _case
+    outer = _case
+    _case = _Case()
+    try:
+        yield
+    finally:
+        _case = outer
+
+
+def _universe(ports, h: int) -> list:
+    """Every run over ``ports``, in index order; decoded once per case and
+    afresh on every call outside one.  Callers must not change the list."""
+    case = _case
+    if case is None:
+        return _Decoder(ports, h).all_runs()
+    key = (tuple(ports), h)
+    runs = case.universes.get(key)
+    if runs is None:
+        runs = case.universes[key] = _Decoder(ports, h).all_runs()
+    return runs
 
 
 def materialize(e: Assertion) -> frozenset:
-    """Explicit run set of an assertion, decoded independently."""
-    return frozenset(_Decoder(e.signature.ports, e.horizon).runs(np.flatnonzero(e.mask)))
+    """Explicit run set of an assertion, decoded independently: the runs
+    of its universe at the indices its mask holds."""
+    case = _case
+    if case is not None and id(e) in case.decoded:
+        return case.decoded[id(e)][1]
+    runs = _universe(e.signature.ports, e.horizon)
+    out = frozenset(map(runs.__getitem__, np.flatnonzero(e.mask).tolist()))
+    if case is not None:
+        case.decoded[id(e)] = (e, out)
+    return out
 
 
 def oracle_lift(rs: Iterable[tuple], sig_from: Signature, sig_to: Signature, h: int) -> frozenset:
     """Inverse projection by explicit extension enumeration: every run
     ``r`` joined with every history ``x`` of the extra ports, the entries
     of ``r + x`` put back in name order by one fixed permutation."""
-    extra = [p for p in sig_to.ports if p.name not in sig_from]
+    names = list(sig_from.names)
+    have = set(names)
+    extra = [p for p in sig_to.ports if p.name not in have]
     if not extra:
         return frozenset(rs)
-    extensions = _Decoder(extra, h).all_runs()
-    names = list(sig_from.names) + sorted(p.name for p in extra)
+    joined = starmap(add, product(rs, _universe(extra, h)))
+    names += sorted(p.name for p in extra)
     perm = sorted(range(len(names)), key=names.__getitem__)
     if perm == list(range(len(names))):
-        return frozenset(r + x for r in rs for x in extensions)
-    order = itemgetter(*perm)     # at least two indices, so it gives a tuple
-    return frozenset(order(r + x) for r in rs for x in extensions)
+        return frozenset(joined)
+    # at least two indices, so itemgetter gives a tuple
+    return frozenset(map(itemgetter(*perm), joined))
 
 
 def oracle_universe(sig: Signature, h: int) -> frozenset:
-    return frozenset(_Decoder(sig.ports, h).all_runs())
+    return frozenset(_universe(sig.ports, h))
 
 
 def oracle_included(e1: Assertion, e2: Assertion, sig: Signature) -> bool:
@@ -163,12 +236,11 @@ def _weighted_histories(d: Distribution) -> list:
     tables = []
     for f in d.factors:
         names = [p.name for p in f.ports]
-        blocks = _Decoder(f.ports, d.horizon).all_runs()
         tables.append((names, {tuple(hist for _, hist in r): n
-                               for r, n in zip(blocks, f.num.tolist())}))
+                               for r, n in zip(_universe(f.ports, d.horizon), f.num.tolist())}))
     den = math.prod(f.den for f in d.factors)
     out = []
-    for omega in _Decoder(d.ports, d.horizon).all_runs():
+    for omega in _universe(d.ports, d.horizon):
         hists = dict(omega)
         num = math.prod(table[tuple(hists[n] for n in names)] for names, table in tables)
         out.append((omega, Fraction(num, den)))
@@ -205,8 +277,7 @@ def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
     g1 = oracle_lift(materialize(pc1.base.guarantee), pc1.base.signature, sig2, h)
     g2 = materialize(pc2.base.guarantee)
     pnames = frozenset(p.name for p in pc2.dist.ports)
-    universe = oracle_universe(sig2, h)
-    fibers = _fibers(universe, pnames)
+    fibers = _fibers(_universe(sig2.ports, h), pnames)
     p_g1 = ZERO
     p_both = ZERO
     for omega, w in _weighted_histories(pc2.dist):
@@ -471,6 +542,7 @@ def _dual_sat_level(m, pc):
     return engine, engine == reference
 
 
+@_one_case()
 def check_theorem1(seed: int, budget: Budget = Budget(), tight: bool = False) -> CaseResult:
     """Composed level is at least the product of the component levels;
     with disjoint signatures it is exactly the product."""
@@ -490,6 +562,7 @@ def check_theorem1(seed: int, budget: Budget = Budget(), tight: bool = False) ->
                       {"beta1": str(beta1), "beta2": str(beta2), "level": str(level)})
 
 
+@_one_case()
 def check_theorem2(seed: int, budget: Budget = Budget()) -> CaseResult:
     """Multiplicative refinement bound at the reported refinement level.
 
@@ -517,6 +590,7 @@ def _subset_impl(rng, target: Assertion) -> Assertion:
     return Assertion(target.signature, target.horizon, target.mask & keep)
 
 
+@_one_case()
 def check_lemma1(seed: int, budget: Budget = Budget()) -> CaseResult:
     """Satisfying implementations compose into the composed contract, and
     the three satisfaction formulas agree everywhere."""
@@ -542,6 +616,7 @@ def check_lemma1(seed: int, budget: Budget = Budget()) -> CaseResult:
                       {"formulas_agree": str(formulas_ok)})
 
 
+@_one_case()
 def check_lemma2_sat(seed: int, budget: Budget = Budget()) -> CaseResult:
     """Refinement preserves satisfaction."""
     c1, c2, h = gen_refining_contracts(seed, budget)
@@ -561,6 +636,7 @@ def oracle_refines(c1: Contract, c2: Contract) -> bool:
             and oracle_included(c1.guarantee, c2.guarantee, sig))
 
 
+@_one_case()
 def check_lemma2_compose(seed: int, budget: Budget = Budget()) -> CaseResult:
     """Refinement is preserved by parallel composition."""
     c1, c2, h = gen_refining_contracts(seed, budget, tag="l")

@@ -1,5 +1,6 @@
-"""CLI input validation: bad budgets, seed counts, suites and names end in one
-diagnostic line and exit code 2, never a traceback or a pass over zero cases;
+"""CLI input validation: bad budgets, seed counts, suites, names, thresholds
+and output paths end in one diagnostic line and exit code 2, never a
+traceback, a pass over zero cases or a query's output;
 the query subcommands do not load the oracle; every subcommand prints its
 golden output on the bundled example, in a process that has already run
 other queries and failed ones; and ``verify --json-lines`` prints its
@@ -81,6 +82,49 @@ def test_one_process_gives_the_same_answers_around_failed_calls(example, tmp_pat
     assert _run(sat, capsys) == first
     assert _run(refine, capsys) == (0, (GOLDEN / "refine.txt").read_text("utf-8"), "")
     assert _run(sat, capsys) == first
+
+
+def _one_error_line(err: str, start: str) -> bool:
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith(start) and err.endswith("\n")
+
+
+@pytest.mark.parametrize("threshold", ["1/0", "nan", "inf", "NaN", "x"])
+def test_a_bad_threshold_is_reported_before_the_query_runs(threshold, example, capsys):
+    sat = [a.format(doc=example) for a in QUERIES["sat"]]
+    assert _run(sat + ["--at-least", threshold], capsys) == \
+        (2, "", f"error: not a rational number: {threshold!r}\n")
+    # not even the document is read first
+    sat[1] = example + ".missing"
+    assert _run(sat + ["--at-least", threshold], capsys) == \
+        (2, "", f"error: not a rational number: {threshold!r}\n")
+
+
+@pytest.mark.parametrize("target", ["missing directory", "a directory"])
+def test_compose_reports_an_out_path_it_cannot_write(target, example, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.pct" if target == "missing directory" else tmp_path
+    argv = [a.format(doc=example) for a in QUERIES["compose"]] + ["--out", str(out)]
+    rc, stdout, err = _run(argv, capsys)
+    assert (rc, stdout) == (2, "")
+    assert _one_error_line(err, f"error: cannot write {out}: "), err
+
+
+def test_compose_writes_its_out_path(example, tmp_path, capsys):
+    out = tmp_path / "composed.pct"
+    argv = [a.format(doc=example) for a in QUERIES["compose"]] + ["--out", str(out)]
+    assert _run(argv, capsys) == (0, f"wrote {out}\n", "")
+    assert out.read_text("utf-8") == (GOLDEN / "compose.txt").read_text("utf-8")
+
+
+def test_fmt_write_reports_a_failed_write(example, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(cli.Path, "write_text", refuse)
+    rc, out, err = _run(["fmt", example, "--write"], capsys)
+    assert (rc, out) == (2, "")
+    assert _one_error_line(err, f"error: cannot write {example}: "), err
+    assert "Permission denied" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,10 @@
 """The oracle: its run decoder against a reference enumeration, its
-independence from the engine's mask code, agreement with the engine at a
-larger budget, and the budgets that bound the generated instances."""
+independence from the engine's mask code, decoding once per suite case and
+keeping nothing past it, agreement with the engine at a larger budget, and
+the budgets that bound the generated instances."""
 
 import ast
+import collections
 import inspect
 import itertools
 import random
@@ -10,7 +12,8 @@ import random
 import numpy as np
 import pytest
 
-from pct import BOOL, Assertion, PctError, Port, Signature, oracle, probabilistic, traces
+from pct import (BOOL, Assertion, PctError, Port, Signature, contracts, oracle, probabilistic,
+                 traces)
 
 TRI = (0, 1, 2)
 ONE = ("only",)
@@ -110,7 +113,8 @@ def test_decoder_cases_cover_the_shapes_that_matter():
 # --- independence from the engine's mask code ----------------------------------------
 
 INDEPENDENT = [oracle.materialize, oracle.oracle_lift, oracle.oracle_universe,
-               oracle._Decoder, oracle._histories, oracle._fibers, oracle._weighted_histories]
+               oracle._Decoder, oracle._histories, oracle._port_entries, oracle._Case,
+               oracle._one_case, oracle._universe, oracle._fibers, oracle._weighted_histories]
 
 
 @pytest.mark.parametrize("obj", INDEPENDENT, ids=lambda o: o.__name__)
@@ -171,6 +175,93 @@ def test_weighted_histories_match_the_distribution():
             ref = reference_runs(d.ports, d.horizon)
             want = [(ref[i], w) for i, w in enumerate(d.weights)]
             assert oracle._weighted_histories(d) == want
+
+
+# --- decoding once per case ----------------------------------------------------------
+
+@pytest.mark.parametrize("suite", ["theorem1", "lemma1"])
+def test_a_case_decodes_each_universe_and_each_assertion_once(suite, monkeypatch):
+    real_decoder, real_materialize = oracle._Decoder, oracle.materialize
+    built = collections.Counter()
+    decoded = {}
+
+    def counting_decoder(ports, h):
+        built[frozenset(ports), h] += 1
+        return real_decoder(ports, h)
+
+    def recording_materialize(e):
+        out = real_materialize(e)
+        decoded.setdefault(id(e), (e, []))[1].append(out)
+        return out
+
+    monkeypatch.setattr(oracle, "_Decoder", counting_decoder)
+    monkeypatch.setattr(oracle, "materialize", recording_materialize)
+    for seed in range(6):
+        built.clear()
+        decoded.clear()
+        assert oracle.SUITES[suite](seed).oracle_ok
+        assert built and max(built.values()) == 1, built
+        # every assertion asked for more than once got the run set made the first time
+        assert any(len(outs) > 1 for _, outs in decoded.values())
+        for _, outs in decoded.values():
+            assert all(out is outs[0] for out in outs)
+
+
+# an engine function each suite calls after the oracle has decoded something
+LATE_ENGINE_CALL = {"theorem1": (probabilistic, "compose_prob"),
+                    "theorem1_tight": (probabilistic, "compose_prob"),
+                    "theorem2": (probabilistic, "sat_level"),
+                    "lemma1": (contracts, "satisfies"),
+                    "lemma2_sat": (contracts, "satisfies"),
+                    "lemma2_compose": (contracts, "refines")}
+
+
+@pytest.mark.parametrize("suite", sorted(oracle.SUITES))
+def test_nothing_decoded_outlives_its_case(suite, monkeypatch):
+    seen = []     # (case, assertions it had decoded) at each materialize call
+
+    def recording_materialize(e, real=oracle.materialize):
+        seen.append((oracle._case, len(oracle._case.decoded)))
+        return real(e)
+
+    monkeypatch.setattr(oracle, "materialize", recording_materialize)
+    runs = []
+    for _ in range(2):     # the same seed twice: the second run starts from nothing
+        seen.clear()
+        oracle.SUITES[suite](2)
+        assert oracle._case is None
+        case = seen[0][0]
+        assert seen[0][1] == 0 and all(c is case for c, _ in seen)
+        runs.append(case)
+    assert runs[0] is not runs[1]
+
+
+@pytest.mark.parametrize("suite", sorted(oracle.SUITES))
+def test_a_case_that_raises_keeps_nothing(suite, monkeypatch):
+    module, name = LATE_ENGINE_CALL[suite]
+    real = getattr(module, name)
+    memo_sizes = []
+
+    def failing(*args, **kwargs):
+        if oracle._case is not None and oracle._case.decoded:
+            memo_sizes.append(len(oracle._case.decoded))
+            raise RuntimeError("engine failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    with pytest.raises(RuntimeError, match="engine failure"):
+        oracle.SUITES[suite](2)     # theorem2 seed 2 is not degenerate
+    assert memo_sizes and memo_sizes[0] > 0
+    assert oracle._case is None
+
+
+def test_outside_a_case_every_call_decodes_afresh():
+    sig = Signature.of(controlled=(Port("d"),), uncontrolled=(Port("b", TRI),))
+    e = Assertion(sig, 2, list(masks(sig, 2))[-1])
+    first, second = oracle.materialize(e), oracle.materialize(e)
+    assert first == second and first is not second
+    assert oracle._universe(sig.ports, 2) is not oracle._universe(sig.ports, 2)
+    assert oracle._case is None
 
 
 # --- agreement at a larger budget -----------------------------------------------------
