@@ -116,7 +116,8 @@ def cmd_compose(args) -> int:
     out_doc = speclang.Document(doc.horizon, ports, defs, cdict, dict(doc.impls), pdict)
 
     # the emitted document must denote exactly the composed object
-    reloaded = speclang.parse(speclang.print_document(out_doc))
+    text = speclang.print_document(out_doc)
+    reloaded = speclang.parse(text)
     if probabilistic_result:
         check = speclang.build_probcontract(reloaded, out_name)
         identical = (check.base == composed.base and check.dist == composed.dist
@@ -126,7 +127,6 @@ def cmd_compose(args) -> int:
     if not identical:
         raise PctError("internal error: emitted document does not round-trip")
 
-    text = speclang.print_document(out_doc)
     if args.out:
         _write(args.out, text)
         print(f"wrote {args.out}")

@@ -10,10 +10,16 @@ insensitive to canonicalization.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import traces
 from .errors import ControlledOverlapError, SignatureError
 from .record import Record
 from .traces import Assertion, Signature
+
+
+# runs checked at a time by _is_canonical
+_CHUNK = 1 << 16
 
 
 class Contract(Record):
@@ -54,8 +60,18 @@ class Contract(Record):
 
 
 def _is_canonical(a: Assertion, g: Assertion) -> bool:
-    # complement(A) within G: every run is in A or in G
-    return bool((a.mask | g.mask).all())
+    """complement(A) within G: every run is in A or in G.
+
+    Checked a chunk at a time into one small buffer, and stopped at the
+    first chunk with a run in neither, instead of making a full-size ``A | G``.
+    """
+    a, g = a.mask, g.mask
+    buf = np.empty(min(a.size, _CHUNK), dtype=bool)
+    for i in range(0, a.size, _CHUNK):
+        part = buf[:a.size - i]
+        if not np.logical_or(a[i:i + _CHUNK], g[i:i + _CHUNK], out=part).all():
+            return False
+    return True
 
 
 def contract(assumption: Assertion, guarantee: Assertion) -> Contract:
@@ -72,7 +88,8 @@ def canonicalize(c: Contract) -> Contract:
     """Replace the guarantee by ``G or not A``; idempotent."""
     if c.canonical:
         return c
-    g = Assertion(c.signature, c.horizon, c.guarantee.mask | ~c.assumption.mask)
+    # G or not A, which on booleans is G >= A
+    g = Assertion(c.signature, c.horizon, np.greater_equal(c.guarantee.mask, c.assumption.mask))
     return Contract._known(c.signature, c.assumption, g, True)
 
 
@@ -132,18 +149,20 @@ def compose(c1: Contract, c2: Contract) -> Contract:
     sig = traces.merge_signature_controlled(c1.signature, c2.signature)
     a1, g1 = _lift_onto(c1, sig)
     a2, g2 = _lift_onto(c2, sig)
-    g = g1 & g2
-    a = (a1 & a2) | ~g
+    g = traces.combine(np.logical_and, g1, g2).reshape(-1)
+    a = traces.combine(np.logical_and, a1, a2).reshape(-1)
+    # (A1 and A2) or not G, which on booleans is (A1 and A2) >= G
+    np.greater_equal(a, g, out=a)
     return Contract._known(sig, Assertion(sig, c1.horizon, a), Assertion(sig, c1.horizon, g),
                            True)
 
 
 def _lift_onto(c: Contract, sig: Signature) -> tuple:
-    """Lift a contract's assertions onto a merged signature, role changes allowed."""
+    """A contract's assertions as views lifted onto a merged signature,
+    role changes allowed."""
     local = sig.restricted(c.signature.names)
-    a = traces.lift(traces.relabel(c.assumption, local), sig)
-    g = traces.lift(traces.relabel(c.guarantee, local), sig)
-    return a.mask, g.mask
+    return (traces.lifted_view(traces.relabel(c.assumption, local), sig),
+            traces.lifted_view(traces.relabel(c.guarantee, local), sig))
 
 
 def compose_impl(m1: Assertion, m2: Assertion) -> Assertion:

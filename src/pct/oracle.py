@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product, starmap
 from operator import add, itemgetter
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -247,11 +247,25 @@ def _weighted_histories(d: Distribution) -> list:
     return out
 
 
-def _fibers(runs: Iterable[tuple], pnames: frozenset) -> dict:
-    """The runs grouped by their restriction to the ports ``pnames``."""
+def _fibers(runs: Collection[tuple], pnames: frozenset) -> dict:
+    """The runs grouped by their restriction to the ports ``pnames``.
+
+    The runs share their ports, so the restriction is one fixed selection
+    of entry positions, as in ``oracle_lift``.
+    """
+    first = next(iter(runs), None)
+    if first is None:
+        return {}
+    at = [i for i, (name, _) in enumerate(first) if name in pnames]
+    if len(at) > 1:
+        restrict = itemgetter(*at)
+    else:
+        # itemgetter of one index gives a bare entry, and of none is not
+        # defined, so these select by a slice, which gives a tuple
+        restrict = itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
     out = {}
     for r in runs:
-        out.setdefault(tuple(e for e in r if e[0] in pnames), []).append(r)
+        out.setdefault(restrict(r), []).append(r)
     return out
 
 

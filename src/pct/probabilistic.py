@@ -374,10 +374,17 @@ class RefineReport(Record):
 
 def _good_history_mask(target: Assertion, pc: ProbContract) -> np.ndarray:
     """For each history index of the probabilistic ports: True when every
-    run extending it lies in ``target`` (already lifted to the base signature)."""
-    omega_space = traces.space_of(pc.dist.signature, pc.horizon)
-    big = traces.space_of(pc.base.signature, pc.horizon)
-    return ~traces._reduce(np.logical_or, ~target.mask, big, omega_space)
+    run over the base signature extending it lies in ``target`` lifted there.
+
+    The runs over ``target``'s own signature that extend a history are fixed
+    by its probabilistic ports that ``target`` reads, so ``target`` is
+    reduced to those ports and then spread to all of them, not lifted.
+    """
+    names = set(target.signature.names)
+    read = _space([p for p in pc.dist.ports if p.name in names], pc.horizon)
+    omega_space = _space(pc.dist.ports, pc.horizon)
+    good = traces._reduce(np.logical_and, target.mask, target.space, read)
+    return np.broadcast_to(traces._spread(good, read, omega_space), omega_space.shape).reshape(-1)
 
 
 def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
@@ -405,10 +412,11 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
     if not traces.is_subsignature(sig_m, sig_c):
         raise SignatureError("implementation ports must match the contract's domains and roles")
 
-    mm = traces.lift(m, sig_c)
     big = traces.space_of(sig_c, pc.horizon)
     omega_space = traces.space_of(pc.dist.signature, pc.horizon)
-    viol = mm.mask & ~pc.base.guarantee.mask
+    # m and not G, which on booleans is m > G
+    viol = traces.combine(np.greater, traces.lifted_view(m, sig_c),
+                          traces.lifted_view(pc.base.guarantee, sig_c))
     bad = traces._reduce(np.logical_or, viol, big, omega_space)
 
     witness = None
@@ -511,9 +519,7 @@ def refine_level(pc1: ProbContract, pc2: ProbContract) -> RefineReport:
         raise MarginalMismatchError(
             "refining distribution is not the marginal of the refined one")
 
-    sig2 = pc2.base.signature
-    g1 = traces.lift(pc1.base.guarantee, sig2)
-    good1 = _good_history_mask(g1, pc2)
+    good1 = _good_history_mask(pc1.base.guarantee, pc2)
     good2 = _good_history_mask(pc2.base.guarantee, pc2)
 
     p_g1 = _mass(pc2.dist, good1)

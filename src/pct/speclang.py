@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import operator
 import re
 from fractions import Fraction
 from typing import Optional
@@ -774,7 +773,9 @@ def _check_io(decl, doc: Document) -> None:
 
 # --- compiling expressions ----------------------------------------------------
 
-_CONNECTIVES = {And: operator.and_, Or: operator.or_, Implies: lambda a, b: ~a | b}
+# a implies b is b or not a, which on booleans is b >= a: one pass, no temporary
+_CONNECTIVES = {And: np.logical_and, Or: np.logical_or,
+                Implies: lambda a, b: np.greater_equal(b, a)}
 
 _TEMPORAL = {
     "always": lambda steps: functools.reduce(np.logical_and, steps),
@@ -921,8 +922,8 @@ class _Compiler:
     def connective(self, e):
         left, right, op = self.compile(e.left), self.compile(e.right), _CONNECTIVES[type(e)]
         if _invariant(left) and _invariant(right):
-            return _Once(lambda: op(left(0), right(0)))
-        return lambda t: op(left(t), right(t))
+            return _Once(lambda: traces.combine(op, left(0), right(0)))
+        return lambda t: traces.combine(op, left(t), right(t))
 
     def temporal(self, e: Temporal):
         body, combine, h = self.compile(e.body), _TEMPORAL[e.op], self.h

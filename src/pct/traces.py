@@ -19,6 +19,24 @@ order to one axis per slot, slot k becomes axis n-1-k.  Lifting is then a
 broadcast, projection an ``any`` over the dropped axes and renaming a
 transpose.  Only this module knows that layout; ``_spread`` and
 ``_reduce`` carry vectors of any dtype between spaces for the others.
+
+Full-size masks
+---------------
+Every step that makes a mask of a whole space allocates that mask and
+nothing else of its size: ``combine`` (the connectives of ``denote``, the
+steps of ``from_step_predicate``, ``compose``, ``sat_level``'s violations),
+``lift`` and the final broadcast of ``from_step_predicate``.  Operands
+that read different ports broadcast along interleaved axes, and NumPy
+then runs its inner loop over a few elements at a time.  So when the
+result has more than ``_BLOCK`` (4096) elements, an operand whose
+innermost run, constant or contiguous, is under ``_SHORT`` (64) elements
+is first copied out over the result's trailing axes that make up at
+least ``_BLOCK`` elements, where that copy is smaller than the result.
+Over 4096 one-byte elements NumPy's cost per inner call no longer
+counts, and a run of 64 already amortizes most of it, so copying such
+an operand is not repaid.  Smaller results pay only a size check.  Bool
+identities spare the temporaries: ``a > b`` is a and not b, and
+``a >= b`` is a or not b (docs/format.md, "Full-size masks").
 """
 
 from __future__ import annotations
@@ -166,18 +184,24 @@ class Run(Record):
 
 
 class Signature(Record):
-    """Ports of a component, split into controlled and uncontrolled sets."""
+    """Ports of a component, split into controlled and uncontrolled sets.
 
-    __slots__ = ("ports", "controlled", "uncontrolled")
+    The ports are also kept by name (``_by_name``, not a field), so that
+    looking one up does not scan them.
+    """
+
+    __slots__ = ("ports", "controlled", "uncontrolled", "_by_name")
 
     def __init__(self, ports: tuple, controlled: frozenset, uncontrolled: frozenset):
         if controlled & uncontrolled:
             raise SignatureError("controlled and uncontrolled port sets overlap")
-        if controlled | uncontrolled != frozenset(p.name for p in ports):
+        by_name = {p.name: p for p in ports}
+        if controlled | uncontrolled != by_name.keys():
             raise SignatureError("controlled/uncontrolled split must cover exactly the ports")
         setfield(self, "ports", ports)
         setfield(self, "controlled", controlled)
         setfield(self, "uncontrolled", uncontrolled)
+        setfield(self, "_by_name", by_name)
 
     def __eq__(self, other):
         return self is other or (type(other) is Signature and self.ports == other.ports
@@ -201,13 +225,13 @@ class Signature(Record):
         return tuple(p.name for p in self.ports)
 
     def port(self, name: str) -> Port:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        raise SignatureError(f"no port named {name!r} in signature")
+        p = self._by_name.get(name)
+        if p is None:
+            raise SignatureError(f"no port named {name!r} in signature")
+        return p
 
     def __contains__(self, name: str) -> bool:
-        return any(p.name == name for p in self.ports)
+        return name in self._by_name
 
     def role(self, name: str) -> str:
         if name in self.controlled:
@@ -218,7 +242,7 @@ class Signature(Record):
 
     def restricted(self, names: Iterable[str]) -> "Signature":
         keep = set(names)
-        missing = keep - set(self.names)
+        missing = keep - self._by_name.keys()
         if missing:
             raise SignatureError(f"ports not in signature: {sorted(missing)}")
         ports = tuple(p for p in self.ports if p.name in keep)
@@ -236,15 +260,18 @@ class Signature(Record):
 
 
 def _check_shared_domains(s1: Signature, s2: Signature) -> None:
+    ports = s2._by_name
     for p in s1.ports:
-        if p.name in s2 and s2.port(p.name) != p:
+        q = ports.get(p.name)
+        if q is not None and q != p:
             raise DomainMismatchError(
-                f"port {p.name}: domains differ ({p.domain} vs {s2.port(p.name).domain})")
+                f"port {p.name}: domains differ ({p.domain} vs {q.domain})")
 
 
 def _check_shared_roles(s1: Signature, s2: Signature) -> None:
+    ports = s2._by_name
     for p in s1.ports:
-        if p.name in s2 and s2.role(p.name) != s1.role(p.name):
+        if p.name in ports and s2.role(p.name) != s1.role(p.name):
             raise RoleConflictError(
                 f"port {p.name} is {s1.role(p.name)} on one side and {s2.role(p.name)} on the other")
 
@@ -271,14 +298,10 @@ def merge_signature_controlled(s1: Signature, s2: Signature) -> Signature:
 
 def is_subsignature(s1: Signature, s2: Signature) -> bool:
     """True when s2 extends s1 with agreeing domains and roles."""
-    try:
-        for p in s1.ports:
-            q = s2.port(p.name)
-            if q != p or s2.role(p.name) != s1.role(p.name):
-                return False
-    except SignatureError:
-        return False
-    return True
+    ports = s2._by_name
+    # once every port of s1 is in s2, the roles agree when each role's set grows
+    return (all(ports.get(p.name) == p for p in s1.ports)
+            and s1.controlled <= s2.controlled and s1.uncontrolled <= s2.uncontrolled)
 
 
 # --- index space ------------------------------------------------------------
@@ -335,10 +358,82 @@ def _spread(values: np.ndarray, src: _Space, dst: _Space, name_map=None) -> np.n
     return values.reshape(src.shape).transpose(order).reshape(shape)
 
 
+# an operand whose innermost run is under _SHORT elements is copied out over
+# the last _BLOCK or more elements of the result before a combine
+_BLOCK = 4096
+_SHORT = 64
+
+
+def _inner_run(x: np.ndarray, shape: tuple) -> int:
+    """How many trailing elements of ``shape`` ``x`` covers in one run:
+    either all of them the same value or all of them contiguous."""
+    lead = len(shape) - x.ndim
+    run, step, broadcast = 1, x.itemsize, None
+    for i in range(len(shape) - 1, -1, -1):
+        r = shape[i]
+        if r == 1:
+            continue
+        b = i < lead or x.shape[i - lead] == 1
+        if broadcast is None:
+            broadcast = b
+        if b != broadcast or not (b or x.strides[i - lead] == step):
+            break
+        run *= r
+        step *= r
+    return run
+
+
+def _blocked(operands: tuple, shape: tuple) -> tuple:
+    """The operands of a combine into ``shape``, each with a short innermost
+    run copied out over the trailing block, where that copy is smaller
+    than the result."""
+    size = math.prod(shape)
+    if size <= _BLOCK:
+        return operands
+    k, block = len(shape), 1
+    while block < _BLOCK:
+        k -= 1
+        block *= shape[k]
+    out = []
+    for x in operands:
+        if _inner_run(x, shape) < _SHORT:
+            full = (1,) * (len(shape) - x.ndim) + x.shape
+            outer = full[:k]
+            if math.prod(outer) * block < size:
+                x = np.broadcast_to(x.reshape(full), outer + shape[k:]).copy()
+        out.append(x)
+    return tuple(out)
+
+
+def combine(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)`` of two arrays (or NumPy scalars) on one axis view,
+    broadcast together: a new array.
+
+    ``ufunc`` is a ufunc, or a function that calls one on its operands.
+    An operand that reads other slots than the other broadcasts along
+    interleaved axes, which NumPy cannot merge, so its inner loop runs
+    over a few elements at a time.  Such an operand is first copied out
+    over the trailing block of the result (``_blocked``).  The result is
+    the same; only the loop is longer.
+    """
+    # the result has at most a.size * b.size elements
+    if a.size * b.size > _BLOCK:
+        a, b = _blocked((a, b), np.broadcast_shapes(a.shape, b.shape))
+    return ufunc(a, b)
+
+
+def _filled(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """``values`` broadcast to ``shape`` as a new C-ordered array."""
+    out = np.empty(shape, dtype=values.dtype)
+    np.copyto(out, _blocked((values,), shape)[0])
+    return out
+
+
 def _reduce(ufunc: np.ufunc, values: np.ndarray, src: _Space, dst: _Space) -> np.ndarray:
     """Reduce a vector over ``src`` along the slots ``dst`` lacks.
 
     ``dst``'s slots must be slots of ``src``; the result is indexed over ``dst``.
+    ``values`` may also be given on ``src``'s axis view.
     """
     keep = set(dst.axes)
     rest = tuple(a for a, slot in enumerate(src.axes) if slot not in keep)
@@ -462,16 +557,23 @@ def _require_same_horizon(e1: Assertion, e2: Assertion) -> None:
         raise HorizonMismatchError(f"horizons differ: {e1.horizon} vs {e2.horizon}")
 
 
-def lift(e: Assertion, sig2: Signature) -> Assertion:
-    """Inverse projection: all runs over sig2 whose restriction lies in e."""
+def lifted_view(e: Assertion, sig2: Signature) -> np.ndarray:
+    """The mask of ``lift(e, sig2)`` on sig2's axis view, made without a copy:
+    a read-only view that broadcasts to the full space."""
+    if sig2 == e.signature:
+        return e.mask.reshape(e.space.shape)
     if not is_subsignature(e.signature, sig2):
         raise SignatureError("lift target must extend the assertion's signature "
                              "with agreeing domains and roles")
+    return _spread(e.mask, e.space, space_of(sig2, e.horizon))
+
+
+def lift(e: Assertion, sig2: Signature) -> Assertion:
+    """Inverse projection: all runs over sig2 whose restriction lies in e."""
     if sig2 == e.signature:
         return e
-    big = space_of(sig2, e.horizon)
-    view = _spread(e.mask, e.space, big)
-    return _make(sig2, e.horizon, np.broadcast_to(view, big.shape).reshape(-1))
+    view = lifted_view(e, sig2)
+    return _make(sig2, e.horizon, _filled(view, space_of(sig2, e.horizon).shape).reshape(-1))
 
 
 def project(e: Assertion, sig2: Signature) -> Assertion:
@@ -568,9 +670,10 @@ def from_step_predicate(sig: Signature, h, pred, *, owned: bool = False) -> Asse
         value = pred(t, lambda name, t=t: slot_values(sig, hh, name, t))
         if value is not last:
             combined = held is not None
-            held = value if held is None else held & value
+            held = value if held is None else combine(np.logical_and, held, value)
             last = value
-    mask = np.broadcast_to(held, space_of(sig, hh).shape).reshape(-1)
-    if not (owned or combined) and np.may_share_memory(mask, held):
-        mask = mask.copy()
-    return _make(sig, hh, mask)
+    held, shape = np.asarray(held), space_of(sig, hh).shape
+    if held.shape != shape or not held.flags.c_contiguous:
+        return _make(sig, hh, _filled(held, shape).reshape(-1))
+    mask = held.reshape(-1)
+    return _make(sig, hh, mask if owned or combined else mask.copy())

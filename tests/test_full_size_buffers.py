@@ -1,0 +1,104 @@
+"""How many full-size masks a query makes, counted without timing.
+
+tracemalloc sees NumPy's array buffers.  On one fixed 2^16-run document,
+each test pins how many buffers the size of the run space are alive at the
+peak of a call, and how many the call keeps.  A new temporary of that size
+(a ``lift`` copy, a complement, an ``a | g`` made only to be tested) shows
+up as one more.
+"""
+
+import tracemalloc
+
+import pytest
+
+from pct import probabilistic, speclang, traces
+
+DOC = """
+horizon 2;
+
+port f0 : bool uncontrolled prob bernoulli(1/10);
+port f1 : bool uncontrolled prob bernoulli(1/3);
+port f2 : bool uncontrolled prob bernoulli(1/4);
+port u0 : bool uncontrolled;
+port u1 : bool uncontrolled;
+port x0 : bool controlled;
+port x1 : bool controlled;
+port x2 : bool controlled;
+
+def env_ok = (u0 and f0) or prev(f2, init=false);
+def cmd0 = (not u0 and f0) and not (u0 == f1);
+
+contract spec {
+  assume always(f0 or f1) and always(env_ok);
+  guarantee eventually(not x0 implies f1) and always(x1 implies not f1) and always(x2 or u1);
+}
+impl m {
+  input f0, f1, f2, u0;
+  output x0, x1, x2;
+  behavior always((x0 implies cmd0) and (cmd0 implies x0)) and always(x1 implies f2)
+           and always(x2 or not f2);
+}
+probcontract spec_rel {
+  contract spec;
+  ports f0, f1, f2;
+}
+
+contract weak {
+  input f0, f1, u0;
+  output x0, x1;
+  assume never(f0) and eventually(not f0 or not u0);
+  guarantee always(not x0 and u0) and never(not x0 and not f1);
+}
+probcontract weak_rel {
+  contract weak;
+  ports f0, f1;
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def doc():
+    return speclang.parse(DOC)
+
+
+def full_size_buffers(doc, fn):
+    """(result, buffers alive at the peak, buffers kept) of ``fn()``, in
+    units of the spec's run space; a first untraced call fills the caches."""
+    size = traces.space_of(speclang.build_contract(doc, "spec").signature, 2).size
+    assert size == 2**16
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, (peak - base) // size, (kept - base) // size
+
+
+def test_lookup_probcontract_makes_the_two_masks_and_the_canonical_guarantee(doc):
+    # the assumption, the guarantee as denoted and the canonical guarantee;
+    # checking canonicity and canonicalizing make no full-size temporary
+    _, peak, kept = full_size_buffers(doc, lambda: speclang.lookup_probcontract(doc, "spec_rel"))
+    assert (peak, kept) == (3, 2)
+
+
+def test_sat_level_makes_one_mask(doc):
+    # m > G, with m read through a broadcast view rather than lifted
+    m = speclang.build_impl(doc, "m")
+    pc = speclang.lookup_probcontract(doc, "spec_rel")
+    assert m.signature != pc.signature
+    report, peak, kept = full_size_buffers(doc, lambda: probabilistic.sat_level(m, pc))
+    assert report.level > 0
+    assert (peak, kept) == (1, 0)
+
+
+def test_refine_level_makes_no_full_size_mask(doc):
+    # each guarantee is reduced over its own space; the refining one is not lifted
+    weak = speclang.lookup_probcontract(doc, "weak_rel")
+    spec = speclang.lookup_probcontract(doc, "spec_rel")
+    report, peak, kept = full_size_buffers(doc, lambda: probabilistic.refine_level(weak, spec))
+    assert not report.degenerate
+    assert (peak, kept) == (0, 0)

@@ -182,6 +182,11 @@ def test_from_step_predicate_takes_a_repeated_step_value_once():
             calls.append(1)
             return super().__and__(other)
 
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append(ufunc.__name__)
+            inputs = tuple(x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
     step = value.view(Counted)
     e = traces.from_step_predicate(sig, 3, lambda t, val: step)
     assert calls == []
@@ -198,6 +203,83 @@ def test_owned_step_values_become_the_mask_without_a_copy():
     e = traces.from_step_predicate(sig, 3, lambda t, val: value, owned=True)
     assert np.shares_memory(e.mask, value)
     assert e.mask.tolist() == value.reshape(-1).tolist()
+
+
+# --- the combine kernel -------------------------------------------------------------
+
+KERNEL_UFUNCS = (np.logical_and, np.logical_or, np.greater, np.greater_equal, np.equal)
+
+
+def random_operand(rng, shape, kind):
+    """A boolean operand that broadcasts to ``shape``: 0-d, a numpy scalar,
+    size 1 on every axis, full, or present on a random subset of the axes
+    (an interleaved pattern); sometimes a transposed view."""
+    if kind == "scalar":
+        return np.bool_(rng.random() < 0.5)
+    if kind == "0-d":
+        return np.array(rng.random() < 0.5)
+    if kind == "size-1":
+        return np.array(rng.random() < 0.5).reshape((1,) * len(shape))
+    keep = [True] * len(shape) if kind == "full" else [rng.random() < 0.5 for _ in shape]
+    own = tuple(r if k else 1 for r, k in zip(shape, keep))
+    x = np.random.default_rng(rng.randrange(2**32)).random(own) < 0.5
+    lead = rng.randrange(len(own) + 1) if kind == "subset" else 0
+    x = x.reshape(own[lead:]) if all(r == 1 for r in own[:lead]) else x
+    if kind == "subset" and x.ndim > 1 and rng.random() < 0.2:
+        # the same values through a non-contiguous view
+        x = np.ascontiguousarray(x.swapaxes(0, -1)).swapaxes(0, -1)
+    return x
+
+
+def kernel_shapes():
+    """Axis-view shapes of radix 2 and 3, under and over the block size."""
+    rng = random.Random(22)
+    out = [(2,), (3, 2), (2,) * 12, (2,) * 13, (3,) * 8, (2, 3) * 5 + (2,) * 3]
+    while len(out) < 30:
+        shape = tuple(rng.choice((2, 2, 3)) for _ in range(rng.randint(1, 16)))
+        if math.prod(shape) <= 2**17:
+            out.append(shape)
+    return out
+
+
+@pytest.mark.parametrize("shape", kernel_shapes())
+def test_combine_matches_plain_broadcasting(shape):
+    rng = random.Random(str(shape))
+    kinds = ("scalar", "0-d", "size-1", "full", "subset", "subset", "subset")
+    for _ in range(8):
+        ops = [random_operand(rng, shape, rng.choice(kinds)) for _ in range(2)]
+        full = np.broadcast_shapes(*map(np.shape, ops))
+        for ufunc in KERNEL_UFUNCS:
+            want = ufunc(*(np.broadcast_to(x, full) for x in ops))
+            got = traces.combine(ufunc, *ops)
+            assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == bool
+            assert np.array_equal(got, want)
+        x = np.asarray(ops[0])
+        filled = traces._filled(x, shape)
+        assert filled.flags.c_contiguous and filled.flags.writeable
+        assert not np.shares_memory(filled, x)
+        assert np.array_equal(filled, np.broadcast_to(x, shape))
+
+
+def test_combine_fills_only_short_runs_of_large_results():
+    shape = (2,) * 16
+    # present on every other axis: the innermost run is the one constant axis
+    comb = np.zeros(shape[::2], dtype=bool).reshape(sum(((2, 1) for _ in range(8)), ()))
+    # the last 8 axes, contiguous: a run of 256
+    tail = np.zeros((2,) * 8, dtype=bool)
+    assert traces._inner_run(comb, shape) == 2
+    assert traces._inner_run(tail, shape) == 256
+    filled, kept = traces._blocked((comb, tail), shape)
+    assert kept is tail
+    assert traces._inner_run(filled, shape) >= traces._BLOCK
+    assert filled.size < math.prod(shape)
+    # a result of at most one block is computed as it comes
+    small = (2,) * 12
+    ops = (comb[0, :, 0, :], tail)
+    assert all(a is b for a, b in zip(traces._blocked(ops, small), ops))
+    # an operand present on every outer axis would be copied whole: it is left as is
+    wide = np.zeros(shape[:8] + (2, 1) * 4, dtype=bool)
+    assert traces._blocked((wide,), shape)[0] is wide
 
 
 # --- distributions -----------------------------------------------------------------
@@ -413,6 +495,44 @@ def test_factored_levels_match_the_per_history_loop(parts, h, k):
         level, witness, p_g1, p_both = _levels_by_history(m.mask, g1.mask, g2.mask, d, sig, h)
         report = probabilistic.sat_level(m, pc2)
         assert (report.level, report.witness_bad) == (level, witness)
+        refine = probabilistic.refine_level(pc1, pc2)
+        assert (refine.p_g1, refine.degenerate) == (p_g1, p_g1 == 0)
+        assert refine.level == (p_both / p_g1 if p_g1 else 0)
+
+
+def refined_signature(d, h):
+    """The refined contract's signature: outputs y and z, the ports of ``d``
+    and a free input u."""
+    u = Port("u", TRI if h == 1 else BOOL)
+    return Signature.of(controlled=(Port("y"), Port("z")), uncontrolled=d.ports + (u,))
+
+
+SUB_REFINE_CASES = [c for c in factor_cases() if c[1] < 3 and traces.universe_size(
+    refined_signature(build(*c)[0], c[1]), c[1]) <= 5000]
+
+
+@pytest.mark.parametrize("parts,h,k", SUB_REFINE_CASES)
+def test_refining_from_a_sub_signature_matches_the_per_history_loop(parts, h, k):
+    # the refining contract reads y, u and the first probabilistic port only:
+    # the refined one's other probabilistic ports and z are free in its guarantee
+    d, _ = build(parts, h, k)
+    sig = refined_signature(d, h)
+    read = d.ports[:1]
+    sub = Signature.of(controlled=(sig.port("y"),), uncontrolled=read + (sig.port("u"),))
+    rng = random.Random(f"sub-refine:{k}:{h}")
+    names = [p.name for p in read]
+
+    def draw(s, keep):
+        size = traces.space_of(s, h).size
+        return Assertion(s, h, np.array([rng.random() < keep for _ in range(size)]))
+
+    for keep in (0.7, 0.9, 0.98):
+        g1, g2 = draw(sub, keep), draw(sig, keep)
+        pc1 = probabilistic.prob_contract(pct.contract(pct.universe(sub, h), g1), names,
+                                          probabilistic.marginal(d, names))
+        pc2 = probabilistic.prob_contract(pct.contract(pct.universe(sig, h), g2), d.names, d)
+        lifted = pct.lift(g1, sig).mask
+        _, _, p_g1, p_both = _levels_by_history(lifted, lifted, g2.mask, d, sig, h)
         refine = probabilistic.refine_level(pc1, pc2)
         assert (refine.p_g1, refine.degenerate) == (p_g1, p_g1 == 0)
         assert refine.level == (p_both / p_g1 if p_g1 else 0)
