@@ -69,9 +69,18 @@ def _contract_decl(doc, name) -> speclang.ContractDecl:
     return doc.contracts[pdecl.contract if pdecl else name]
 
 
-def _canonical_guarantee_expr(decl) -> speclang.Expr:
+def _fails_somewhere(e: speclang.Expr, sig, h: int, defs: dict) -> speclang.Expr:
+    """An expression that holds at every step exactly where ``e`` fails at
+    some step: ``not e`` when ``e`` is step-invariant, else ``not always(e)``
+    (an expression is read at every step)."""
+    if not speclang.step_invariant(e, sig, h, defs):
+        e = speclang.Temporal((0, 0), "always", e)
+    return speclang.Not((0, 0), e)
+
+
+def _canonical_guarantee_expr(decl, sig, h: int, defs: dict) -> speclang.Expr:
     # guarantee in canonical form: G or not A
-    return speclang.Or((0, 0), decl.guarantee, speclang.Not((0, 0), decl.assume))
+    return speclang.Or((0, 0), decl.guarantee, _fails_somewhere(decl.assume, sig, h, defs))
 
 
 def cmd_compose(args) -> int:
@@ -89,13 +98,14 @@ def cmd_compose(args) -> int:
     composed = probabilistic.compose_prob(pc_a, pc_b)
     probabilistic_result = bool(composed.pports)
 
-    sig = composed.base.signature
-    g_def = speclang.And((0, 0), _canonical_guarantee_expr(decl_a),
-                         _canonical_guarantee_expr(decl_b))
+    sig, h = composed.base.signature, doc.horizon
+    g_def = speclang.And((0, 0), _canonical_guarantee_expr(decl_a, sig, h, doc.defs),
+                         _canonical_guarantee_expr(decl_b, sig, h, doc.defs))
+    defs = dict(doc.defs)
+    defs[f"{out_name}_g"] = g_def
     g_ref = speclang.NameRef((0, 0), f"{out_name}_g")
-    assume = speclang.Or((0, 0),
-                         speclang.And((0, 0), decl_a.assume, decl_b.assume),
-                         speclang.Not((0, 0), g_ref))
+    assume = speclang.Or((0, 0), speclang.And((0, 0), decl_a.assume, decl_b.assume),
+                         _fails_somewhere(g_ref, sig, h, defs))
     base_name = f"{out_name}_base" if probabilistic_result else out_name
     cdecl = speclang.ContractDecl(
         base_name,
@@ -105,8 +115,6 @@ def cmd_compose(args) -> int:
         guarantee=g_ref)
 
     ports = dict(doc.ports)
-    defs = dict(doc.defs)
-    defs[f"{out_name}_g"] = g_def
     cdict = dict(doc.contracts)
     cdict[base_name] = cdecl
     pdict = dict(doc.probcontracts)

@@ -18,10 +18,6 @@ from .record import Record
 from .traces import Assertion, Signature
 
 
-# runs checked at a time by _is_canonical
-_CHUNK = 1 << 16
-
-
 class Contract(Record):
     """A pair (assumption, guarantee) over a shared signature.
 
@@ -60,18 +56,9 @@ class Contract(Record):
 
 
 def _is_canonical(a: Assertion, g: Assertion) -> bool:
-    """complement(A) within G: every run is in A or in G.
-
-    Checked a chunk at a time into one small buffer, and stopped at the
-    first chunk with a run in neither, instead of making a full-size ``A | G``.
-    """
-    a, g = a.mask, g.mask
-    buf = np.empty(min(a.size, _CHUNK), dtype=bool)
-    for i in range(0, a.size, _CHUNK):
-        part = buf[:a.size - i]
-        if not np.logical_or(a[i:i + _CHUNK], g[i:i + _CHUNK], out=part).all():
-            return False
-    return True
+    """complement(A) within G: every run is in A or in G, checked on the
+    views without making ``A | G`` (``traces.everywhere``)."""
+    return traces.everywhere(np.logical_or, a.view, g.view)
 
 
 def contract(assumption: Assertion, guarantee: Assertion) -> Contract:
@@ -89,7 +76,8 @@ def canonicalize(c: Contract) -> Contract:
     if c.canonical:
         return c
     # G or not A, which on booleans is G >= A
-    g = Assertion(c.signature, c.horizon, np.greater_equal(c.guarantee.mask, c.assumption.mask))
+    g = Assertion.of_view(c.signature, c.horizon, traces.combine(
+        np.greater_equal, c.guarantee.view, c.assumption.view))
     return Contract._known(c.signature, c.assumption, g, True)
 
 
@@ -107,10 +95,10 @@ def satisfies(m: Assertion, c: Contract) -> bool:
     if m.horizon != c.horizon:
         raise SignatureError(f"horizons differ: {m.horizon} vs {c.horizon}")
     sig = traces.union_signature(m.signature, c.signature)
-    mm = traces.lift(m, sig).mask
-    aa = traces.lift(c.assumption, sig).mask
-    gg = traces.lift(c.guarantee, sig).mask
-    return not bool((mm & aa & ~gg).any())
+    mm = traces.lifted_view(m, sig)
+    aa = traces.lifted_view(c.assumption, sig)
+    gg = traces.lifted_view(c.guarantee, sig)
+    return traces.everywhere(np.less_equal, traces.combine(np.logical_and, mm, aa), gg)
 
 
 def satisfaction_formulas(m: Assertion, c: Contract) -> tuple:
@@ -126,7 +114,8 @@ def satisfaction_formulas(m: Assertion, c: Contract) -> tuple:
     gg = traces.lift(c.guarantee, sig)
     by_inclusion = traces.included_in(traces.product(mm, aa), gg, sig)
     by_maximal = traces.included_in(mm, traces.union(gg, traces.complement(aa)), sig)
-    by_emptiness = not bool((mm.mask & aa.mask & ~gg.mask).any())
+    by_emptiness = not traces.combine(np.logical_and, traces.combine(
+        np.logical_and, mm.view, aa.view), ~gg.view).any()
     return by_inclusion, by_maximal, by_emptiness
 
 
@@ -149,12 +138,11 @@ def compose(c1: Contract, c2: Contract) -> Contract:
     sig = traces.merge_signature_controlled(c1.signature, c2.signature)
     a1, g1 = _lift_onto(c1, sig)
     a2, g2 = _lift_onto(c2, sig)
-    g = traces.combine(np.logical_and, g1, g2).reshape(-1)
-    a = traces.combine(np.logical_and, a1, a2).reshape(-1)
+    g = traces.combine(np.logical_and, g1, g2)
     # (A1 and A2) or not G, which on booleans is (A1 and A2) >= G
-    np.greater_equal(a, g, out=a)
-    return Contract._known(sig, Assertion(sig, c1.horizon, a), Assertion(sig, c1.horizon, g),
-                           True)
+    a = traces.combine(np.greater_equal, traces.combine(np.logical_and, a1, a2), g)
+    return Contract._known(sig, Assertion.of_view(sig, c1.horizon, a),
+                           Assertion.of_view(sig, c1.horizon, g), True)
 
 
 def _lift_onto(c: Contract, sig: Signature) -> tuple:
@@ -171,9 +159,9 @@ def compose_impl(m1: Assertion, m2: Assertion) -> Assertion:
     if m1.horizon != m2.horizon:
         raise SignatureError(f"horizons differ: {m1.horizon} vs {m2.horizon}")
     sig = traces.merge_signature_controlled(m1.signature, m2.signature)
-    a = traces.lift(traces.relabel(m1, sig.restricted(m1.signature.names)), sig)
-    b = traces.lift(traces.relabel(m2, sig.restricted(m2.signature.names)), sig)
-    return Assertion(sig, m1.horizon, a.mask & b.mask)
+    a = traces.lifted_view(traces.relabel(m1, sig.restricted(m1.signature.names)), sig)
+    b = traces.lifted_view(traces.relabel(m2, sig.restricted(m2.signature.names)), sig)
+    return Assertion.of_view(sig, m1.horizon, traces.combine(np.logical_and, a, b))
 
 
 def refines(c1: Contract, c2: Contract) -> bool:

@@ -41,9 +41,12 @@ decodes afresh.
 
 The weight of a history is a product of the distribution's factors
 (``_weighted_histories``), computed here and not by ``probabilistic``.
+``oracle_denote`` evaluates a `.pct` expression one run and one step at
+a time, from the "Meaning" paragraph of docs/grammar.ebnf, and reads
+only the expression node classes of ``speclang``, not its compiler.
 The decoder and the run-set functions use nothing of ``traces`` but its
 types, and none of them names ``Run`` (``tests/test_oracle.py`` checks
-both); only the instance generators use its layout helpers.
+all three); only the instance generators use its layout helpers.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from . import contracts, probabilistic, traces
+from . import contracts, probabilistic, speclang, traces
 from .contracts import Contract
 from .errors import PctError
 from .probabilistic import Distribution, ProbContract
@@ -184,6 +187,76 @@ def oracle_lift(rs: Iterable[tuple], sig_from: Signature, sig_to: Signature, h: 
 
 def oracle_universe(sig: Signature, h: int) -> frozenset:
     return frozenset(_universe(sig.ports, h))
+
+
+def oracle_denote(e: speclang.Expr, sig: Signature, h: int, defs: dict = None) -> frozenset:
+    """The runs over ``sig`` at horizon ``h`` on which the expression ``e``
+    holds, by the "Meaning" paragraph of docs/grammar.ebnf: an expression
+    holds on a run when it holds at every step.
+
+    ``e`` reads only the ports it names, directly or through definitions,
+    so it is evaluated on every run over those ports, taken apart into its
+    histories by port name, one step at a time (``_holds_at``); the runs
+    where it holds are then extended to ``sig`` by ``oracle_lift``.  ``e``
+    must denote over ``sig`` (the document builds); nothing is checked."""
+    defs = defs or {}
+    names, todo, seen = set(), [e], set()
+    while todo:
+        x = todo.pop()
+        if isinstance(x, speclang.NameRef) and x.name in defs:
+            if x.name not in seen:
+                seen.add(x.name)
+                todo.append(defs[x.name])
+        elif isinstance(x, (speclang.NameRef, speclang.PrevOperand, speclang.PortOperand)):
+            names.add(x.name)
+        elif not isinstance(x, speclang.ValueOperand):
+            todo += [v for v in (getattr(x, f) for f in x._fields)
+                     if isinstance(v, (speclang.Expr, speclang.Operand))]
+    read = sig.restricted(names & set(sig.names))
+    ports = frozenset(read.names)
+    holds = [r for r in _universe(read.ports, h)
+             if all(_holds_at(e, dict(r), t, h, ports, defs) for t in range(h))]
+    return oracle_lift(holds, read, sig, h)
+
+
+def _holds_at(e: speclang.Expr, run: dict, t: int, h: int, ports: frozenset, defs: dict) -> bool:
+    """Whether ``e`` holds at step ``t`` of a run given as port name ->
+    history.  A name is a definition or a boolean port; a comparison
+    matches values by type as well as value; ``prev(p, init=v)`` reads
+    ``v`` at step 0; the temporal operators and ``at`` read other steps."""
+    if isinstance(e, speclang.Lit):
+        return e.value
+    if isinstance(e, speclang.NameRef):
+        if e.name in defs:
+            return _holds_at(defs[e.name], run, t, h, ports, defs)
+        return run[e.name][t] is True
+    if isinstance(e, speclang.Not):
+        return not _holds_at(e.body, run, t, h, ports, defs)
+    if isinstance(e, speclang.Temporal):
+        steps = (_holds_at(e.body, run, u, h, ports, defs) for u in range(h))
+        if e.op == "always":
+            return all(steps)
+        return any(steps) if e.op == "eventually" else not any(steps)
+    if isinstance(e, speclang.At):
+        return _holds_at(e.body, run, e.step, h, ports, defs)
+    if isinstance(e, speclang.Cmp):
+        values = []
+        for op in (e.left, e.right):
+            if isinstance(op, speclang.PrevOperand):
+                values.append(op.init if t == 0 else run[op.name][t - 1])
+            elif isinstance(op, speclang.PortOperand):
+                # an identifier that names no port is a value of the other side
+                values.append(run[op.name][t] if op.name in ports else op.name)
+            else:
+                values.append(op.value)
+        left, right = values
+        return type(left) is type(right) and left == right
+    left = _holds_at(e.left, run, t, h, ports, defs)
+    if isinstance(e, speclang.And):
+        return left and _holds_at(e.right, run, t, h, ports, defs)
+    if isinstance(e, speclang.Or):
+        return left or _holds_at(e.right, run, t, h, ports, defs)
+    return not left or _holds_at(e.right, run, t, h, ports, defs)     # Implies
 
 
 def oracle_included(e1: Assertion, e2: Assertion, sig: Signature) -> bool:

@@ -198,21 +198,23 @@ class Distribution(Record):
 def _mass(d: Distribution, mask: np.ndarray) -> Fraction:
     """The probability of the joint histories that ``mask`` holds.
 
-    The mask is contracted against one factor at a time: multiplied by the
-    factor's numerators and summed over its ports.  Every partial sum is
-    at most the product of the denominators contracted so far.
+    ``mask`` is a vector over the histories or an array on their axis view,
+    size-1 axes included.  It is contracted against one factor at a time:
+    multiplied by the factor's numerators and summed over its ports.  Every
+    partial sum is at most the product of the denominators contracted so far.
     """
     ports, h = d.ports, d.horizon
     src = _space(ports, h)
     held = mask.astype(_int_dtype(d.denominator))
+    if held.ndim != len(src.shape):
+        held = held.reshape(src.shape)
     for f in d.factors:
         names = {p.name for p in f.ports}
         ports = tuple(p for p in ports if p.name not in names)
         dst = _space(ports, h)
-        term = held.reshape(src.shape) * traces._spread(
-            f.num.astype(held.dtype, copy=False), _space(f.ports, h), src)
-        held, src = traces._reduce(np.add, term.reshape(-1), src, dst), dst
-    return Fraction(int(held[0]), d.denominator)
+        term = held * traces._spread(f.num.astype(held.dtype, copy=False), _space(f.ports, h), src)
+        held, src = traces._reduce(np.add, term, src, dst), dst
+    return Fraction(int(held.reshape(-1)[0]), d.denominator)
 
 
 def point_mass_empty(h) -> Distribution:
@@ -279,7 +281,7 @@ def marginal(d: Distribution, names: Iterable[str]) -> Distribution:
             factors.append(f)
         elif kept:
             sums = traces._reduce(np.add, f.num, _space(f.ports, h), _space(kept, h))
-            factors.append(_factor(kept, h, sums.tolist(), f.den))
+            factors.append(_factor(kept, h, sums.reshape(-1).tolist(), f.den))
     return Distribution.of_factors(h, factors)
 
 
@@ -373,18 +375,18 @@ class RefineReport(Record):
 
 
 def _good_history_mask(target: Assertion, pc: ProbContract) -> np.ndarray:
-    """For each history index of the probabilistic ports: True when every
-    run over the base signature extending it lies in ``target`` lifted there.
+    """For each history of the probabilistic ports, on their axis view: True
+    when every run over the base signature extending it lies in ``target``
+    lifted there.
 
     The runs over ``target``'s own signature that extend a history are fixed
-    by its probabilistic ports that ``target`` reads, so ``target`` is
+    by its probabilistic ports that ``target`` reads, so ``target``'s view is
     reduced to those ports and then spread to all of them, not lifted.
     """
     names = set(target.signature.names)
     read = _space([p for p in pc.dist.ports if p.name in names], pc.horizon)
-    omega_space = _space(pc.dist.ports, pc.horizon)
-    good = traces._reduce(np.logical_and, target.mask, target.space, read)
-    return np.broadcast_to(traces._spread(good, read, omega_space), omega_space.shape).reshape(-1)
+    good = traces._reduce(np.logical_and, target.view, target.space, read)
+    return traces._spread(good, read, _space(pc.dist.ports, pc.horizon))
 
 
 def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
@@ -422,7 +424,7 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
     witness = None
     if bad.any():
         # the worst violating history: the first of the heaviest bad ones
-        bad_weights = np.where(bad, pc.dist.numerators(), 0)
+        bad_weights = np.where(bad, pc.dist.numerators().reshape(omega_space.shape), 0).reshape(-1)
         worst = int(bad_weights.argmax())
         if bad_weights[worst] > 0:
             witness = traces.run_at(pc.dist.signature, pc.horizon, worst)

@@ -985,6 +985,13 @@ _RULES = {Lit: _Compiler.literal, NameRef: _Compiler.name, Not: _Compiler.negati
           Cmp: _Compiler.comparison}
 
 
+def step_invariant(e: Expr, sig: Signature, h, defs: dict = None) -> bool:
+    """Whether ``e`` has one value at every step, as the compiler decides
+    it: a literal, a temporal operator, ``at``, or a negation or connective
+    of such.  ``e`` is checked against ``sig`` but not evaluated."""
+    return _invariant(_Compiler(sig, traces._hlen(h), defs).compile(e))
+
+
 def denote(e: Expr, sig: Signature, h, defs: dict = None) -> Assertion:
     """The runs over ``sig`` satisfying ``e`` at every step."""
     hh = traces._hlen(h)

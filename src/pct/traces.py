@@ -2,7 +2,7 @@
 
 A system is a set of named finite-domain ports observed over a fixed
 number of discrete steps (the horizon).  A run assigns one value per
-(port, step); an assertion is a set of runs over a signature, stored as
+(port, step); an assertion is a set of runs over a signature, given by
 a boolean mask over the canonical run index.
 
 Canonical run index
@@ -20,12 +20,26 @@ broadcast, projection an ``any`` over the dropped axes and renaming a
 transpose.  Only this module knows that layout; ``_spread`` and
 ``_reduce`` carry vectors of any dtype between spaces for the others.
 
+What an assertion holds
+-----------------------
+An ``Assertion`` holds only its ``view``: the mask on the axis view, with
+a size-1 axis for every slot it does not read, so a clause over a few
+ports of a large signature stays small.  Every operation here reads and
+makes views: ``lift``, ``relabel`` and ``renamed`` copy nothing, the
+connectives combine views in their broadcast shape, and inclusion,
+equality and canonicity are ``everywhere`` tests that reduce each side
+over the axes only it reads instead of broadcasting.  ``Assertion.mask``,
+the run-indexed vector, is filled from the view on its first read and
+kept; the oracle, ``runs``, ``len`` and serialization read it.  The
+enumeration cap still applies to the full signature.
+
 Full-size masks
 ---------------
 Every step that makes a mask of a whole space allocates that mask and
 nothing else of its size: ``combine`` (the connectives of ``denote``, the
-steps of ``from_step_predicate``, ``compose``, ``sat_level``'s violations),
-``lift`` and the final broadcast of ``from_step_predicate``.  Operands
+steps of ``from_step_predicate``, ``product``, ``union``, ``compose``,
+``sat_level``'s violations) when its operands together read every slot,
+and the first read of ``Assertion.mask``.  Operands
 that read different ports broadcast along interleaved axes, and NumPy
 then runs its inner loop over a few elements at a time.  So when the
 result has more than ``_BLOCK`` (4096) elements, an operand whose
@@ -344,18 +358,21 @@ def space_of(sig: Signature, h) -> _Space:
 def _spread(values: np.ndarray, src: _Space, dst: _Space, name_map=None) -> np.ndarray:
     """A vector over ``src`` as a view on ``dst``'s axes, ready to broadcast.
 
-    Each slot of ``src`` must be a slot of ``dst`` once its port is renamed
-    through ``name_map``.  The axes are put in ``dst``'s order and every
-    slot ``src`` lacks gets a size-1 axis.
+    ``values`` may also be given on ``src``'s axis view, size-1 axes
+    included.  Each slot of ``src`` must be a slot of ``dst`` once its port
+    is renamed through ``name_map``.  The axes are put in ``dst``'s order
+    and every slot ``src`` lacks gets a size-1 axis.
     """
+    if values.ndim != len(src.shape):
+        values = values.reshape(src.shape)
     name_map = name_map or {}
     pos = {slot: a for a, slot in enumerate(dst.axes)}
     at = [pos[(name_map.get(name, name), t)] for name, t in src.axes]
     shape = [1] * len(dst.axes)
-    for a, r in zip(at, src.shape):
+    for a, r in zip(at, values.shape):
         shape[a] = r
     order = sorted(range(len(at)), key=at.__getitem__)
-    return values.reshape(src.shape).transpose(order).reshape(shape)
+    return values.transpose(order).reshape(shape)
 
 
 # an operand whose innermost run is under _SHORT elements is copied out over
@@ -416,8 +433,9 @@ def combine(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     over the trailing block of the result (``_blocked``).  The result is
     the same; only the loop is longer.
     """
-    # the result has at most a.size * b.size elements
-    if a.size * b.size > _BLOCK:
+    # the result has at most a.size * b.size elements, and an operand of
+    # the result's shape is never copied
+    if a.size * b.size > _BLOCK and a.shape != b.shape:
         a, b = _blocked((a, b), np.broadcast_shapes(a.shape, b.shape))
     return ufunc(a, b)
 
@@ -432,23 +450,84 @@ def _filled(values: np.ndarray, shape: tuple) -> np.ndarray:
 def _reduce(ufunc: np.ufunc, values: np.ndarray, src: _Space, dst: _Space) -> np.ndarray:
     """Reduce a vector over ``src`` along the slots ``dst`` lacks.
 
-    ``dst``'s slots must be slots of ``src``; the result is indexed over ``dst``.
-    ``values`` may also be given on ``src``'s axis view.
+    ``dst``'s slots must be slots of ``src``.  ``values`` may also be given
+    on ``src``'s axis view, where a size-1 axis is skipped: reducing a
+    broadcast axis changes nothing.  The result is on ``dst``'s axis view,
+    with a size-1 axis wherever ``values`` has one.
     """
+    if values.ndim != len(src.shape):
+        values = values.reshape(src.shape)
     keep = set(dst.axes)
-    rest = tuple(a for a, slot in enumerate(src.axes) if slot not in keep)
-    out = ufunc.reduce(values.reshape(src.shape), axis=rest, keepdims=True)
+    shape, rest = [], []
+    for a, (n, slot) in enumerate(zip(values.shape, src.axes)):
+        if slot in keep:
+            shape.append(n)
+        elif n > 1:
+            rest.append(a)
+    out = ufunc.reduce(values, axis=tuple(rest), keepdims=True) if rest else values
     # reducing a 0-d object array gives a bare element, hence asarray
-    return np.asarray(out, dtype=values.dtype).reshape(-1)
+    return np.asarray(out, dtype=values.dtype).reshape(shape)
+
+
+# runs checked at a time by ``everywhere``
+_CHUNK = 1 << 16
+
+
+def everywhere(ufunc, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the boolean ``ufunc(a, b)`` holds at every point of the
+    broadcast of two bool arrays on one axis view, without making it.
+
+    Along the axes that only one side reads, all that matters is which
+    values that side takes there: at most two, its ``all`` and its ``any``
+    along them.  So each side is reduced to those two over its own axes,
+    and the ufunc is checked on every pair of them over the axes both read,
+    ``_CHUNK`` runs at a time into one buffer, stopping at the first chunk
+    where it fails.
+    """
+    # the broadcast has at most a.size * b.size elements
+    if a.size * b.size <= _CHUNK or (a.shape == b.shape and a.size <= _CHUNK):
+        return bool(ufunc(a, b).all())
+    pairs = ((a, b),)
+    if a.shape != b.shape:
+        sides = []
+        for x, y in ((a, b), (b, a)):
+            own = tuple(i for i, (m, n) in enumerate(zip(x.shape, y.shape)) if n == 1 < m)
+            sides.append((np.logical_and.reduce(x, axis=own, keepdims=True),
+                          np.logical_or.reduce(x, axis=own, keepdims=True)) if own else (x,))
+        pairs = tuple((x, y) for x in sides[0] for y in sides[1])
+    # every pair now has one shape: the axes both read, and size 1 elsewhere
+    for x, y in pairs:
+        if x.size <= _CHUNK:
+            if not ufunc(x, y).all():
+                return False
+            continue
+        # dropping size-1 axes never copies
+        shape = tuple(r for r in x.shape if r > 1)
+        x, y = x.reshape(shape), y.reshape(shape)
+        k, block = len(shape), 1
+        while block < _CHUNK:
+            k -= 1
+            block *= shape[k]
+        buf = np.empty(shape[k:], dtype=bool)
+        if not all(ufunc(x[i], y[i], out=buf).all() for i in np.ndindex(shape[:k])):
+            return False
+    return True
 
 
 # --- assertions ---------------------------------------------------------------
 
 class Assertion(Record):
-    """A set of runs over a signature at a fixed horizon."""
+    """A set of runs over a signature at a fixed horizon.
 
-    __slots__ = ("signature", "horizon", "mask")
-    _fields = ("signature", "horizon")    # the mask is left out of the repr
+    It holds ``view``: its mask on the axis view of its space, with a
+    size-1 axis for every slot it does not read (read-only).  ``mask``, the
+    run-indexed vector of the whole space, is filled from the view on its
+    first read and kept; a view of full size in C order is the mask itself.
+    The constructor takes that vector; ``of_view`` takes a view.
+    """
+
+    __slots__ = ("signature", "horizon", "view", "_mask")
+    _fields = ("signature", "horizon")    # the arrays are left out of the repr
 
     def __init__(self, signature: Signature, horizon: int, mask: np.ndarray):
         space = space_of(signature, horizon)
@@ -457,44 +536,69 @@ class Assertion(Record):
         mask.setflags(write=False)
         setfield(self, "signature", signature)
         setfield(self, "horizon", horizon)
-        setfield(self, "mask", mask)
+        setfield(self, "view", mask.reshape(space.shape))
+        setfield(self, "_mask", mask)
+
+    @classmethod
+    def of_view(cls, signature: Signature, horizon: int, view: np.ndarray) -> "Assertion":
+        """The assertion whose mask ``view`` gives on the axis view of the
+        space, where it may have size 1 on any axis.  It is made read-only."""
+        shape = space_of(signature, horizon).shape
+        if view.dtype != bool or (view.shape != shape and (view.ndim != len(shape) or any(
+                n != r and n != 1 for n, r in zip(view.shape, shape)))):
+            raise PctError("assertion view must be a boolean array on the run space's axes")
+        view.setflags(write=False)
+        e = cls.__new__(cls)
+        setfield(e, "signature", signature)
+        setfield(e, "horizon", horizon)
+        setfield(e, "view", view)
+        setfield(e, "_mask", None)
+        return e
 
     @property
     def space(self) -> _Space:
         return space_of(self.signature, self.horizon)
 
+    @property
+    def mask(self) -> np.ndarray:
+        """The boolean vector over the run index: filled on first read, then kept."""
+        mask = self._mask
+        if mask is None:
+            view, shape = self.view, self.space.shape
+            if view.shape == shape and view.flags.c_contiguous:
+                mask = view.reshape(-1)
+            else:
+                mask = _filled(view, shape).reshape(-1)
+                mask.setflags(write=False)
+            setfield(self, "_mask", mask)
+        return mask
+
     def __eq__(self, other):
         return (isinstance(other, Assertion)
                 and self.signature == other.signature
                 and self.horizon == other.horizon
-                and np.array_equal(self.mask, other.mask))
+                and everywhere(np.equal, self.view, other.view))
 
     def __len__(self) -> int:
         return int(self.mask.sum())
 
     @property
     def is_empty(self) -> bool:
-        return not self.mask.any()
+        return not self.view.any()
 
     def __iter__(self) -> Iterator[Run]:
         return runs(self)
 
 
-def _make(sig: Signature, h: int, mask: np.ndarray) -> Assertion:
-    return Assertion(sig, h, mask)
-
-
 def universe(sig: Signature, h) -> Assertion:
     """Every well-formed run over the signature at the horizon."""
     hh = _hlen(h)
-    space = space_of(sig, hh)
-    return _make(sig, hh, np.ones(space.size, dtype=bool))
+    return Assertion.of_view(sig, hh, np.ones((1,) * len(space_of(sig, hh).shape), dtype=bool))
 
 
 def empty(sig: Signature, h) -> Assertion:
     hh = _hlen(h)
-    space = space_of(sig, hh)
-    return _make(sig, hh, np.zeros(space.size, dtype=bool))
+    return Assertion.of_view(sig, hh, np.zeros((1,) * len(space_of(sig, hh).shape), dtype=bool))
 
 
 def universe_size(sig: Signature, h) -> int:
@@ -544,7 +648,7 @@ def from_runs(sig: Signature, h, rs: Iterable[Run]) -> Assertion:
     mask = np.zeros(space.size, dtype=bool)
     for r in rs:
         mask[run_index(sig, hh, r)] = True
-    return _make(sig, hh, mask)
+    return Assertion(sig, hh, mask)
 
 
 def runs(e: Assertion) -> Iterator[Run]:
@@ -558,22 +662,21 @@ def _require_same_horizon(e1: Assertion, e2: Assertion) -> None:
 
 
 def lifted_view(e: Assertion, sig2: Signature) -> np.ndarray:
-    """The mask of ``lift(e, sig2)`` on sig2's axis view, made without a copy:
-    a read-only view that broadcasts to the full space."""
+    """The view of ``lift(e, sig2)``, made without a copy: a read-only
+    array on sig2's axis view that broadcasts to the full space."""
     if sig2 == e.signature:
-        return e.mask.reshape(e.space.shape)
+        return e.view
     if not is_subsignature(e.signature, sig2):
         raise SignatureError("lift target must extend the assertion's signature "
                              "with agreeing domains and roles")
-    return _spread(e.mask, e.space, space_of(sig2, e.horizon))
+    return _spread(e.view, e.space, space_of(sig2, e.horizon))
 
 
 def lift(e: Assertion, sig2: Signature) -> Assertion:
     """Inverse projection: all runs over sig2 whose restriction lies in e."""
     if sig2 == e.signature:
         return e
-    view = lifted_view(e, sig2)
-    return _make(sig2, e.horizon, _filled(view, space_of(sig2, e.horizon).shape).reshape(-1))
+    return Assertion.of_view(sig2, e.horizon, lifted_view(e, sig2))
 
 
 def project(e: Assertion, sig2: Signature) -> Assertion:
@@ -583,11 +686,11 @@ def project(e: Assertion, sig2: Signature) -> Assertion:
     if sig2 == e.signature:
         return e
     small = space_of(sig2, e.horizon)
-    return _make(sig2, e.horizon, _reduce(np.logical_or, e.mask, e.space, small))
+    return Assertion.of_view(sig2, e.horizon, _reduce(np.logical_or, e.view, e.space, small))
 
 
 def complement(e: Assertion) -> Assertion:
-    return _make(e.signature, e.horizon, ~e.mask)
+    return Assertion.of_view(e.signature, e.horizon, ~e.view)
 
 
 def product(e1: Assertion, e2: Assertion) -> Assertion:
@@ -599,39 +702,35 @@ def product(e1: Assertion, e2: Assertion) -> Assertion:
     """
     _require_same_horizon(e1, e2)
     sig = union_signature(e1.signature, e2.signature)
-    m1 = lift(e1, sig)
-    m2 = lift(e2, sig)
-    return _make(sig, e1.horizon, m1.mask & m2.mask)
+    return Assertion.of_view(sig, e1.horizon, combine(np.logical_and, lifted_view(e1, sig),
+                                                       lifted_view(e2, sig)))
 
 
 def union(e1: Assertion, e2: Assertion) -> Assertion:
     _require_same_horizon(e1, e2)
     sig = union_signature(e1.signature, e2.signature)
-    m1 = lift(e1, sig)
-    m2 = lift(e2, sig)
-    return _make(sig, e1.horizon, m1.mask | m2.mask)
+    return Assertion.of_view(sig, e1.horizon, combine(np.logical_or, lifted_view(e1, sig),
+                                                       lifted_view(e2, sig)))
 
 
 def included_in(e1: Assertion, e2: Assertion, sig: Signature) -> bool:
     """Signature-relative inclusion: lift both to sig and compare."""
     _require_same_horizon(e1, e2)
-    m1 = lift(e1, sig)
-    m2 = lift(e2, sig)
-    return not bool((m1.mask & ~m2.mask).any())
+    return everywhere(np.less_equal, lifted_view(e1, sig), lifted_view(e2, sig))
 
 
 def relabel(e: Assertion, sig2: Signature) -> Assertion:
     """Swap the signature for one with identical ports but different roles."""
     if e.signature.ports != sig2.ports:
         raise SignatureError("relabel requires identical ports and domains")
-    return _make(sig2, e.horizon, e.mask)
+    return Assertion.of_view(sig2, e.horizon, e.view)
 
 
 def renamed(e: Assertion, old: str, new: str) -> Assertion:
     """Rename a port; the run set is carried across (index order may change)."""
     sig2 = e.signature.renamed(old, new)
     dst = space_of(sig2, e.horizon)
-    return _make(sig2, e.horizon, _spread(e.mask, e.space, dst, {old: new}).reshape(-1))
+    return Assertion.of_view(sig2, e.horizon, _spread(e.view, e.space, dst, {old: new}))
 
 
 def slot_values(sig: Signature, h, name: str, step: int) -> np.ndarray:
@@ -657,11 +756,12 @@ def from_step_predicate(sig: Signature, h, pred, *, owned: bool = False) -> Asse
     ``pred`` receives a step index ``t`` and a lookup ``name ->
     slot_values(sig, h, name, t)`` and returns a boolean array that
     broadcasts against the axis view, as any expression in the lookups does.
-    The step values are combined in their broadcast shape, and a value that
-    is the same object as the previous step's is combined once: ``pred``
-    must not write to an array it has returned.  The mask is a new array,
-    unless ``owned`` says that the values were made for this call alone and
-    nothing else holds them; the mask may then be one of them.
+    The step values are combined in their broadcast shape, which the
+    assertion keeps as its view: nothing of the full size is made.  A value
+    that is the same object as the previous step's is combined once:
+    ``pred`` must not write to an array it has returned.  The view is a new
+    array, unless ``owned`` says that the values were made for this call
+    alone and nothing else holds them; the view may then be one of them.
     """
     hh = _hlen(h)
     held = last = None
@@ -672,8 +772,8 @@ def from_step_predicate(sig: Signature, h, pred, *, owned: bool = False) -> Asse
             combined = held is not None
             held = value if held is None else combine(np.logical_and, held, value)
             last = value
-    held, shape = np.asarray(held), space_of(sig, hh).shape
-    if held.shape != shape or not held.flags.c_contiguous:
-        return _make(sig, hh, _filled(held, shape).reshape(-1))
-    mask = held.reshape(-1)
-    return _make(sig, hh, mask if owned or combined else mask.copy())
+    held = np.asarray(held)
+    if not (owned or combined):
+        held = held.copy()
+    n = len(space_of(sig, hh).shape)
+    return Assertion.of_view(sig, hh, held.reshape((1,) * (n - held.ndim) + held.shape))

@@ -1,7 +1,9 @@
-"""The summary arithmetic of tools/abpairs.py on a fixed set of runs."""
+"""The summary arithmetic of tools/abpairs.py on a fixed set of runs, and
+the environment each benchmark run starts in."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,33 @@ def test_run_length_and_directions_come_from_the_benchmark(tmp_path):
     with pytest.raises(SystemExit):
         abpairs.main(["--parent", str(tmp_path), "--out", str(tmp_path / "o.json"),
                       "--seconds", "5"])
+
+
+def test_every_run_reads_bytecode_from_its_own_empty_directory(tmp_path, monkeypatch):
+    # a checkout that holds bytecode, as an earlier run may have left it
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "pct" / "__pycache__").mkdir(parents=True)
+    (checkout / "src" / "pct" / "__pycache__" / "cli.cpython-311.pyc").write_bytes(b"")
+    seen = []
+
+    def fake_run(argv, cwd, env, capture_output, text):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, cache.is_dir() and not any(cache.iterdir()), cwd, env))
+        result = {"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"sat_s": {"value": 0.5}}}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(abpairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PCT_CHILD_MARK", "kept")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    for _ in range(2):
+        record = abpairs.run_once(checkout, "query_large", 1, 5)
+        assert record["metrics"] == {"sat_s": 0.5}
+    (first, empty1, cwd, env), (second, empty2, _, _) = seen
+    assert empty1 and empty2 and first != second
+    assert checkout not in first.parents and cwd == checkout
+    assert env["PCT_CHILD_MARK"] == "kept"
+    # the run fills its own directory, so only its first process compiles
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    # the directories are removed once their run has ended
+    assert not first.exists() and not second.exists()

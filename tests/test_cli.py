@@ -3,8 +3,9 @@ and output paths end in one diagnostic line and exit code 2, never a
 traceback, a pass over zero cases or a query's output;
 the query subcommands do not load the oracle; every subcommand prints its
 golden output on the bundled example, in a process that has already run
-other queries and failed ones; and ``verify --json-lines`` prints its
-golden case records."""
+other queries and failed ones; ``compose`` emits a document that denotes
+the oracle's composition when clauses are read at every step; and
+``verify --json-lines`` prints its golden case records."""
 
 import os
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from pct import cli
+from pct import cli, oracle, speclang
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -82,6 +83,44 @@ def test_one_process_gives_the_same_answers_around_failed_calls(example, tmp_pat
     assert _run(sat, capsys) == first
     assert _run(refine, capsys) == (0, (GOLDEN / "refine.txt").read_text("utf-8"), "")
     assert _run(sat, capsys) == first
+
+
+# clauses without a temporal operator hold when they hold at every step
+STEPWISE = """horizon 2;
+port f : bool uncontrolled prob bernoulli(1/4);
+port a : bool uncontrolled;
+port b : bool controlled;
+port c : bool controlled;
+port d : bool controlled;
+contract one { input a; output b; assume a; guarantee b; }
+contract two { input b; output c; assume b; guarantee c; }
+contract coin { input a, f; output d; assume always(a); guarantee d or f; }
+probcontract coin_rel { contract coin; ports f; }
+"""
+
+
+@pytest.mark.parametrize("names", ["one,two", "two,coin_rel", "coin,one"])
+def test_compose_of_clauses_read_at_every_step_denotes_the_composition(names, tmp_path, capsys):
+    path = tmp_path / "stepwise.pct"
+    path.write_text(STEPWISE)
+    rc, out, err = _run(["compose", str(path), "--contracts", names], capsys)
+    assert (rc, err) == (0, "")
+    doc = speclang.parse(STEPWISE)
+    c1, c2 = (speclang.lookup_probcontract(doc, name).base for name in names.split(","))
+    want_a, want_g, sig = oracle.oracle_compose_sets(c1, c2)
+    composed = speclang.lookup_probcontract(speclang.parse(out), "composite")
+    assert composed.signature == sig
+    assert oracle.materialize(composed.base.assumption) == want_a
+    assert oracle.materialize(composed.base.guarantee) == want_g
+
+
+def test_compose_wraps_only_the_clauses_that_are_read_at_every_step(tmp_path, capsys):
+    path = tmp_path / "stepwise.pct"
+    path.write_text(STEPWISE)
+    _, out, _ = _run(["compose", str(path), "--contracts", "coin,one"], capsys)
+    # coin's assumption is always(a) already; one's is the bare a
+    assert "def composite_g = (d or f or not always(a)) and (b or not always(a));" in out
+    assert "assume always(a) and a or not always(composite_g);" in out
 
 
 def _one_error_line(err: str, start: str) -> bool:

@@ -1,7 +1,8 @@
 """The oracle: its run decoder against a reference enumeration, its
 independence from the engine's mask code, decoding once per suite case and
-keeping nothing past it, agreement with the engine at a larger budget, and
-the budgets that bound the generated instances."""
+keeping nothing past it, agreement with the engine at a larger budget, its
+evaluator of `.pct` expressions against ``denote``, and the budgets that
+bound the generated instances."""
 
 import ast
 import collections
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from pct import (BOOL, Assertion, PctError, Port, Signature, contracts, oracle, probabilistic,
-                 traces)
+                 speclang, traces)
+from pct.errors import SpecLangError
 
 TRI = (0, 1, 2)
 ONE = ("only",)
@@ -114,7 +116,8 @@ def test_decoder_cases_cover_the_shapes_that_matter():
 
 INDEPENDENT = [oracle.materialize, oracle.oracle_lift, oracle.oracle_universe,
                oracle._Decoder, oracle._histories, oracle._port_entries, oracle._Case,
-               oracle._one_case, oracle._universe, oracle._fibers, oracle._weighted_histories]
+               oracle._one_case, oracle._universe, oracle._fibers, oracle._weighted_histories,
+               oracle.oracle_denote, oracle._holds_at]
 
 
 @pytest.mark.parametrize("obj", INDEPENDENT, ids=lambda o: o.__name__)
@@ -127,6 +130,22 @@ def test_the_run_set_semantics_uses_nothing_of_traces_but_its_types(obj):
             used = getattr(oracle, node.id, None)
             from_traces = getattr(used, "__module__", None) == traces.__name__
             assert not from_traces or isinstance(used, type), f"calls traces.{node.id}"
+
+
+@pytest.mark.parametrize("obj", INDEPENDENT, ids=lambda o: o.__name__)
+def test_the_run_set_semantics_reads_only_the_syntax_tree_of_speclang(obj):
+    """Of ``speclang`` the oracle names only the expression node classes: not
+    ``denote``, the compiler or the step functions it makes."""
+    nodes = (speclang.Expr, speclang.Operand)
+    for node in ast.walk(ast.parse(inspect.getsource(obj))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "speclang":
+            used = getattr(speclang, node.attr)
+            assert isinstance(used, type) and issubclass(used, nodes), f"reads speclang.{node.attr}"
+        if isinstance(node, ast.Name):
+            used = getattr(oracle, node.id, None)
+            assert getattr(used, "__module__", None) != speclang.__name__ or \
+                (isinstance(used, type) and issubclass(used, nodes)), f"calls {node.id}"
 
 
 # every oracle function that builds, moves or reads a run set
@@ -321,3 +340,50 @@ def test_dom_1_gives_one_value_domains():
 def test_a_space_no_instance_fits_is_rejected(kwargs):
     with pytest.raises(PctError, match="space"):
         oracle.Budget(**kwargs)
+
+
+# --- expressions, evaluated one run and one step at a time ------------------------------
+
+def test_denote_matches_the_oracle_on_every_generated_declaration(docgen):
+    compared = 0
+    for seed in range(200):
+        doc = speclang.parse(docgen(seed).document())
+        clauses = [(c.assume, c) for c in doc.contracts.values()]
+        clauses += [(c.guarantee, c) for c in doc.contracts.values()]
+        clauses += [(m.behavior, m) for m in doc.impls.values()]
+        # one decoding scope per document: its declarations share universes
+        with oracle._one_case():
+            for e, decl in clauses:
+                sig = speclang.signature_of(doc, decl)
+                try:
+                    built = speclang.denote(e, sig, doc.horizon, doc.defs)
+                except SpecLangError:
+                    continue
+                assert oracle.materialize(built) == \
+                    oracle.oracle_denote(e, sig, doc.horizon, doc.defs), (seed, e)
+                compared += 1
+    assert compared > 500
+
+
+@pytest.mark.parametrize("text,want", [
+    # a bare step predicate holds at every step; "not always" at some step fails
+    ("a", {(True, True)}),
+    ("not a", {(False, False)}),
+    ("not always(a)", {(False, False), (False, True), (True, False)}),
+    ("eventually(a) and at(0, not a)", {(False, True)}),
+    ("a == prev(a, init=true)", {(True, True)}),
+    ("prev(a, init=false)", set()),
+    ("m == run implies a", None),
+])
+def test_oracle_denote_follows_the_meaning_paragraph(text, want):
+    a, m = Port("a"), Port("m", ("idle", "run"))
+    sig = Signature.of(uncontrolled=(a, m))
+    got = oracle.oracle_denote(speclang.parse_expr(text), sig, 2)
+    if want is not None:
+        assert {dict(r)["a"] for r in got} == want
+        assert all(len({dict(r)["m"] for r in got if dict(r)["a"] == hist}) == 4
+                   for hist in want)
+    else:
+        # where m is run at a step, a holds at that step
+        assert all(dict(r)["a"][t] for r in got for t in range(2) if dict(r)["m"][t] == "run")
+        assert len(got) == 9

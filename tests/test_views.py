@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pct
-from pct import BOOL, Assertion, Port, Run, Signature, oracle, probabilistic, traces
+from pct import BOOL, Assertion, Port, Run, Signature, contracts, oracle, probabilistic, traces
 from pct.oracle import materialize, oracle_lift
 
 TRI = (0, 1, 2)
@@ -280,6 +280,227 @@ def test_combine_fills_only_short_runs_of_large_results():
     # an operand present on every outer axis would be copied whole: it is left as is
     wide = np.zeros(shape[:8] + (2, 1) * 4, dtype=bool)
     assert traces._blocked((wide,), shape)[0] is wide
+
+
+# --- assertions held as views ----------------------------------------------------------
+#
+# Each set is built twice: held as a view that reads a random subset of the
+# axes (an interleaved pattern, most of the time), and held as the same set
+# filled to a full mask.  Every operation must give the same answer on both.
+
+def held_both(rng, sig, h, keep=0.5, density=0.5):
+    """(the set held as a view, the same set held as a full mask)."""
+    shape = traces.space_of(sig, h).shape
+    own = tuple(r if rng.random() < keep else 1 for r in shape)
+    view = np.random.default_rng(rng.randrange(2**32)).random(own) < density
+    full = np.broadcast_to(view, shape).reshape(-1).copy()
+    return Assertion.of_view(sig, h, view), Assertion(sig, h, full)
+
+
+def interleaved(shape):
+    """True when a kept axis lies between two dropped ones, or the reverse."""
+    kept = [r > 1 for r in shape]
+    return any(kept[i] != kept[i + 1] != kept[i + 2] for i in range(len(kept) - 2))
+
+
+def same(x, y):
+    """Equal results of one operation on the two holdings."""
+    if isinstance(x, Assertion):
+        return (x.signature == y.signature and x.horizon == y.horizon
+                and np.array_equal(x.mask, y.mask) and x == y and y == x)
+    if isinstance(x, contracts.Contract):
+        return (x.signature == y.signature and x.canonical == y.canonical
+                and same(x.assumption, y.assumption) and same(x.guarantee, y.guarantee))
+    return x == y
+
+
+VIEW_CASES = [c for c in CASES if traces.universe_size(c[0], c[1]) <= 729]
+
+
+def test_view_cases_cover_the_shapes_that_matter():
+    shapes = [traces.space_of(sig, h).shape for sig, h in VIEW_CASES]
+    assert () in shapes and any(len(s) == 1 for s in shapes)
+    rng = random.Random(23)
+    drawn = [held_both(rng, sig, h)[0].view.shape for sig, h in VIEW_CASES for _ in range(3)]
+    assert any(interleaved(s) for s in drawn)
+
+
+@pytest.mark.parametrize("sig,h", VIEW_CASES)
+def test_assertion_operations_agree_on_views_and_full_masks(sig, h):
+    rng = random.Random(f"views:{sig}:{h}")
+    other = Signature.of(uncontrolled=(Port("b0", TRI if h < 3 else BOOL),))
+    if "b0" in sig or traces.universe_size(extended(sig, other.ports), h) > 5000:
+        other = Signature.of()
+    joint = traces.union_signature(sig, other)
+    for keep in (0.0, 0.5, 1.0):
+        pair1, pair2 = held_both(rng, sig, h, keep), held_both(rng, other, h, keep)
+        for e1 in pair1:
+            assert same(pct.complement(e1), pct.complement(pair1[1]))
+            assert (e1.is_empty, len(e1)) == (pair1[1].is_empty, len(pair1[1]))
+            assert e1 == pair1[1] and pair1[1] == e1
+            big = extended(sig, [p for p in (Port("zz", TRI), Port("a0")) if p.name not in sig])
+            if traces.universe_size(big, h) <= 5000:
+                assert same(pct.lift(e1, big), pct.lift(pair1[1], big))
+            for k in range(len(sig.names) + 1):
+                for names in itertools.combinations(sig.names, k):
+                    small = sig.restricted(names)
+                    assert same(pct.project(e1, small), pct.project(pair1[1], small))
+            if sig.ports:
+                first = sig.names[0]
+                assert same(pct.renamed(e1, first, "zz"), pct.renamed(pair1[1], first, "zz"))
+                flipped = Signature(sig.ports, sig.uncontrolled, sig.controlled)
+                assert same(traces.relabel(e1, flipped), traces.relabel(pair1[1], flipped))
+            for e2 in pair2:
+                for op in (pct.product, pct.union):
+                    assert same(op(e1, e2), op(pair1[1], pair2[1]))
+                assert pct.included_in(e1, e2, joint) == pct.included_in(pair1[1], pair2[1], joint)
+                assert pct.included_in(pct.product(e1, e2), e1, joint)
+
+
+CONTRACT_PORTS = {"a": Port("a"), "b": Port("b", TRI), "c": Port("c"), "k": Port("k", ONE),
+                  "p": Port("p"), "q": Port("q")}
+
+
+def contract_sig(controlled, uncontrolled):
+    return Signature.of(controlled=[CONTRACT_PORTS[n] for n in controlled],
+                        uncontrolled=[CONTRACT_PORTS[n] for n in uncontrolled])
+
+
+def held_contracts(rng, sig, h):
+    """Contracts over ``sig`` whose assertions are held as views and as full
+    masks: (view-held contract, full-held contract); the assumption is
+    dense, so that most histories are constrained."""
+    (av, af), (gv, gf) = held_both(rng, sig, h, density=0.8), held_both(rng, sig, h, density=0.7)
+    return pct.contract(av, gv), pct.contract(af, gf)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_contract_operations_agree_on_views_and_full_masks(seed):
+    rng = random.Random(f"view-contracts:{seed}")
+    h = 1 + seed % 2
+    sig = contract_sig("bc", "akpq")
+    sub = contract_sig("c", "apq")
+    peer = contract_sig("a", "cq")
+    coins = {n: probabilistic.bernoulli_iid(CONTRACT_PORTS[n], Fraction(1, 3 + i), h)
+             for i, n in enumerate("pq")}
+    dist = probabilistic.product_dist(coins["p"], coins["q"])
+    cv, cf = held_contracts(rng, sig, h)
+    sv, sf = held_contracts(rng, sub, h)
+    pv, pf = held_contracts(rng, peer, h)
+    mv, mf = held_both(rng, contract_sig("bc", "ap"), h, density=0.6)
+    assert cv.canonical == cf.canonical
+    assert same(contracts.canonicalize(cv), contracts.canonicalize(cf))
+    for c, m in ((cv, mf), (cf, mv), (cv, mv)):
+        assert contracts.satisfies(m, c) == contracts.satisfies(mf, cf)
+        assert contracts.satisfaction_formulas(m, c) == contracts.satisfaction_formulas(mf, cf)
+    for c1, c2 in ((sv, cv), (sf, cv), (sv, cf)):
+        assert contracts.refines(c1, c2) == contracts.refines(sf, cf)
+    for c1, c2 in ((cv, pv), (cf, pv), (cv, pf)):
+        assert same(contracts.compose(c1, c2), contracts.compose(cf, pf))
+    assert same(contracts.compose_impl(mv, pv.guarantee), contracts.compose_impl(mf, pf.guarantee))
+
+    pcs = {}
+    for name, (c, s) in {"v": (cv, sv), "f": (cf, sf)}.items():
+        pcs[name] = (probabilistic.prob_contract(c, "pq", dist),
+                     probabilistic.prob_contract(s, "p", coins["p"]))
+    want_sat = probabilistic.sat_level(mf, pcs["f"][0])
+    want_refine = probabilistic.refine_level(pcs["f"][1], pcs["f"][0])
+    for m, (pc, spc) in ((mv, pcs["f"]), (mf, pcs["v"]), (mv, pcs["v"])):
+        assert probabilistic.sat_level(m, pc) == want_sat
+        assert probabilistic.refine_level(spc, pc) == want_refine
+    assert probabilistic.refine_level(pcs["v"][1], pcs["f"][0]) == want_refine
+    assert probabilistic.refine_level(pcs["f"][1], pcs["v"][0]) == want_refine
+
+
+@pytest.mark.parametrize("shape", kernel_shapes())
+def test_everywhere_matches_plain_broadcasting(shape):
+    rng = random.Random(f"everywhere:{shape}")
+    for _ in range(6):
+        ops = []
+        for _ in range(2):
+            own = tuple(r if rng.random() < 0.6 else 1 for r in shape)
+            # mostly True, so that a check does not stop at its first chunk
+            ops.append(np.random.default_rng(rng.randrange(2**32)).random(own) < 0.97)
+        full = np.broadcast_shapes(*(x.shape for x in ops))
+        for ufunc in KERNEL_UFUNCS + (np.less_equal, np.logical_or):
+            want = bool(ufunc(*(np.broadcast_to(x, full) for x in ops)).all())
+            assert traces.everywhere(ufunc, *ops) == want
+        # equal operands, so that the check runs through every chunk
+        assert traces.everywhere(np.equal, ops[0], ops[0].copy())
+
+
+def test_everywhere_reduces_every_axis_only_one_side_reads():
+    # two axes each that only one side reads, around 2^17 points both read
+    shape = (2,) * 21
+    rng = np.random.default_rng(21)
+    a = rng.random((2, 2, 1, 1) + shape[4:]) < 0.999
+    b = rng.random((1, 1, 2, 2) + shape[4:]) < 0.999
+    for ufunc in (np.logical_or, np.less_equal, np.greater_equal, np.equal):
+        want = bool(ufunc(np.broadcast_to(a, shape), np.broadcast_to(b, shape)).all())
+        assert traces.everywhere(ufunc, a, b) == want
+    # at one shared point, a holds only where its second axis is 1 and b
+    # fails only where its second axis is 0: a <= b fails there, though the
+    # two axes' positions agree
+    a = np.zeros((2, 2, 1, 1) + shape[4:], dtype=bool)
+    a[:, 1, :, :, 0] = True
+    b = np.ones((1, 1, 2, 2) + shape[4:], dtype=bool)
+    b[:, :, :, 0, 0] = False
+    assert not traces.everywhere(np.less_equal, a, b)
+    b[:, :, :, 0, 0] = True
+    assert traces.everywhere(np.less_equal, a, b)
+
+
+@pytest.mark.parametrize("at", [0, 2**16 - 1, 2**16, 2**18 - 1])
+def test_everywhere_finds_one_failing_point_in_any_chunk(at):
+    shape = (2,) * 18
+    x = np.ones(shape, dtype=bool)
+    y = x.copy()
+    y.reshape(-1)[at] = False
+    assert traces.everywhere(np.equal, x, x.copy())
+    assert not traces.everywhere(np.equal, x, y)
+    assert not traces.everywhere(np.less_equal, x, y)
+    assert traces.everywhere(np.greater_equal, x, y)
+
+
+def test_reduce_of_a_view_matches_the_reduce_of_its_fill():
+    sig = Signature.of(controlled=(Port("a"), Port("b", TRI)), uncontrolled=(Port("c"), Port("d")))
+    h, rng = 2, random.Random(7)
+    space = traces.space_of(sig, h)
+    for keep in ("ac", "bd", "abcd", ""):
+        small = traces.space_of(sig.restricted(keep), h)
+        for _ in range(4):
+            v, f = held_both(rng, sig, h)
+            for ufunc in (np.logical_and, np.logical_or):
+                got = traces._reduce(ufunc, v.view, space, small)
+                want = traces._reduce(ufunc, f.mask, space, small)
+                assert got.ndim == len(small.shape)
+                assert np.array_equal(np.broadcast_to(got, small.shape), want)
+
+
+def test_the_first_mask_read_fills_the_view_once(monkeypatch):
+    sig = Signature.of(uncontrolled=(Port("a"), Port("b", TRI), Port("c")))
+    h = 2
+    space = traces.space_of(sig, h)
+    view = np.random.default_rng(3).random((1, 2, 3, 1, 1, 2)) < 0.5
+    assert view.ndim == len(space.shape)
+    e = Assertion.of_view(sig, h, view)
+    fills = []
+    filled = traces._filled
+    monkeypatch.setattr(traces, "_filled", lambda *args: fills.append(args) or filled(*args))
+    assert not e.view.flags.writeable
+    mask = e.mask
+    assert len(fills) == 1 and mask.shape == (space.size,) and not mask.flags.writeable
+    assert np.array_equal(mask, np.broadcast_to(view, space.shape).reshape(-1))
+    assert e.mask is mask and len(e) == int(mask.sum()) and list(e) == list(pct.runs(e))
+    assert len(fills) == 1
+    # a view that is already full size and in C order is the mask itself
+    whole = np.random.default_rng(4).random(space.shape) < 0.5
+    assert np.shares_memory(Assertion.of_view(sig, h, whole).mask, whole)
+    assert len(fills) == 1
+    with pytest.raises(pct.PctError):
+        Assertion.of_view(sig, h, view.reshape(-1))
+    with pytest.raises(pct.PctError):
+        Assertion.of_view(sig, h, np.zeros((1, 2, 2, 1, 2, 1), dtype=bool))
 
 
 # --- distributions -----------------------------------------------------------------

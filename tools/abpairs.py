@@ -16,6 +16,14 @@ and whether every change run beat every parent run.  The run length ``S``
 from the change checkout's ``BENCHMARK.json``, so both sides run as long
 as the benchmark itself does.
 
+Every run starts with ``PYTHONPYCACHEPREFIX`` set to a new empty directory,
+so that neither side reads bytecode that an earlier run left in its
+checkout.  Python then reads every module's bytecode from that directory,
+the standard library's and NumPy's too, so the run writes bytecode there
+even where ``PYTHONDONTWRITEBYTECODE`` is set: its first process compiles
+what it imports, and the later ones read it.  Otherwise every process
+would compile NumPy from source.
+
 Standard library only.
 """
 
@@ -23,9 +31,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -91,9 +101,12 @@ def spec_of(checkout: Path) -> tuple:
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     argv = [sys.executable, "pctbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    wall = time.perf_counter() - start
+    with tempfile.TemporaryDirectory(prefix="abpairs-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        start = time.perf_counter()
+        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {workload} seed {seed} failed "
