@@ -71,11 +71,9 @@ from .traces import (
     BOOL,
     Assertion,
     Port,
-    Run,
     Signature,
     complement,
     empty,
-    enumeration_cap,
     from_runs,
     included_in,
     lift,
@@ -85,7 +83,6 @@ from .traces import (
     run_at,
     run_index,
     runs,
-    set_enumeration_cap,
     union,
     universe,
 )

@@ -55,7 +55,7 @@ def cmd_sat(args) -> int:
     report = probabilistic.sat_level(m, pc)
     print(f"level = {_q(report.level)}")
     if report.witness_bad is not None:
-        hist = {name: list(vals) for name, vals in report.witness_bad.entries}
+        hist = {name: list(vals) for name, vals in report.witness_bad}
         print(f"worst violating history: {hist}")
     if threshold is not None and report.level < threshold:
         print(f"below threshold {threshold}", file=sys.stderr)

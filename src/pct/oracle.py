@@ -10,8 +10,8 @@ evaluate every quantity with both implementations and record any
 disagreement.
 
 A run is its entry tuple: the name-sorted ``((port, history), ...)``
-pairs, with each history a tuple of values (the same tuple as the
-engine's ``Run.entries``, though the oracle never builds a ``Run``).  A
+pairs, with each history a tuple of values: the form that the engine's
+``traces.run_at`` returns, though the oracle decodes its own.  A
 run set is a frozenset of entry tuples, so hashing, equality and the
 set operations all run in C.  ``oracle_lift`` joins a run ``r`` with an
 extension ``x`` as ``r + x`` and restores name order with one
@@ -45,8 +45,8 @@ The weight of a history is a product of the distribution's factors
 a time, from the "Meaning" paragraph of docs/grammar.ebnf, and reads
 only the expression node classes of ``speclang``, not its compiler.
 The decoder and the run-set functions use nothing of ``traces`` but its
-types, and none of them names ``Run`` (``tests/test_oracle.py`` checks
-all three); only the instance generators use its layout helpers.
+types and read no ``.entries`` (``tests/test_oracle.py`` checks all
+three); only the instance generators use its layout helpers.
 """
 
 from __future__ import annotations

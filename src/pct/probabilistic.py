@@ -37,7 +37,7 @@ from .errors import (
     SignatureError,
 )
 from .record import Record, setfield
-from .traces import Assertion, Port, Run, Signature
+from .traces import Assertion, Port, Signature
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -185,15 +185,6 @@ class Distribution(Record):
             setfield(self, "_weights", tuple(Fraction(n, den) for n in self.numerators().tolist()))
         return self._weights
 
-    def weight_of(self, omega: Run) -> Fraction:
-        return self.weights[traces.run_index(self.signature, self.horizon, omega)]
-
-    def support(self):
-        sig = self.signature
-        for i, w in enumerate(self.weights):
-            if w:
-                yield traces.run_at(sig, self.horizon, i), w
-
 
 def _mass(d: Distribution, mask: np.ndarray) -> Fraction:
     """The probability of the joint histories that ``mask`` holds.
@@ -241,12 +232,14 @@ def bernoulli_iid(port: Port, p_true_per_step, h) -> Distribution:
 
 
 def uniform(ports: Iterable[Port], h) -> Distribution:
-    hh, ports = traces._hlen(h), tuple(ports)
+    hh, ports = traces._hlen(h), tuple(sorted(ports, key=lambda p: p.name))
     size = _space(ports, hh).size
     return Distribution(ports, hh, (Fraction(1, size),) * size)
 
 
-def from_table(ports: Iterable[Port], h, table: Mapping[Run, Fraction]) -> Distribution:
+def from_table(ports: Iterable[Port], h, table: Mapping[tuple, Fraction]) -> Distribution:
+    """The law whose ``table`` maps joint histories, as run entry tuples
+    over ``ports``, to their probabilities; histories left out weigh 0."""
     hh = traces._hlen(h)
     ports = tuple(sorted(ports, key=lambda p: p.name))
     sig = _dist_sig(ports)
@@ -350,11 +343,12 @@ def from_contract(c: Contract) -> ProbContract:
 
 
 class SatReport(Record):
-    """Exact satisfaction level plus, if any, a worst violating history."""
+    """Exact satisfaction level plus, if any, a worst violating history
+    (the entry tuple of a run over the probabilistic ports)."""
 
     __slots__ = ("level", "witness_bad")
 
-    def __init__(self, level: Fraction, witness_bad: Run | None = None):
+    def __init__(self, level: Fraction, witness_bad: tuple | None = None):
         self._assign(level, witness_bad)
 
 

@@ -730,14 +730,6 @@ def _resolve(doc: Document) -> None:
             raise SemanticError("repeated probabilistic port", *decl.loc)
 
 
-def _position(value, dom: tuple) -> Optional[int]:
-    """Index of ``value`` in ``dom``, matching type as well as value; None if absent."""
-    for i, v in enumerate(dom):
-        if type(v) is type(value) and v == value:
-            return i
-    return None
-
-
 def _check_dist_decl(port: Port, d, horizon: Optional[int]) -> None:
     if isinstance(d, BernoulliDecl):
         if not port.is_boolean:
@@ -750,7 +742,7 @@ def _check_dist_decl(port: Port, d, horizon: Optional[int]) -> None:
             raise SemanticError(
                 f"history {list(hist)} has length {len(hist)}, horizon is {horizon}", *d.loc)
         for v in hist:
-            if _position(v, port.domain) is None:
+            if traces.domain_index(port.domain, v) is None:
                 raise SemanticError(
                     f"value {v!r} not in domain of port {port.name!r}", *d.loc)
         if w < 0:
@@ -949,7 +941,7 @@ class _Compiler:
             return None if p is None else (p, lambda t: traces.slot_values(sig, h, name, t))
         if p is None:
             raise ResolveError(f"undefined port {name!r}", *op.loc)
-        first = _position(op.init, p.domain)
+        first = traces.domain_index(p.domain, op.init)
         if first is None:
             raise SemanticError(
                 f"init value {op.init!r} not in domain of port {name!r}", *op.loc)
@@ -971,7 +963,7 @@ class _Compiler:
             raise SemanticError("comparison needs at least one port", *e.loc)
         (p, read), lit = (left, e.right) if left else (right, e.left)
         value = lit.name if isinstance(lit, PortOperand) else lit.value
-        index = _position(value, p.domain)
+        index = traces.domain_index(p.domain, value)
         if index is None:
             if isinstance(lit, PortOperand):
                 raise ResolveError(f"undefined name {value!r}", *lit.loc)
@@ -1055,7 +1047,7 @@ def build_port_distribution(doc: Document, name: str) -> _prob.Distribution:
         return _prob.bernoulli_iid(port, d.p, h)
     table = {}
     for hist, w in d.entries:
-        omega = traces.Run.of({name: hist})
+        omega = ((name, tuple(hist)),)
         table[omega] = table.get(omega, Fraction(0)) + w
     return _prob.from_table((port,), h, table)
 

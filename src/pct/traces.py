@@ -2,8 +2,11 @@
 
 A system is a set of named finite-domain ports observed over a fixed
 number of discrete steps (the horizon).  A run assigns one value per
-(port, step); an assertion is a set of runs over a signature, given by
-a boolean mask over the canonical run index.
+(port, step); it is written as its entry tuple ``((port name, history),
+...)``, one entry per port in name order, each history a tuple of one
+value per step.  An assertion is a set of runs over a signature, given by
+a boolean mask over the canonical run index; ``run_index`` and ``run_at``
+convert between entry tuples and indices.
 
 Canonical run index
 -------------------
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -73,19 +76,8 @@ from .record import Record, setfield
 
 BOOL = (False, True)
 
-_enum_cap = 2**24
-
-
-def enumeration_cap() -> int:
-    return _enum_cap
-
-
-def set_enumeration_cap(n: int) -> None:
-    """Cap on the size of any enumerated run space (default 2**24)."""
-    global _enum_cap
-    if n < 1:
-        raise ValueError("enumeration cap must be positive")
-    _enum_cap = n
+# the largest run space that is ever enumerated
+ENUMERATION_CAP = 2**24
 
 
 def same_domain(d1: tuple, d2: tuple) -> bool:
@@ -94,12 +86,13 @@ def same_domain(d1: tuple, d2: tuple) -> bool:
                                       for a, b in zip(d1, d2))
 
 
-def domain_index(domain: tuple, value) -> int:
-    """Position of a value in a domain, matching type as well as value."""
+def domain_index(domain: tuple, value) -> int | None:
+    """Position of a value in a domain, matching type as well as value;
+    None if it is absent."""
     for i, v in enumerate(domain):
         if type(v) is type(value) and v == value:
             return i
-    raise PctError(f"value {value!r} not in domain {domain}")
+    return None
 
 
 class Port(Record):
@@ -147,54 +140,6 @@ def _hlen(h) -> int:
     if isinstance(h, bool) or not isinstance(h, int) or h < 1:
         raise PctError("horizon must be a positive integer")
     return h
-
-
-class Run(Record):
-    """One history per port, keyed by port name (name-sorted entries)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple):
-        setfield(self, "entries", entries)
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Run and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    @classmethod
-    def of(cls, assignments: Mapping[str, Iterable]) -> "Run":
-        items = tuple(sorted((name, tuple(vals)) for name, vals in assignments.items()))
-        return cls(items)
-
-    @property
-    def assignments(self) -> dict:
-        return dict(self.entries)
-
-    def history(self, name: str) -> tuple:
-        for n, vals in self.entries:
-            if n == name:
-                return vals
-        raise KeyError(name)
-
-    def restricted(self, names: Iterable[str]) -> "Run":
-        keep = set(names)
-        return Run(tuple((n, v) for n, v in self.entries if n in keep))
-
-    def merged(self, other: "Run") -> "Run":
-        d = dict(self.entries)
-        for n, v in other.entries:
-            if n in d and d[n] != v:
-                raise PctError(f"conflicting histories for port {n}")
-            d[n] = v
-        return Run.of(d)
-
-    def renamed(self, old: str, new: str) -> "Run":
-        d = dict(self.entries)
-        if old in d:
-            d[new] = d.pop(old)
-        return Run.of(d)
 
 
 class Signature(Record):
@@ -349,9 +294,9 @@ def _space(ports: tuple, horizon: int) -> _Space:
 
 def space_of(sig: Signature, h) -> _Space:
     space = _space(sig.ports, _hlen(h))
-    if space.size > _enum_cap:
+    if space.size > ENUMERATION_CAP:
         raise CapacityError(
-            f"run space has {space.size} points, above the enumeration cap {_enum_cap}")
+            f"run space has {space.size} points, above the enumeration cap {ENUMERATION_CAP}")
     return space
 
 
@@ -586,7 +531,7 @@ class Assertion(Record):
     def is_empty(self) -> bool:
         return not self.view.any()
 
-    def __iter__(self) -> Iterator[Run]:
+    def __iter__(self) -> Iterator[tuple]:
         return runs(self)
 
 
@@ -605,11 +550,15 @@ def universe_size(sig: Signature, h) -> int:
     return math.prod(len(p.domain) ** _hlen(h) for p in sig.ports)
 
 
-def run_index(sig: Signature, h, run: Run) -> int:
-    """Canonical index of a run (little-endian mixed radix, see module doc)."""
+def run_index(sig: Signature, h, run: tuple) -> int:
+    """Canonical index of a run given as its entries ``((port name,
+    history), ...)``, in any order (little-endian mixed radix, see module
+    doc)."""
     hh = _hlen(h)
     space = space_of(sig, hh)
-    d = dict(run.entries)
+    d = dict(run)
+    if len(d) != len(run):
+        raise SignatureError(f"run names a port twice: {sorted(n for n, _ in run)}")
     if set(d) != set(sig.names):
         raise SignatureError(
             f"run assigns ports {sorted(d)} but signature has {sorted(sig.names)}")
@@ -620,29 +569,32 @@ def run_index(sig: Signature, h, run: Run) -> int:
         if len(vals) != hh:
             raise HorizonMismatchError(f"history of {p.name} has length {len(vals)}, expected {hh}")
         for t in range(hh):
-            idx += domain_index(p.domain, vals[t]) * space.strides[slot]
+            digit = domain_index(p.domain, vals[t])
+            if digit is None:
+                raise PctError(f"value {vals[t]!r} not in domain {p.domain}")
+            idx += digit * space.strides[slot]
             slot += 1
     return idx
 
 
-def run_at(sig: Signature, h, index: int) -> Run:
-    """Inverse of run_index."""
+def run_at(sig: Signature, h, index: int) -> tuple:
+    """Inverse of run_index: the run's entries, in port name order."""
     hh = _hlen(h)
     space = space_of(sig, hh)
     if not 0 <= index < space.size:
         raise PctError(f"run index {index} out of range [0, {space.size})")
-    d = {}
+    entries = []
     slot = 0
     for p in space.ports:
         vals = []
         for _ in range(hh):
             vals.append(p.domain[(index // space.strides[slot]) % space.radices[slot]])
             slot += 1
-        d[p.name] = tuple(vals)
-    return Run.of(d)
+        entries.append((p.name, tuple(vals)))
+    return tuple(entries)
 
 
-def from_runs(sig: Signature, h, rs: Iterable[Run]) -> Assertion:
+def from_runs(sig: Signature, h, rs: Iterable[tuple]) -> Assertion:
     hh = _hlen(h)
     space = space_of(sig, hh)
     mask = np.zeros(space.size, dtype=bool)
@@ -651,7 +603,7 @@ def from_runs(sig: Signature, h, rs: Iterable[Run]) -> Assertion:
     return Assertion(sig, hh, mask)
 
 
-def runs(e: Assertion) -> Iterator[Run]:
+def runs(e: Assertion) -> Iterator[tuple]:
     for i in np.nonzero(e.mask)[0]:
         yield run_at(e.signature, e.horizon, int(i))
 

@@ -13,6 +13,16 @@ from pct import BOOL, Assertion, Port, Signature, traces
 ENUM_DOMAINS = [("red", "green", "blue"), (0, 1, 2), ("lo", "hi")]
 
 
+def run_of(histories: dict) -> tuple:
+    """The entry tuple of a run: ``(port name, history)`` pairs in name order."""
+    return tuple(sorted((name, tuple(vals)) for name, vals in histories.items()))
+
+
+def weight_of(d, histories: dict) -> Fraction:
+    """The weight the distribution ``d`` gives one joint history."""
+    return d.weights[traces.run_index(d.signature, d.horizon, run_of(histories))]
+
+
 # --- hypothesis strategies ------------------------------------------------------
 
 @st.composite

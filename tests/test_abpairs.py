@@ -1,5 +1,6 @@
-"""The summary arithmetic of tools/abpairs.py on a fixed set of runs, and
-the environment each benchmark run starts in."""
+"""The summary arithmetic of tools/abpairs.py on a fixed set of runs, its
+counts of incorrect runs and failed operations and its exit codes, and the
+environment each benchmark run starts in."""
 
 import importlib.util
 import json
@@ -87,3 +88,62 @@ def test_every_run_reads_bytecode_from_its_own_empty_directory(tmp_path, monkeyp
     assert "PYTHONDONTWRITEBYTECODE" not in env
     # the directories are removed once their run has ended
     assert not first.exists() and not second.exists()
+
+
+def _record(workload, pair, side, correct=True, failed=0):
+    return {"workload": workload, "pair": pair, "side": side, "correct": correct,
+            "failed": failed, "metrics": {"sat_s": 1.0}}
+
+
+def test_health_counts_incorrect_runs_and_failed_operations():
+    data = [_record("w", 0, "parent"), _record("w", 0, "change", correct=False, failed=2),
+            _record("w", 1, "parent", failed=1), _record("w", 1, "change"),
+            _record("v", 0, "parent"), _record("v", 0, "change")]
+    assert abpairs.health(data) == [
+        {"workload": "v", "side": "parent", "runs": 1, "incorrect": 0, "failed": 0},
+        {"workload": "v", "side": "change", "runs": 1, "incorrect": 0, "failed": 0},
+        {"workload": "w", "side": "parent", "runs": 2, "incorrect": 0, "failed": 1},
+        {"workload": "w", "side": "change", "runs": 2, "incorrect": 1, "failed": 2}]
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_summarize_exits_1_when_a_run_is_incorrect(tmp_path, capsys, bad):
+    # with bad = 1, the change run of pair 3 is incorrect
+    runs_ = [_record("w", i, side, correct=not (bad and (i, side) == (3, "change")))
+             for i in range(5) for side in abpairs.SIDES]
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"better": {"sat_s": "lower"}, "runs": runs_}), encoding="utf-8")
+    assert abpairs.main(["--summarize", str(path)]) == bad
+    out = capsys.readouterr().out
+    assert f"w                 change runs 5  incorrect {bad}  failed operations 0" in out
+    assert "w                 parent runs 5  incorrect 0  failed operations 0" in out
+
+
+def test_running_pairs_exits_1_when_a_run_is_incorrect(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "sat_s", "better": "lower"}]}),
+        encoding="utf-8")
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        return {"correct": seed != 9001 or checkout != tmp_path, "attempted": 1, "failed": 0,
+                "metrics": {"sat_s": 0.5}, "wall_s": 0.0}
+
+    monkeypatch.setattr(abpairs, "run_once", fake_run_once)
+    argv = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path), "--workloads", "w",
+            "--pairs", "2", "--out", str(tmp_path / "o.json")]
+    assert abpairs.main(argv) == 1
+    saved = json.loads((tmp_path / "o.json").read_text(encoding="utf-8"))
+    assert [r["correct"] for r in saved["runs"]] == [True, True, False, True]
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_is_refused(tmp_path, monkeypatch, pairs):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "sat_s", "better": "lower"}]}),
+        encoding="utf-8")
+    monkeypatch.setattr(abpairs, "run_once", None)
+    with pytest.raises(SystemExit) as exc:
+        abpairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                      "--pairs", pairs, "--out", str(tmp_path / "o.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o.json").exists()

@@ -11,13 +11,13 @@ from pct import (
     ControlledOverlapError,
     Port,
     RoleConflictError,
-    Run,
     Signature,
     SignatureError,
     contracts,
     oracle,
     traces,
 )
+from conftest import run_of
 
 A = Port("a")
 X = Port("x")
@@ -49,7 +49,7 @@ def test_canonicalize_universe_guarantee_unchanged():
 
 
 def test_canonicalize_fills_in_negated_assumption():
-    e = pct.from_runs(SIG_A, 1, [Run.of({"a": (True,)})])
+    e = pct.from_runs(SIG_A, 1, [run_of({"a": (True,)})])
     c = pct.contract(e, e)
     cc = pct.canonicalize(c)
     assert cc.guarantee == pct.universe(SIG_A, 1)
@@ -66,7 +66,7 @@ def test_canonicalize_idempotent():
 
 
 def test_canonical_flag_is_validated():
-    e = pct.from_runs(SIG_A, 1, [Run.of({"a": (True,)})])
+    e = pct.from_runs(SIG_A, 1, [run_of({"a": (True,)})])
     with pytest.raises(SignatureError):
         contracts.Contract(SIG_A, e, e, canonical=True)
 
@@ -106,8 +106,8 @@ def test_satisfies_guard_example():
     # guarantee: never(not a and x); M fixing a=T, x=T complies, a=F, x=T does not
     g = pct.denote(pct.parse_expr("never(not a and x)"), SIG, 1)
     c = pct.contract(pct.universe(SIG, 1), g)
-    m_good = pct.from_runs(SIG, 1, [Run.of({"a": (True,), "x": (True,)})])
-    m_bad = pct.from_runs(SIG, 1, [Run.of({"a": (False,), "x": (True,)})])
+    m_good = pct.from_runs(SIG, 1, [run_of({"a": (True,), "x": (True,)})])
+    m_bad = pct.from_runs(SIG, 1, [run_of({"a": (False,), "x": (True,)})])
     assert pct.satisfies(m_good, c)
     assert not pct.satisfies(m_bad, c)
 

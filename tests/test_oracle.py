@@ -157,8 +157,8 @@ RUN_SETS = INDEPENDENT + [oracle.oracle_included, oracle.oracle_satisfies,
 
 @pytest.mark.parametrize("obj", RUN_SETS, ids=lambda o: o.__name__)
 def test_the_run_sets_hold_entry_tuples_not_runs(obj):
-    """A run is its name-sorted (port, history) tuple here; the engine's
-    ``Run`` type appears nowhere, not even in an annotation."""
+    """A run is its name-sorted (port, history) tuple here: no name ``Run``
+    and no ``.entries`` read appears, not even in an annotation."""
     assert not hasattr(oracle, "Run")
     for node in ast.walk(ast.parse(inspect.getsource(obj))):
         if isinstance(node, ast.Name):
@@ -168,7 +168,7 @@ def test_the_run_sets_hold_entry_tuples_not_runs(obj):
 
 
 # what a Distribution computes from its factors; the oracle must not use it
-FACTOR_HELPERS = {"weights", "numerators", "denominator", "weight_of", "support"}
+FACTOR_HELPERS = {"weights", "numerators", "denominator"}
 WEIGHTS = [oracle._weighted_histories, oracle.oracle_sat_level, oracle.oracle_refine_level]
 
 

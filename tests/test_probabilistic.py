@@ -16,11 +16,11 @@ from pct import (
     PortRoleError,
     ProbPortControlledError,
     ProbPortOverlapError,
-    Run,
     Signature,
     probabilistic as prob,
     traces,
 )
+from conftest import run_of, weight_of
 
 F1 = Port("f1")
 F2 = Port("f2")
@@ -36,13 +36,13 @@ def frac(s):
 
 def test_bernoulli_point_mass_at_zero():
     d = pct.bernoulli_iid(F1, 0, 2)
-    assert d.weight_of(Run.of({"f1": (False, False)})) == 1
+    assert weight_of(d, {"f1": (False, False)}) == 1
 
 
 def test_bernoulli_example_value():
     d = pct.bernoulli_iid(F1, frac("1/10"), 2)
-    assert d.weight_of(Run.of({"f1": (False, False)})) == frac("81/100")
-    assert d.weight_of(Run.of({"f1": (True, True)})) == frac("1/100")
+    assert weight_of(d, {"f1": (False, False)}) == frac("81/100")
+    assert weight_of(d, {"f1": (True, True)}) == frac("1/100")
 
 
 def test_bernoulli_half_is_uniform():
@@ -66,10 +66,15 @@ def test_distribution_validation():
 
 
 def test_product_of_point_masses():
-    d1 = pct.from_table((F1,), 1, {Run.of({"f1": (True,)}): 1})
-    d2 = pct.from_table((F2,), 1, {Run.of({"f2": (False,)}): 1})
+    d1 = pct.from_table((F1,), 1, {run_of({"f1": (True,)}): 1})
+    d2 = pct.from_table((F2,), 1, {run_of({"f2": (False,)}): 1})
     d = pct.product_dist(d1, d2)
-    assert d.weight_of(Run.of({"f1": (True,), "f2": (False,)})) == 1
+    assert weight_of(d, {"f1": (True,), "f2": (False,)}) == 1
+
+
+def test_uniform_takes_ports_in_any_order():
+    assert pct.uniform((F2, F1), 1) == pct.uniform((F1, F2), 1)
+    assert pct.uniform((F2, F1), 1).ports == (F1, F2)
 
 
 def test_product_of_uniforms_is_uniform():
@@ -80,8 +85,8 @@ def test_product_of_uniforms_is_uniform():
 def test_product_example_weights():
     d = pct.product_dist(pct.bernoulli_iid(F1, frac("1/10"), 2),
                          pct.bernoulli_iid(F2, frac("1/5"), 2))
-    never = Run.of({"f1": (False, False), "f2": (False, False)})
-    assert d.weight_of(never) == frac("81/100") * frac("16/25")
+    never = {"f1": (False, False), "f2": (False, False)}
+    assert weight_of(d, never) == frac("81/100") * frac("16/25")
 
 
 def test_product_errors():
@@ -105,18 +110,18 @@ def test_marginal_identity_and_product_law():
 def test_marginal_of_correlated_table():
     # perfectly correlated pair: marginals are uniform
     d = pct.from_table((F1, F2), 1, {
-        Run.of({"f1": (False,), "f2": (False,)}): frac("1/2"),
-        Run.of({"f1": (True,), "f2": (True,)}): frac("1/2")})
+        run_of({"f1": (False,), "f2": (False,)}): frac("1/2"),
+        run_of({"f1": (True,), "f2": (True,)}): frac("1/2")})
     assert pct.marginal(d, {"f1"}) == pct.uniform((F1,), 1)
 
 
 def test_renamed_dist_preserves_joint_law():
     d = pct.from_table((F1, F2), 1, {
-        Run.of({"f1": (False,), "f2": (True,)}): frac("1/3"),
-        Run.of({"f1": (True,), "f2": (False,)}): frac("2/3")})
+        run_of({"f1": (False,), "f2": (True,)}): frac("1/3"),
+        run_of({"f1": (True,), "f2": (False,)}): frac("2/3")})
     r = prob.renamed_dist(d, "f1", "zz")   # renaming reorders the ports
-    assert r.weight_of(Run.of({"zz": (False,), "f2": (True,)})) == frac("1/3")
-    assert r.weight_of(Run.of({"zz": (True,), "f2": (False,)})) == frac("2/3")
+    assert weight_of(r, {"zz": (False,), "f2": (True,)}) == frac("1/3")
+    assert weight_of(r, {"zz": (True,), "f2": (False,)}) == frac("2/3")
 
 
 # --- satisfaction levels -----------------------------------------------------------
@@ -124,10 +129,6 @@ def test_renamed_dist_preserves_joint_law():
 def _pc(sig, h, g_mask, pports, dist):
     g = Assertion(sig, h, g_mask)
     return prob.prob_contract(pct.contract(pct.universe(sig, h), g), pports, dist)
-
-
-def _runs(sig, h, pairs):
-    return pct.from_runs(sig, h, [Run.of(dict(p)) for p in pairs])
 
 
 SIG_QZ = Signature.of(uncontrolled=(Q, Z))
@@ -150,7 +151,7 @@ def test_sat_level_counts_only_bad_histories():
     report = prob.sat_level(m, c)
     # q=T admits the violating run (T,T); q=F never violates
     assert report.level == frac("3/4")
-    assert report.witness_bad == Run.of({"q": (True,)})
+    assert report.witness_bad == run_of({"q": (True,)})
 
 
 def test_sat_level_preconditions():
@@ -188,14 +189,14 @@ def test_sat_level_one_iff_boolean_satisfaction_on_support():
     h = 1
     size = traces.space_of(SIG_QZ, h).size
     # support excludes q=T
-    dist = pct.from_table((Q,), h, {Run.of({"q": (False,)}): 1})
+    dist = pct.from_table((Q,), h, {run_of({"q": (False,)}): 1})
     for _ in range(30):
         g = np.array([rng.random() < 0.5 for _ in range(size)])
         m = np.array([rng.random() < 0.5 for _ in range(size)])
         c = _pc(SIG_QZ, h, g, {"q"}, dist)
         level = prob.sat_level(Assertion(SIG_QZ, h, m), c).level
-        support = pct.lift(_runs(Signature.of(uncontrolled=(Q,)), h, [((("q", (False,))),)]),
-                           SIG_QZ)
+        support = pct.lift(pct.from_runs(Signature.of(uncontrolled=(Q,)), h,
+                                         [(("q", (False,)),)]), SIG_QZ)
         bridged = pct.included_in(pct.product(Assertion(SIG_QZ, h, m), support),
                                   c.base.guarantee, SIG_QZ)
         assert (level == 1) == bridged
@@ -207,8 +208,8 @@ def test_sat_report_recomputable():
     g = pct.denote(pct.parse_expr("never(q)"), SIG_QZ, h)
     c = _pc(SIG_QZ, h, g.mask, {"q"}, dist)
     report = prob.sat_level(pct.universe(SIG_QZ, h), c)
-    assert report.level == dist.weight_of(Run.of({"q": (False, False)}))
-    assert sum(w for _, w in dist.support()) == 1
+    assert report.level == weight_of(dist, {"q": (False, False)})
+    assert sum(dist.weights) == 1
 
 
 # --- composition -------------------------------------------------------------------
@@ -311,17 +312,17 @@ def test_refine_bound_counterexample_is_real():
     from pct import oracle
 
     h = 1
-    g1 = _runs(SIG_QZ, h, [
+    g1 = pct.from_runs(SIG_QZ, h, [
         (("q", (False,)), ("z", (False,))),
         (("q", (False,)), ("z", (True,))),
         (("q", (True,)), ("z", (False,)))])
-    g2 = _runs(SIG_QZ, h, [
+    g2 = pct.from_runs(SIG_QZ, h, [
         (("q", (False,)), ("z", (False,))),
         (("q", (False,)), ("z", (True,))),
         (("q", (True,)), ("z", (True,)))])
     pc1 = _uniform_pc(g1.mask)
     pc2 = _uniform_pc(g2.mask)
-    m = _runs(SIG_QZ, h, [
+    m = pct.from_runs(SIG_QZ, h, [
         (("q", (False,)), ("z", (False,))),
         (("q", (True,)), ("z", (False,)))])
 

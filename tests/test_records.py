@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pct import BOOL, Assertion, Port, Run, Signature, contracts, oracle, probabilistic, traces
+from pct import BOOL, Assertion, Port, Signature, contracts, oracle, probabilistic, traces
 from pct import speclang as sl
 from pct.record import Record
 
@@ -42,8 +42,6 @@ LOC, LOC2 = (3, 4), (9, 9)
 CASES = {
     "Port": (lambda: Port("a", (0, 1)), lambda: Port(domain=(0, 1), name="a"),
              lambda: Port("a", (False, True))),
-    "Run": (lambda: Run((("a", (True,)),)), lambda: Run(entries=(("a", (True,)),)),
-            lambda: Run((("a", (False,)),))),
     "Signature": (lambda: Signature((A, X), frozenset("x"), frozenset("a")),
                   lambda: Signature(uncontrolled=frozenset("a"), controlled=frozenset("x"),
                                     ports=(A, X)),
@@ -70,7 +68,7 @@ CASES = {
                                                         _dist(Fraction(1, 3)))),
     "SatReport": (lambda: probabilistic.SatReport(Fraction(1, 2)),
                   lambda: probabilistic.SatReport(level=Fraction(1, 2), witness_bad=None),
-                  lambda: probabilistic.SatReport(Fraction(1, 2), Run((("a", (True,)),)))),
+                  lambda: probabilistic.SatReport(Fraction(1, 2), (("a", (True,)),))),
     "RefineReport": (lambda: probabilistic.RefineReport(Fraction(1, 2), Fraction(1)),
                      lambda: probabilistic.RefineReport(p_g1=Fraction(1), level=Fraction(1, 2),
                                                         degenerate=False),
@@ -164,7 +162,7 @@ def _record_classes():
 def test_every_record_class_is_covered():
     names = set(_record_classes()) - {"_Binary"}
     assert names == set(CASES) | BY_IDENTITY
-    assert len(names) == 36
+    assert len(names) == 35
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -174,7 +174,7 @@ def test_denote_constants():
 def test_denote_never_single_history():
     sig = Signature.of(uncontrolled=(Port("f"),))
     e = pct.denote(pct.parse_expr("never(f)"), sig, 2)
-    assert [r.history("f") for r in pct.runs(e)] == [(False, False)]
+    assert [dict(r)["f"] for r in pct.runs(e)] == [(False, False)]
 
 
 def test_denote_always_equality():
@@ -193,14 +193,14 @@ def test_denote_eventually_and_at():
     ev = pct.denote(pct.parse_expr("eventually(f)"), sig, 2)
     assert len(ev) == 3
     at1 = pct.denote(pct.parse_expr("at(1, f)"), sig, 2)
-    assert {r.history("f") for r in pct.runs(at1)} == {(False, True), (True, True)}
+    assert {dict(r)["f"] for r in pct.runs(at1)} == {(False, True), (True, True)}
 
 
 def test_denote_prev_with_init():
     sig = Signature.of(uncontrolled=(Port("f"),))
     # holds iff f is constant and starts False: prev chain anchored at init
     e = pct.denote(pct.parse_expr("f == prev(f, init=false)"), sig, 3)
-    assert {r.history("f") for r in pct.runs(e)} == {(False, False, False)}
+    assert {dict(r)["f"] for r in pct.runs(e)} == {(False, False, False)}
 
 
 def test_denote_enum_comparison():

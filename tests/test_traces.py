@@ -18,12 +18,11 @@ from pct import (
     PctError,
     Port,
     RoleConflictError,
-    Run,
     Signature,
     SignatureError,
     traces,
 )
-from conftest import assertion_pairs, assertion_with_extension, assertions
+from conftest import assertion_pairs, assertion_with_extension, assertions, run_of
 
 A = Port("a")
 B = Port("b")
@@ -33,7 +32,7 @@ SIG_AB = Signature.of(uncontrolled=(A, B))
 
 
 def runs_set(e):
-    return {r.entries for r in pct.runs(e)}
+    return set(pct.runs(e))
 
 
 def test_universe_sizes():
@@ -44,19 +43,15 @@ def test_universe_sizes():
 
 def test_universe_histories():
     u = pct.universe(SIG_A, 2)
-    assert {r.history("a") for r in pct.runs(u)} == {
+    assert {dict(r)["a"] for r in pct.runs(u)} == {
         (False, False), (False, True), (True, False), (True, True)}
 
 
-def test_capacity_cap():
-    old = pct.enumeration_cap()
-    try:
-        pct.set_enumeration_cap(8)
-        with pytest.raises(CapacityError):
-            pct.universe(SIG_AB, 2)
-        assert len(pct.universe(SIG_A, 2)) == 4
-    finally:
-        pct.set_enumeration_cap(old)
+def test_capacity_cap(monkeypatch):
+    monkeypatch.setattr(traces, "ENUMERATION_CAP", 8)
+    with pytest.raises(CapacityError):
+        pct.universe(SIG_AB, 2)
+    assert len(pct.universe(SIG_A, 2)) == 4
 
 
 def test_port_validation():
@@ -96,8 +91,8 @@ def test_space_of_keeps_domain_value_types_apart():
     assert s_ints is not s_bools
     assert s_ints.ports[0].domain == (0, 1) and type(s_ints.ports[0].domain[0]) is int
     assert type(s_bools.ports[0].domain[0]) is bool
-    assert [type(v) for v in pct.run_at(ints, 2, 1).history("a")] == [int, int]
-    assert [type(v) for v in pct.run_at(bools, 2, 1).history("a")] == [bool, bool]
+    assert [type(v) for v in dict(pct.run_at(ints, 2, 1))["a"]] == [int, int]
+    assert [type(v) for v in dict(pct.run_at(bools, 2, 1))["a"]] == [bool, bool]
     assert traces.space_of(ints, 2) is s_ints
 
 
@@ -130,7 +125,7 @@ def test_signature_partition():
 
 
 def test_lift_free_extension():
-    e = pct.from_runs(SIG_A, 1, [Run.of({"a": (True,)})])
+    e = pct.from_runs(SIG_A, 1, [run_of({"a": (True,)})])
     lifted = pct.lift(e, SIG_AB)
     assert runs_set(lifted) == {
         (("a", (True,)), ("b", (False,))),
@@ -138,7 +133,7 @@ def test_lift_free_extension():
 
 
 def test_lift_identity_and_empty():
-    e = pct.from_runs(SIG_A, 1, [Run.of({"a": (True,)})])
+    e = pct.from_runs(SIG_A, 1, [run_of({"a": (True,)})])
     assert pct.lift(e, SIG_A) == e
     assert pct.lift(pct.empty(SIG_A, 1), SIG_AB).is_empty
 
@@ -153,8 +148,8 @@ def test_lift_requires_superset():
 
 
 def test_project_image():
-    e = pct.from_runs(SIG_AB, 1, [Run.of({"a": (True,), "b": (False,)}),
-                                  Run.of({"a": (True,), "b": (True,)})])
+    e = pct.from_runs(SIG_AB, 1, [run_of({"a": (True,), "b": (False,)}),
+                                  run_of({"a": (True,), "b": (True,)})])
     assert runs_set(pct.project(e, SIG_A)) == {(("a", (True,)),)}
 
 
@@ -165,19 +160,19 @@ def test_project_surjectivity():
 def test_complement_examples():
     u = pct.universe(SIG_A, 1)
     assert pct.complement(u).is_empty
-    e = pct.from_runs(SIG_A, 1, [Run.of({"a": (True,)})])
+    e = pct.from_runs(SIG_A, 1, [run_of({"a": (True,)})])
     assert runs_set(pct.complement(e)) == {(("a", (False,)),)}
 
 
 def test_product_disjoint_sides():
-    e1 = pct.from_runs(SIG_A, 1, [Run.of({"a": (True,)})])
-    e2 = pct.from_runs(Signature.of(uncontrolled=(B,)), 1, [Run.of({"b": (False,)})])
+    e1 = pct.from_runs(SIG_A, 1, [run_of({"a": (True,)})])
+    e2 = pct.from_runs(Signature.of(uncontrolled=(B,)), 1, [run_of({"b": (False,)})])
     p = pct.product(e1, e2)
     assert runs_set(p) == {(("a", (True,)), ("b", (False,)))}
 
 
 def test_product_unit_and_contradiction():
-    e = pct.from_runs(SIG_A, 2, [Run.of({"a": (True, False)})])
+    e = pct.from_runs(SIG_A, 2, [run_of({"a": (True, False)})])
     assert pct.product(e, pct.universe(SIG_A, 2)) == e
     assert pct.product(e, pct.complement(e)).is_empty
 
@@ -203,8 +198,8 @@ def test_product_refuses_horizon_mismatch():
 def test_included_in_examples():
     assert pct.included_in(pct.empty(SIG_A, 1), pct.universe(SIG_A, 1), SIG_A)
     assert pct.included_in(pct.universe(SIG_A, 1), pct.universe(SIG_AB, 1), SIG_AB)
-    e1 = pct.from_runs(SIG_A, 1, [Run.of({"a": (True,)})])
-    e2 = pct.from_runs(SIG_AB, 1, [Run.of({"a": (True,), "b": (False,)})])
+    e1 = pct.from_runs(SIG_A, 1, [run_of({"a": (True,)})])
+    e2 = pct.from_runs(SIG_AB, 1, [run_of({"a": (True,), "b": (False,)})])
     assert not pct.included_in(e1, e2, SIG_AB)
     assert pct.included_in(e2, e1, SIG_AB)
 
@@ -223,7 +218,7 @@ def test_run_index_bijection():
 def test_run_index_is_little_endian_mixed_radix():
     sig = Signature.of(uncontrolled=(A, X3))
     # slots: (a,0), (a,1), (x,0), (x,1); strides 1, 2, 4, 12
-    r = Run.of({"a": (True, False), "x": (0, 2)})
+    r = run_of({"a": (True, False), "x": (0, 2)})
     assert pct.run_index(sig, 2, r) == 1 * 1 + 0 * 2 + 0 * 4 + 2 * 12
 
 
@@ -235,14 +230,14 @@ def test_format_doc_worked_example():
                       example, re.MULTILINE)
     index = int(re.search(r"index = [^\n]* = (\d+)", example).group(1))
     sig = Signature.of(controlled=(A,), uncontrolled=(X3,))
-    run = Run.of({"a": (True, False), "x": (2, 1)})
+    run = run_of({"a": (True, False), "x": (2, 1)})
     space = traces.space_of(sig, 2)
     assert len(rows) == 4
     position = [None] * 4
     for k, name, step, radix, stride, digit, axis in (map(_int_or_str, r) for r in rows):
         assert (space.radices[k], space.strides[k]) == (radix, stride)
         assert space.axes[axis] == (name, step) and axis == 3 - k
-        assert sig.port(name).domain.index(run.history(name)[step]) == digit
+        assert sig.port(name).domain.index(dict(run)[name][step]) == digit
         position[axis] = digit
     assert pct.run_index(sig, 2, run) == index == 21
     assert pct.run_at(sig, 2, index) == run
@@ -255,18 +250,45 @@ def _int_or_str(text):
 
 def test_run_index_validation():
     with pytest.raises(SignatureError):
-        pct.run_index(SIG_AB, 1, Run.of({"a": (True,)}))
+        pct.run_index(SIG_AB, 1, run_of({"a": (True,)}))
     with pytest.raises(PctError):
-        pct.run_index(SIG_A, 1, Run.of({"a": (3,)}))
+        pct.run_index(SIG_A, 1, run_of({"a": (3,)}))
     with pytest.raises(HorizonMismatchError):
-        pct.run_index(SIG_A, 2, Run.of({"a": (True,)}))
+        pct.run_index(SIG_A, 2, run_of({"a": (True,)}))
+
+
+def test_run_index_refuses_a_port_named_twice():
+    # the last history of "a" would otherwise win, giving index 2
+    twice = (("a", (True,)), ("a", (False,)), ("b", (True,)))
+    with pytest.raises(SignatureError, match="names a port twice"):
+        pct.run_index(SIG_AB, 1, twice)
+    with pytest.raises(SignatureError):
+        pct.from_runs(SIG_AB, 1, [twice])
+
+
+def test_a_run_is_its_name_sorted_entry_tuple():
+    sig = Signature.of(controlled=(X3,), uncontrolled=(B, A))
+    e = pct.from_runs(sig, 1, [(("x", (2,)), ("b", (False,)), ("a", (True,)))])
+    want = (("a", (True,)), ("b", (False,)), ("x", (2,)))
+    assert list(pct.runs(e)) == list(e) == [want]
+    assert pct.run_at(sig, 1, pct.run_index(sig, 1, want)) == want
+    assert run_of({"x": [2], "b": (False,), "a": (True,)}) == want
+
+
+def test_domain_index_matches_type_and_value():
+    assert traces.domain_index((0, 1, 2), 2) == 2
+    assert traces.domain_index((False, True), True) == 1
+    assert traces.domain_index((0, 1), True) is None
+    assert traces.domain_index(("lo", "hi"), "mid") is None
+    with pytest.raises(PctError, match="not in domain"):
+        pct.run_index(Signature.of(uncontrolled=(Port("n", (0, 1)),)), 1, (("n", (True,)),))
 
 
 def test_renamed_round_trip():
-    e = pct.from_runs(SIG_AB, 2, [Run.of({"a": (True, False), "b": (False, False)}),
-                                  Run.of({"a": (False, True), "b": (True, True)})])
+    e = pct.from_runs(SIG_AB, 2, [run_of({"a": (True, False), "b": (False, False)}),
+                                  run_of({"a": (False, True), "b": (True, True)})])
     r = pct.renamed(e, "a", "zz")
-    assert {x.history("zz") for x in pct.runs(r)} == {(True, False), (False, True)}
+    assert {dict(x)["zz"] for x in pct.runs(r)} == {(True, False), (False, True)}
     assert pct.renamed(r, "zz", "a") == e
     with pytest.raises(SignatureError):
         pct.renamed(e, "a", "b")

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import pct
-from pct import BOOL, Assertion, Port, Run, Signature, contracts, oracle, probabilistic, traces
+from pct import BOOL, Assertion, Port, Signature, contracts, oracle, probabilistic, traces
 from pct.oracle import materialize, oracle_lift
+from conftest import run_of
 
 TRI = (0, 1, 2)
 ONE = ("only",)
@@ -694,7 +695,7 @@ def _levels_by_history(m, g1, g2, dist, sig, h):
         if all(g2[i] or not m[i] for i in fiber):
             level += w
         elif w and (witness is None or w > witness[1]):
-            witness = (Run.of(omega), w)
+            witness = (run_of(omega), w)
         if all(g1[i] for i in fiber):
             p_g1 += w
             if all(g2[i] for i in fiber):

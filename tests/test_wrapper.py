@@ -9,12 +9,12 @@ import pct
 from pct import (
     Port,
     ProbPortControlledError,
-    Run,
     Signature,
     SignatureError,
     probabilistic as prob,
     traces,
 )
+from conftest import run_of, weight_of
 
 X = Port("x")
 W = Port("w")
@@ -67,11 +67,12 @@ def test_wrapper_selects_per_step():
     pc2, wrapper = prob.wrap("x", consumer(h=2))
     # s = (p, c): step 0 copies x_p, step 1 copies x_c
     take = pct.from_runs(
-        wrapper.signature.restricted({"x_s"}), 2, [Run.of({"x_s": ("p", "c")})])
+        wrapper.signature.restricted({"x_s"}), 2, [run_of({"x_s": ("p", "c")})])
     allowed = pct.product(wrapper.guarantee, pct.lift(take, wrapper.signature))
     for r in pct.runs(allowed):
-        assert r.history("x")[0] == r.history("x_p")[0]
-        assert r.history("x")[1] == r.history("x_c")[1]
+        hist = dict(r)
+        assert hist["x"][0] == hist["x_p"][0]
+        assert hist["x"][1] == hist["x_c"][1]
 
 
 def test_selector_stuck_at_p_projects_probabilistic_source():
@@ -86,7 +87,7 @@ def test_wrap_moves_distribution_to_new_port():
     pc = consumer(p=Fraction(1, 5))
     pc2, _ = prob.wrap("x", pc)
     assert pc2.pports == {"x_p"}
-    assert pc2.dist.weight_of(Run.of({"x_p": (True,)})) == Fraction(1, 5)
+    assert weight_of(pc2.dist, {"x_p": (True,)}) == Fraction(1, 5)
     # x stays in the signature, now plain uncontrolled
     assert pc2.base.signature.role("x") == "uncontrolled"
     assert pc2.base.signature.role("x_p") == "uncontrolled"
@@ -97,12 +98,12 @@ def test_wrap_preserves_correlations():
     sig = Signature.of(controlled=(W,), uncontrolled=(X, other))
     base = pct.contract(pct.universe(sig, 1), pct.universe(sig, 1))
     corr = pct.from_table((other, X), 1, {
-        Run.of({"o": (False,), "x": (False,)}): Fraction(1, 2),
-        Run.of({"o": (True,), "x": (True,)}): Fraction(1, 2)})
+        run_of({"o": (False,), "x": (False,)}): Fraction(1, 2),
+        run_of({"o": (True,), "x": (True,)}): Fraction(1, 2)})
     pc = prob.prob_contract(base, {"x", "o"}, corr)
     pc2, _ = prob.wrap("x", pc)
-    assert pc2.dist.weight_of(Run.of({"o": (True,), "x_p": (True,)})) == Fraction(1, 2)
-    assert pc2.dist.weight_of(Run.of({"o": (True,), "x_p": (False,)})) == 0
+    assert weight_of(pc2.dist, {"o": (True,), "x_p": (True,)}) == Fraction(1, 2)
+    assert weight_of(pc2.dist, {"o": (True,), "x_p": (False,)}) == 0
 
 
 def test_wrapped_composition_end_to_end():

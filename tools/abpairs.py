@@ -11,10 +11,12 @@ of the machine does not always fall on one side.  Every run is written to
 the ``--out`` JSON file as soon as it ends.  Per workload and end-to-end
 metric the summary gives the median and quartiles of each side, the ratio
 of the medians (change / parent), in how many pairs the change was better,
-and whether every change run beat every parent run.  The run length ``S``
-(``run_seconds``) and which direction of each metric is better are read
-from the change checkout's ``BENCHMARK.json``, so both sides run as long
-as the benchmark itself does.
+and whether every change run beat every parent run.  Per workload and side
+it also counts the runs whose results were incorrect and the operations
+that failed; the script exits 1 when any run was incorrect, in both modes.
+The run length ``S`` (``run_seconds``) and which direction of each metric
+is better are read from the change checkout's ``BENCHMARK.json``, so both
+sides run as long as the benchmark itself does.
 
 Every run starts with ``PYTHONPYCACHEPREFIX`` set to a new empty directory,
 so that neither side reads bytecode that an earlier run left in its
@@ -83,6 +85,31 @@ def summarize(runs: list, better: dict) -> list:
     return rows
 
 
+def health(runs: list) -> list:
+    """One row per workload and side: how many runs it has, how many of
+    them were incorrect, and how many operations failed in them all."""
+    rows = []
+    for w in sorted({r["workload"] for r in runs}):
+        for side in SIDES:
+            mine = [r for r in runs if r["workload"] == w and r["side"] == side]
+            rows.append({"workload": w, "side": side, "runs": len(mine),
+                         "incorrect": sum(1 for r in mine if not r["correct"]),
+                         "failed": sum(r["failed"] for r in mine)})
+    return rows
+
+
+def report(runs: list, better: dict) -> int:
+    """Print the summary and the health rows; 1 if any run was incorrect."""
+    for row in summarize(runs, better):
+        print(format_row(row))
+    incorrect = 0
+    for row in health(runs):
+        print(f"{row['workload']:<17} {row['side']:<6} runs {row['runs']}  "
+              f"incorrect {row['incorrect']}  failed operations {row['failed']}")
+        incorrect += row["incorrect"]
+    return 1 if incorrect else 0
+
+
 def format_row(row: dict) -> str:
     def q(t):
         return f"{t[1]:.4g} [{t[0]:.4g}, {t[2]:.4g}]"
@@ -130,11 +157,11 @@ def main(argv=None) -> int:
 
     if args.summarize:
         data = json.loads(args.summarize.read_text(encoding="utf-8"))
-        for row in summarize(data["runs"], data["better"]):
-            print(format_row(row))
-        return 0
+        return report(data["runs"], data["better"])
     if args.parent is None or args.out is None:
         ap.error("--parent and --out are needed to run pairs")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
 
     seconds, better = spec_of(args.change)
     data = {"command": "pctbench/run.py --trace 0", "seconds": seconds,
@@ -151,9 +178,7 @@ def main(argv=None) -> int:
                 args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
                 print(f"{workload} pair {i} seed {seed} {side}: "
                       f"correct={record['correct']} wall={record['wall_s']:.0f}s", flush=True)
-    for row in summarize(data["runs"], better):
-        print(format_row(row))
-    return 0
+    return report(data["runs"], better)
 
 
 if __name__ == "__main__":
