@@ -46,8 +46,7 @@ class Contract(Record):
     def _fill(self, signature, assumption, guarantee, canonical) -> None:
         if assumption.signature != signature or guarantee.signature != signature:
             raise SignatureError("contract assertions must share the contract signature")
-        if assumption.horizon != guarantee.horizon:
-            raise SignatureError("contract assertions must share one horizon")
+        traces.same_horizon(assumption, guarantee)
         self._assign(signature, assumption, guarantee, canonical)
 
     @property
@@ -63,8 +62,7 @@ def _is_canonical(a: Assertion, g: Assertion) -> bool:
 
 def contract(assumption: Assertion, guarantee: Assertion) -> Contract:
     """Build a contract, lifting both assertions to the union signature."""
-    if assumption.horizon != guarantee.horizon:
-        raise SignatureError("assumption and guarantee must share one horizon")
+    traces.same_horizon(assumption, guarantee)
     sig = traces.union_signature(assumption.signature, guarantee.signature)
     a = traces.lift(assumption, sig)
     g = traces.lift(guarantee, sig)
@@ -76,7 +74,7 @@ def canonicalize(c: Contract) -> Contract:
     if c.canonical:
         return c
     # G or not A, which on booleans is G >= A
-    g = Assertion.of_view(c.signature, c.horizon, traces.combine(
+    g = Assertion(c.signature, c.horizon, traces.combine(
         np.greater_equal, c.guarantee.view, c.assumption.view))
     return Contract._known(c.signature, c.assumption, g, True)
 
@@ -92,8 +90,7 @@ def satisfies(m: Assertion, c: Contract) -> bool:
     Both sides are lifted to the union of the implementation's and the
     contract's signatures, which must agree on shared ports.
     """
-    if m.horizon != c.horizon:
-        raise SignatureError(f"horizons differ: {m.horizon} vs {c.horizon}")
+    traces.same_horizon(m, c)
     sig = traces.union_signature(m.signature, c.signature)
     mm = traces.lifted_view(m, sig)
     aa = traces.lifted_view(c.assumption, sig)
@@ -128,40 +125,37 @@ def compose(c1: Contract, c2: Contract) -> Contract:
     anything the joint guarantee already rules out, and is canonical by
     construction.
     """
-    if c1.horizon != c2.horizon:
-        raise SignatureError(f"horizons differ: {c1.horizon} vs {c2.horizon}")
+    traces.same_horizon(c1, c2)
     overlap = c1.signature.controlled & c2.signature.controlled
     if overlap:
         raise ControlledOverlapError(
             f"both contracts control {sorted(overlap)}")
     c1, c2 = canonicalize(c1), canonicalize(c2)
     sig = traces.merge_signature_controlled(c1.signature, c2.signature)
-    a1, g1 = _lift_onto(c1, sig)
-    a2, g2 = _lift_onto(c2, sig)
+    a1, g1 = _lift_onto(sig, c1.assumption, c1.guarantee)
+    a2, g2 = _lift_onto(sig, c2.assumption, c2.guarantee)
     g = traces.combine(np.logical_and, g1, g2)
     # (A1 and A2) or not G, which on booleans is (A1 and A2) >= G
     a = traces.combine(np.greater_equal, traces.combine(np.logical_and, a1, a2), g)
-    return Contract._known(sig, Assertion.of_view(sig, c1.horizon, a),
-                           Assertion.of_view(sig, c1.horizon, g), True)
+    return Contract._known(sig, Assertion(sig, c1.horizon, a), Assertion(sig, c1.horizon, g),
+                           True)
 
 
-def _lift_onto(c: Contract, sig: Signature) -> tuple:
-    """A contract's assertions as views lifted onto a merged signature,
-    role changes allowed."""
-    local = sig.restricted(c.signature.names)
-    return (traces.lifted_view(traces.relabel(c.assumption, local), sig),
-            traces.lifted_view(traces.relabel(c.guarantee, local), sig))
+def _lift_onto(sig: Signature, *assertions: Assertion) -> list:
+    """Assertions over one signature as views lifted onto a merged
+    signature, role changes allowed."""
+    local = sig.restricted(assertions[0].signature.names)
+    return [traces.lifted_view(traces.relabel(e, local), sig) for e in assertions]
 
 
 def compose_impl(m1: Assertion, m2: Assertion) -> Assertion:
     """Compose implementations: intersection with the controlled-wins
     role merge used by contract composition."""
-    if m1.horizon != m2.horizon:
-        raise SignatureError(f"horizons differ: {m1.horizon} vs {m2.horizon}")
+    traces.same_horizon(m1, m2)
     sig = traces.merge_signature_controlled(m1.signature, m2.signature)
-    a = traces.lifted_view(traces.relabel(m1, sig.restricted(m1.signature.names)), sig)
-    b = traces.lifted_view(traces.relabel(m2, sig.restricted(m2.signature.names)), sig)
-    return Assertion.of_view(sig, m1.horizon, traces.combine(np.logical_and, a, b))
+    [a] = _lift_onto(sig, m1)
+    [b] = _lift_onto(sig, m2)
+    return Assertion(sig, m1.horizon, traces.combine(np.logical_and, a, b))
 
 
 def refines(c1: Contract, c2: Contract) -> bool:
@@ -170,8 +164,7 @@ def refines(c1: Contract, c2: Contract) -> bool:
     Requires c1's signature to be a sub-signature of c2's; both contracts
     are compared as given (canonicalize first for canonical refinement).
     """
-    if c1.horizon != c2.horizon:
-        raise SignatureError(f"horizons differ: {c1.horizon} vs {c2.horizon}")
+    traces.same_horizon(c1, c2)
     if not traces.is_subsignature(c1.signature, c2.signature):
         raise SignatureError("refinement requires the refining signature to be included")
     sig = c2.signature

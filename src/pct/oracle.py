@@ -491,12 +491,9 @@ def _side_signature(rng, budget: Budget, tag: str, h: int, shared_ports, peer_co
     return sig, frozenset(p.name for p in prob)
 
 
-def _shrink_to_budget(sig1, sig2, h, budget: Budget):
-    """Lower the horizon until the merged run space fits the budget."""
-    while h > 1:
-        merged = traces.merge_signature_controlled(sig1, sig2)
-        if traces.universe_size(merged, h) <= budget.max_space:
-            break
+def _fit_horizon(sig: Signature, h: int, budget: Budget) -> int:
+    """Lower the horizon until the run space of ``sig`` fits the budget."""
+    while h > 1 and traces.universe_size(sig, h) > budget.max_space:
         h -= 1
     return h
 
@@ -526,7 +523,7 @@ def gen_compose_instance(seed: int, budget: Budget = Budget(),
     # sometimes the second side reads the first side's output
     peer = [sig1.port("ca0")] if not disjoint and rng.random() < 0.4 else []
     sig2, p2 = _side_signature(rng, budget, "b", h, shared, peer)
-    h = _shrink_to_budget(sig1, sig2, h, budget)
+    h = _fit_horizon(traces.merge_signature_controlled(sig1, sig2), h, budget)
 
     pc1 = _rand_prob_contract(rng, sig1, h, p1)
     pc2 = _rand_prob_contract(rng, sig2, h, p2)
@@ -559,8 +556,7 @@ def gen_refine_instance(seed: int, budget: Budget = Budget()) -> RefineInstance:
     ctrl = [Port("c0", _pick_domain(rng, budget))]
     extra = [Port("z0", _pick_domain(rng, budget))] if rng.random() < 0.6 else []
     sig2 = Signature.of(controlled=ctrl, uncontrolled=prob + extra)
-    while h > 1 and traces.universe_size(sig2, h) > budget.max_space:
-        h -= 1
+    h = _fit_horizon(sig2, h, budget)
 
     p2 = frozenset(p.name for p in prob)
     drop_prob = nprob > 1 and rng.random() < 0.4
@@ -594,8 +590,7 @@ def gen_refining_contracts(seed: int, budget: Budget = Budget(), tag: str = "",
     extend = [Port(f"x{tag}0", traces.BOOL[:budget.max_domain])] if rng.random() < 0.5 else []
     sig1 = Signature.of(controlled=ctrl, uncontrolled=unctrl)
     sig2 = Signature.of(controlled=ctrl, uncontrolled=unctrl + extend)
-    while h > 1 and traces.universe_size(sig2, h) > budget.max_space:
-        h -= 1
+    h = _fit_horizon(sig2, h, budget)
     size1 = traces.space_of(sig1, h).size
     c1 = contracts.canonicalize(contracts.contract(
         Assertion(sig1, h, _rand_mask(rng, size1, rng.uniform(0.5, 0.95))),

@@ -252,8 +252,7 @@ def from_table(ports: Iterable[Port], h, table: Mapping[tuple, Fraction]) -> Dis
 
 def product_dist(d1: Distribution, d2: Distribution) -> Distribution:
     """Independent product over disjoint port sets: the two factor lists joined."""
-    if d1.horizon != d2.horizon:
-        raise HorizonMismatchError(f"horizons differ: {d1.horizon} vs {d2.horizon}")
+    traces.same_horizon(d1, d2)
     if d1.names & d2.names:
         raise ProbPortOverlapError(
             f"distributions overlap on ports {sorted(d1.names & d2.names)}")
@@ -395,8 +394,7 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
     """
     sig_c = pc.base.signature
     sig_m = m.signature
-    if m.horizon != pc.horizon:
-        raise HorizonMismatchError(f"horizons differ: {m.horizon} vs {pc.horizon}")
+    traces.same_horizon(m, pc)
     if not sig_m.uncontrolled <= sig_c.uncontrolled:
         raise PortRoleError(
             f"implementation reads ports the contract does not have: "
@@ -504,8 +502,7 @@ def refine_level(pc1: ProbContract, pc2: ProbContract) -> RefineReport:
     pc1's signature and probabilistic ports to be included in pc2's and
     pc1's law to be exactly the corresponding marginal of pc2's.
     """
-    if pc1.horizon != pc2.horizon:
-        raise HorizonMismatchError(f"horizons differ: {pc1.horizon} vs {pc2.horizon}")
+    traces.same_horizon(pc1, pc2)
     if not traces.is_subsignature(pc1.base.signature, pc2.base.signature):
         raise SignatureError("refining contract's signature must be included in the refined one's")
     if not pc1.pports <= pc2.pports:

@@ -13,9 +13,10 @@ Canonical run index
 Runs are numbered little-endian mixed-radix over (port, step) slots:
 ports in lexicographic name order, steps ascending within a port, digit
 = position of the value in the port's declared domain.  Slot 0 is the
-least significant digit.  This index is the normative serialization of
-run sets (see docs/format.md) and everything here round-trips through it
-bit-exactly.
+least significant digit.  ``run_index`` and ``run_at`` walk the slots in
+that order with a running weight, the product of the radices below.  This
+index is the normative serialization of run sets (see docs/format.md) and
+everything here round-trips through it bit-exactly.
 
 Computation works on a free view of that vector instead: reshaped in C
 order to one axis per slot, slot k becomes axis n-1-k.  Lifting is then a
@@ -27,8 +28,9 @@ What an assertion holds
 -----------------------
 An ``Assertion`` holds only its ``view``: the mask on the axis view, with
 a size-1 axis for every slot it does not read, so a clause over a few
-ports of a large signature stays small.  Every operation here reads and
-makes views: ``lift``, ``relabel`` and ``renamed`` copy nothing, the
+ports of a large signature stays small.  Its one constructor takes that
+view or the run-indexed vector.  Every operation here reads and makes
+views: ``lift``, ``relabel`` and ``renamed`` copy nothing, the
 connectives combine views in their broadcast shape, and inclusion,
 equality and canonicity are ``everywhere`` tests that reduce each side
 over the axes only it reads instead of broadcasting.  ``Assertion.mask``,
@@ -266,30 +268,26 @@ def is_subsignature(s1: Signature, s2: Signature) -> bool:
 # --- index space ------------------------------------------------------------
 
 class _Space(Record):
-    """A run space: its slots' radices and strides, and the axis view.
+    """A run space: its size and the axis view.
 
-    ``ports`` are name-sorted; ``radices`` and ``strides`` have one entry
-    per slot, port-major then step.  ``shape`` and ``axes`` describe the
-    view of a run-indexed vector reshaped in C order: one axis per slot,
-    the last slot first, so slot k is axis n-1-k.  ``axes`` names the
-    (port, step) of each axis.  Slots of one-value ports (digit always 0)
-    get no axis.
+    ``ports`` are name-sorted.  ``shape`` and ``axes`` describe the view of
+    a run-indexed vector reshaped in C order: one axis per slot, the last
+    slot first, so slot k is axis n-1-k.  ``axes`` names the (port, step)
+    of each axis.  Slots of one-value ports (digit always 0) get no axis.
     """
 
-    __slots__ = ("ports", "horizon", "radices", "strides", "size", "axes", "shape")
+    __slots__ = ("ports", "horizon", "size", "axes", "shape")
 
-    def __init__(self, ports, horizon, radices, strides, size, axes, shape):
-        self._assign(ports, horizon, radices, strides, size, axes, shape)
+    def __init__(self, ports, horizon, size, axes, shape):
+        self._assign(ports, horizon, size, axes, shape)
 
 
 @lru_cache(maxsize=512)
 def _space(ports: tuple, horizon: int) -> _Space:
-    slots = [(p.name, t) for p in ports for t in range(horizon)]
-    radices = [len(p.domain) for p in ports for _ in range(horizon)]
-    strides = [math.prod(radices[:k]) for k in range(len(radices))]
-    view = [(slot, r) for slot, r in zip(reversed(slots), reversed(radices)) if r > 1]
-    return _Space(ports, horizon, tuple(radices), tuple(strides), math.prod(radices),
-                  tuple(slot for slot, _ in view), tuple(r for _, r in view))
+    view = [((p.name, t), len(p.domain)) for p in reversed(ports)
+            for t in reversed(range(horizon)) if len(p.domain) > 1]
+    shape = tuple(r for _, r in view)
+    return _Space(ports, horizon, math.prod(shape), tuple(slot for slot, _ in view), shape)
 
 
 def space_of(sig: Signature, h) -> _Space:
@@ -468,37 +466,30 @@ class Assertion(Record):
     size-1 axis for every slot it does not read (read-only).  ``mask``, the
     run-indexed vector of the whole space, is filled from the view on its
     first read and kept; a view of full size in C order is the mask itself.
-    The constructor takes that vector; ``of_view`` takes a view.
+    The constructor takes either form of ``values``: the run-indexed vector,
+    which is kept as the mask, or a view on the space's axes.  The array is
+    made read-only.
     """
 
     __slots__ = ("signature", "horizon", "view", "_mask")
     _fields = ("signature", "horizon")    # the arrays are left out of the repr
 
-    def __init__(self, signature: Signature, horizon: int, mask: np.ndarray):
+    def __init__(self, signature: Signature, horizon: int, values: np.ndarray):
         space = space_of(signature, horizon)
-        if mask.dtype != bool or mask.shape != (space.size,):
-            raise PctError("assertion mask must be a boolean vector over the run space")
-        mask.setflags(write=False)
+        shape = space.shape
+        if values.dtype == bool and values.ndim == len(shape) and (values.shape == shape or all(
+                n == r or n == 1 for n, r in zip(values.shape, shape))):
+            view, mask = values, None
+        elif values.dtype == bool and values.shape == (space.size,):
+            view, mask = values.reshape(shape), values
+        else:
+            raise PctError("assertion values must be a boolean vector over the run space "
+                           "or a boolean array on its axes")
+        values.setflags(write=False)
         setfield(self, "signature", signature)
         setfield(self, "horizon", horizon)
-        setfield(self, "view", mask.reshape(space.shape))
+        setfield(self, "view", view)
         setfield(self, "_mask", mask)
-
-    @classmethod
-    def of_view(cls, signature: Signature, horizon: int, view: np.ndarray) -> "Assertion":
-        """The assertion whose mask ``view`` gives on the axis view of the
-        space, where it may have size 1 on any axis.  It is made read-only."""
-        shape = space_of(signature, horizon).shape
-        if view.dtype != bool or (view.shape != shape and (view.ndim != len(shape) or any(
-                n != r and n != 1 for n, r in zip(view.shape, shape)))):
-            raise PctError("assertion view must be a boolean array on the run space's axes")
-        view.setflags(write=False)
-        e = cls.__new__(cls)
-        setfield(e, "signature", signature)
-        setfield(e, "horizon", horizon)
-        setfield(e, "view", view)
-        setfield(e, "_mask", None)
-        return e
 
     @property
     def space(self) -> _Space:
@@ -537,13 +528,11 @@ class Assertion(Record):
 
 def universe(sig: Signature, h) -> Assertion:
     """Every well-formed run over the signature at the horizon."""
-    hh = _hlen(h)
-    return Assertion.of_view(sig, hh, np.ones((1,) * len(space_of(sig, hh).shape), dtype=bool))
+    return Assertion(sig, h, np.ones((1,) * len(space_of(sig, h).shape), dtype=bool))
 
 
 def empty(sig: Signature, h) -> Assertion:
-    hh = _hlen(h)
-    return Assertion.of_view(sig, hh, np.zeros((1,) * len(space_of(sig, hh).shape), dtype=bool))
+    return Assertion(sig, h, np.zeros((1,) * len(space_of(sig, h).shape), dtype=bool))
 
 
 def universe_size(sig: Signature, h) -> int:
@@ -555,25 +544,24 @@ def run_index(sig: Signature, h, run: tuple) -> int:
     history), ...)``, in any order (little-endian mixed radix, see module
     doc)."""
     hh = _hlen(h)
-    space = space_of(sig, hh)
+    space_of(sig, hh)    # refuses a space above the enumeration cap
     d = dict(run)
     if len(d) != len(run):
         raise SignatureError(f"run names a port twice: {sorted(n for n, _ in run)}")
     if set(d) != set(sig.names):
         raise SignatureError(
             f"run assigns ports {sorted(d)} but signature has {sorted(sig.names)}")
-    idx = 0
-    slot = 0
-    for p in space.ports:
+    idx, weight = 0, 1
+    for p in sig.ports:
         vals = d[p.name]
         if len(vals) != hh:
             raise HorizonMismatchError(f"history of {p.name} has length {len(vals)}, expected {hh}")
-        for t in range(hh):
-            digit = domain_index(p.domain, vals[t])
+        for v in vals:
+            digit = domain_index(p.domain, v)
             if digit is None:
-                raise PctError(f"value {vals[t]!r} not in domain {p.domain}")
-            idx += digit * space.strides[slot]
-            slot += 1
+                raise PctError(f"value {v!r} not in domain {p.domain}")
+            idx += digit * weight
+            weight *= len(p.domain)
     return idx
 
 
@@ -584,12 +572,11 @@ def run_at(sig: Signature, h, index: int) -> tuple:
     if not 0 <= index < space.size:
         raise PctError(f"run index {index} out of range [0, {space.size})")
     entries = []
-    slot = 0
-    for p in space.ports:
+    for p in sig.ports:
         vals = []
         for _ in range(hh):
-            vals.append(p.domain[(index // space.strides[slot]) % space.radices[slot]])
-            slot += 1
+            index, digit = divmod(index, len(p.domain))
+            vals.append(p.domain[digit])
         entries.append((p.name, tuple(vals)))
     return tuple(entries)
 
@@ -608,9 +595,11 @@ def runs(e: Assertion) -> Iterator[tuple]:
         yield run_at(e.signature, e.horizon, int(i))
 
 
-def _require_same_horizon(e1: Assertion, e2: Assertion) -> None:
-    if e1.horizon != e2.horizon:
-        raise HorizonMismatchError(f"horizons differ: {e1.horizon} vs {e2.horizon}")
+def same_horizon(x, y) -> None:
+    """Refuse two objects (assertions, contracts, distributions) whose
+    horizons differ."""
+    if x.horizon != y.horizon:
+        raise HorizonMismatchError(f"horizons differ: {x.horizon} vs {y.horizon}")
 
 
 def lifted_view(e: Assertion, sig2: Signature) -> np.ndarray:
@@ -628,7 +617,7 @@ def lift(e: Assertion, sig2: Signature) -> Assertion:
     """Inverse projection: all runs over sig2 whose restriction lies in e."""
     if sig2 == e.signature:
         return e
-    return Assertion.of_view(sig2, e.horizon, lifted_view(e, sig2))
+    return Assertion(sig2, e.horizon, lifted_view(e, sig2))
 
 
 def project(e: Assertion, sig2: Signature) -> Assertion:
@@ -638,11 +627,11 @@ def project(e: Assertion, sig2: Signature) -> Assertion:
     if sig2 == e.signature:
         return e
     small = space_of(sig2, e.horizon)
-    return Assertion.of_view(sig2, e.horizon, _reduce(np.logical_or, e.view, e.space, small))
+    return Assertion(sig2, e.horizon, _reduce(np.logical_or, e.view, e.space, small))
 
 
 def complement(e: Assertion) -> Assertion:
-    return Assertion.of_view(e.signature, e.horizon, ~e.view)
+    return Assertion(e.signature, e.horizon, ~e.view)
 
 
 def product(e1: Assertion, e2: Assertion) -> Assertion:
@@ -652,22 +641,22 @@ def product(e1: Assertion, e2: Assertion) -> Assertion:
     controlled/uncontrolled conflict is a contract-level concern and is
     refused here.
     """
-    _require_same_horizon(e1, e2)
+    same_horizon(e1, e2)
     sig = union_signature(e1.signature, e2.signature)
-    return Assertion.of_view(sig, e1.horizon, combine(np.logical_and, lifted_view(e1, sig),
-                                                       lifted_view(e2, sig)))
+    return Assertion(sig, e1.horizon, combine(np.logical_and, lifted_view(e1, sig),
+                                              lifted_view(e2, sig)))
 
 
 def union(e1: Assertion, e2: Assertion) -> Assertion:
-    _require_same_horizon(e1, e2)
+    same_horizon(e1, e2)
     sig = union_signature(e1.signature, e2.signature)
-    return Assertion.of_view(sig, e1.horizon, combine(np.logical_or, lifted_view(e1, sig),
-                                                       lifted_view(e2, sig)))
+    return Assertion(sig, e1.horizon, combine(np.logical_or, lifted_view(e1, sig),
+                                              lifted_view(e2, sig)))
 
 
 def included_in(e1: Assertion, e2: Assertion, sig: Signature) -> bool:
     """Signature-relative inclusion: lift both to sig and compare."""
-    _require_same_horizon(e1, e2)
+    same_horizon(e1, e2)
     return everywhere(np.less_equal, lifted_view(e1, sig), lifted_view(e2, sig))
 
 
@@ -675,14 +664,14 @@ def relabel(e: Assertion, sig2: Signature) -> Assertion:
     """Swap the signature for one with identical ports but different roles."""
     if e.signature.ports != sig2.ports:
         raise SignatureError("relabel requires identical ports and domains")
-    return Assertion.of_view(sig2, e.horizon, e.view)
+    return Assertion(sig2, e.horizon, e.view)
 
 
 def renamed(e: Assertion, old: str, new: str) -> Assertion:
     """Rename a port; the run set is carried across (index order may change)."""
     sig2 = e.signature.renamed(old, new)
     dst = space_of(sig2, e.horizon)
-    return Assertion.of_view(sig2, e.horizon, _spread(e.view, e.space, dst, {old: new}))
+    return Assertion(sig2, e.horizon, _spread(e.view, e.space, dst, {old: new}))
 
 
 def slot_values(sig: Signature, h, name: str, step: int) -> np.ndarray:
@@ -728,4 +717,4 @@ def from_step_predicate(sig: Signature, h, pred, *, owned: bool = False) -> Asse
     if not (owned or combined):
         held = held.copy()
     n = len(space_of(sig, hh).shape)
-    return Assertion.of_view(sig, hh, held.reshape((1,) * (n - held.ndim) + held.shape))
+    return Assertion(sig, hh, held.reshape((1,) * (n - held.ndim) + held.shape))

@@ -49,15 +49,31 @@ def test_summary_of_a_higher_is_better_metric():
     assert (row["wins"], row["separated"], row["ratio"]) == (3, True, 2.5)
 
 
-def test_run_length_and_directions_come_from_the_benchmark(tmp_path):
+def test_run_length_and_directions_come_from_the_benchmark(tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 12,
         "end_to_end": [{"name": "sat_s", "better": "lower"},
                        {"name": "rate", "better": "higher"}]}), encoding="utf-8")
     assert abpairs.spec_of(tmp_path) == (12, {"sat_s": "lower", "rate": "higher"})
-    with pytest.raises(SystemExit):
-        abpairs.main(["--parent", str(tmp_path), "--out", str(tmp_path / "o.json"),
-                      "--seconds", "5"])
+    seconds = []
+
+    def fake_run_once(checkout, workload, seed, run_seconds):
+        seconds.append(run_seconds)
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"sat_s": 1.0},
+                "wall_s": 0.0}
+
+    monkeypatch.setattr(abpairs, "run_once", fake_run_once)
+    out = tmp_path / "o.json"
+    assert abpairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                         "--out", str(out), "--workloads", "w", "--pairs", "2"]) == 0
+    assert seconds == [12] * 4
+    assert json.loads(out.read_text(encoding="utf-8"))["seconds"] == 12
+    capsys.readouterr()
+    # the run length has no option of its own
+    with pytest.raises(SystemExit) as stop:
+        abpairs.main(["--parent", str(tmp_path), "--out", str(out), "--seconds", "5"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --seconds 5" in capsys.readouterr().err
 
 
 def test_every_run_reads_bytecode_from_its_own_empty_directory(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import pct
 from pct import (
     Assertion,
     ControlledOverlapError,
+    HorizonMismatchError,
     Port,
     RoleConflictError,
     Signature,
@@ -281,6 +282,24 @@ def test_refines_fails_when_one_inclusion_fails(which):
             assert oracle.oracle_refines(broken, c2) is False
             checked += 1
     assert checked >= 80
+
+
+@pytest.mark.parametrize("entry", ["Contract", "contract", "satisfies", "compose",
+                                   "compose_impl", "refines"])
+def test_every_entry_point_refuses_two_horizons_alike(entry):
+    u1, u2 = pct.universe(SIG, 1), pct.universe(SIG, 2)
+    c1 = pct.contract(u1, u1)
+    c2 = pct.contract(pct.universe(SIG_A, 2), pct.universe(SIG_A, 2))
+    calls = {
+        "Contract": lambda: contracts.Contract(SIG, u1, u2),
+        "contract": lambda: pct.contract(u1, u2),
+        "satisfies": lambda: pct.satisfies(u1, c2),
+        "compose": lambda: pct.compose(c1, c2),
+        "compose_impl": lambda: pct.compose_impl(u1, pct.universe(SIG_A, 2)),
+        "refines": lambda: pct.refines(c1, c2),
+    }
+    with pytest.raises(HorizonMismatchError, match="horizons differ: 1 vs 2"):
+        calls[entry]()
 
 
 def test_renamed_contract():

@@ -46,12 +46,11 @@ CASES = {
                   lambda: Signature(uncontrolled=frozenset("a"), controlled=frozenset("x"),
                                     ports=(A, X)),
                   lambda: Signature((A, X), frozenset("a"), frozenset("x"))),
-    "_Space": (lambda: traces._Space((A,), 1, (2,), (1,), 2, (("a", 0),), (2,)),
-               lambda: traces._Space(ports=(A,), horizon=1, radices=(2,), strides=(1,), size=2,
-                                     axes=(("a", 0),), shape=(2,)),
-               lambda: traces._Space((X,), 1, (2,), (1,), 2, (("x", 0),), (2,))),
+    "_Space": (lambda: traces._Space((A,), 1, 2, (("a", 0),), (2,)),
+               lambda: traces._Space(ports=(A,), horizon=1, size=2, axes=(("a", 0),), shape=(2,)),
+               lambda: traces._Space((X,), 1, 2, (("x", 0),), (2,))),
     "Assertion": (lambda: _assertion((1, 0, 0, 1)),
-                  lambda: Assertion(mask=_mask((1, 0, 0, 1)), horizon=1, signature=SIG),
+                  lambda: Assertion(values=_mask((1, 0, 0, 1)), horizon=1, signature=SIG),
                   lambda: _assertion((1, 0, 1, 1))),
     "Contract": (lambda: contracts.Contract(SIG, _assertion((1,) * 4), _assertion((1, 0, 1, 0))),
                  lambda: contracts.Contract(guarantee=_assertion((1, 0, 1, 0)), signature=SIG,

@@ -235,8 +235,13 @@ def test_format_doc_worked_example():
     assert len(rows) == 4
     position = [None] * 4
     for k, name, step, radix, stride, digit, axis in (map(_int_or_str, r) for r in rows):
-        assert (space.radices[k], space.strides[k]) == (radix, stride)
         assert space.axes[axis] == (name, step) and axis == 3 - k
+        assert space.shape[axis] == radix == len(sig.port(name).domain)
+        # the run whose one nonzero digit is a 1 at slot k has index stride[k]
+        unit = run_of({p.name: tuple(p.domain[int((p.name, t) == (name, step))] for t in range(2))
+                       for p in sig.ports})
+        assert pct.run_index(sig, 2, unit) == stride and pct.run_at(sig, 2, stride) == unit
+        assert np.ravel_multi_index([int(a == axis) for a in range(4)], space.shape) == stride
         assert sig.port(name).domain.index(dict(run)[name][step]) == digit
         position[axis] = digit
     assert pct.run_index(sig, 2, run) == index == 21
@@ -284,6 +289,29 @@ def test_domain_index_matches_type_and_value():
         pct.run_index(Signature.of(uncontrolled=(Port("n", (0, 1)),)), 1, (("n", (True,)),))
 
 
+ONE = Port("o", ("only",))
+
+
+def test_run_index_round_trips_a_space_with_a_one_value_port():
+    sig = Signature.of(controlled=(X3,), uncontrolled=(ONE, A))
+    space = traces.space_of(sig, 2)
+    assert space.size == 36 and not any(name == "o" for name, _ in space.axes)
+    seen = set()
+    for i in range(space.size):
+        r = pct.run_at(sig, 2, i)
+        assert dict(r)["o"] == ("only", "only")
+        assert pct.run_index(sig, 2, r) == i
+        seen.add(r)
+    assert len(seen) == space.size
+
+
+def test_run_index_refuses_a_value_outside_a_one_value_domain():
+    # the slots of "o" have no axis, so only run_index reads their values
+    sig = Signature.of(uncontrolled=(ONE, A))
+    with pytest.raises(PctError, match="not in domain"):
+        pct.run_index(sig, 2, run_of({"o": ("only", "other"), "a": (True, False)}))
+
+
 def test_renamed_round_trip():
     e = pct.from_runs(SIG_AB, 2, [run_of({"a": (True, False), "b": (False, False)}),
                                   run_of({"a": (False, True), "b": (True, True)})])
@@ -298,6 +326,28 @@ def test_assertion_masks_are_read_only():
     u = pct.universe(SIG_A, 1)
     with pytest.raises(ValueError):
         u.mask[0] = False
+
+
+def test_an_assertion_built_from_a_vector_keeps_it_read_only():
+    sig = Signature.of(uncontrolled=(A, X3))
+    mask = np.arange(36) % 5 == 0
+    e = Assertion(sig, 2, mask)
+    with pytest.raises(ValueError):
+        mask[0] = False
+    assert e.mask is mask and np.shares_memory(e.view, mask)
+    assert e.view.shape == traces.space_of(sig, 2).shape
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros(36, dtype=np.uint8), np.zeros((3, 3, 2, 2), dtype=int), np.zeros(35, dtype=bool),
+    np.zeros((36, 1), dtype=bool), np.zeros((3, 3, 2), dtype=bool),
+    np.zeros((3, 2, 2, 2), dtype=bool), np.zeros((1, 3, 3, 2, 2), dtype=bool),
+], ids=lambda v: f"{v.dtype}{list(v.shape)}")
+def test_assertion_values_are_the_run_vector_or_a_view_on_the_axes(values):
+    sig = Signature.of(uncontrolled=(A, X3))
+    with pytest.raises(PctError, match="boolean vector over the run space "
+                                       "or a boolean array on its axes"):
+        Assertion(sig, 2, values)
 
 
 # --- algebraic laws ---------------------------------------------------------------

@@ -295,7 +295,7 @@ def held_both(rng, sig, h, keep=0.5, density=0.5):
     own = tuple(r if rng.random() < keep else 1 for r in shape)
     view = np.random.default_rng(rng.randrange(2**32)).random(own) < density
     full = np.broadcast_to(view, shape).reshape(-1).copy()
-    return Assertion.of_view(sig, h, view), Assertion(sig, h, full)
+    return Assertion(sig, h, view), Assertion(sig, h, full)
 
 
 def interleaved(shape):
@@ -484,7 +484,7 @@ def test_the_first_mask_read_fills_the_view_once(monkeypatch):
     space = traces.space_of(sig, h)
     view = np.random.default_rng(3).random((1, 2, 3, 1, 1, 2)) < 0.5
     assert view.ndim == len(space.shape)
-    e = Assertion.of_view(sig, h, view)
+    e = Assertion(sig, h, view)
     fills = []
     filled = traces._filled
     monkeypatch.setattr(traces, "_filled", lambda *args: fills.append(args) or filled(*args))
@@ -496,12 +496,12 @@ def test_the_first_mask_read_fills_the_view_once(monkeypatch):
     assert len(fills) == 1
     # a view that is already full size and in C order is the mask itself
     whole = np.random.default_rng(4).random(space.shape) < 0.5
-    assert np.shares_memory(Assertion.of_view(sig, h, whole).mask, whole)
+    assert np.shares_memory(Assertion(sig, h, whole).mask, whole)
     assert len(fills) == 1
     with pytest.raises(pct.PctError):
-        Assertion.of_view(sig, h, view.reshape(-1))
+        Assertion(sig, h, view.reshape(-1))
     with pytest.raises(pct.PctError):
-        Assertion.of_view(sig, h, np.zeros((1, 2, 2, 1, 2, 1), dtype=bool))
+        Assertion(sig, h, np.zeros((1, 2, 2, 1, 2, 1), dtype=bool))
 
 
 # --- distributions -----------------------------------------------------------------
