@@ -51,11 +51,8 @@ from .probabilistic import (
     prob_contract,
     product_dist,
     refine_level,
-    rename_prob,
-    renamed_dist,
     sat_level,
     uniform,
-    wrap,
 )
 from .speclang import (
     Document,
@@ -79,7 +76,6 @@ from .traces import (
     lift,
     product,
     project,
-    renamed,
     run_at,
     run_index,
     runs,

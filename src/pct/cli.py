@@ -84,11 +84,15 @@ def _canonical_guarantee_expr(decl, sig, h: int, defs: dict) -> speclang.Expr:
 
 
 def cmd_compose(args) -> int:
+    # a bad name is reported before any work is done, by the lexer's rule
+    out_name = args.alias
+    m = speclang._TOKEN_RE.fullmatch(out_name)
+    if m is None or m.lastgroup != "IDENT" or out_name in speclang.KEYWORDS:
+        raise PctError(f"--as {out_name!r}: a contract name is an identifier, not a keyword")
     doc = _load(args.file)
     names = [n.strip() for n in args.contracts.split(",") if n.strip()]
     if len(names) != 2:
         raise PctError("--contracts expects exactly two names, e.g. A,B")
-    out_name = args.alias
     for taken in (doc.ports, doc.defs, doc.contracts, doc.impls, doc.probcontracts):
         if out_name in taken or f"{out_name}_base" in taken or f"{out_name}_g" in taken:
             raise PctError(f"name {out_name!r} (or a derived name) is already declared")

@@ -171,10 +171,3 @@ def refines(c1: Contract, c2: Contract) -> bool:
     return (traces.included_in(c2.assumption, c1.assumption, sig)
             and traces.included_in(c1.guarantee, c2.guarantee, sig))
 
-
-def renamed(c: Contract, old: str, new: str) -> Contract:
-    # renaming a port moves runs, so every run is in A or G as before
-    return Contract._known(c.signature.renamed(old, new),
-                           traces.renamed(c.assumption, old, new),
-                           traces.renamed(c.guarantee, old, new),
-                           c.canonical)

@@ -110,11 +110,9 @@ class Distribution(Record):
 
     def __init__(self, ports, horizon: int, weights):
         ports, horizon = tuple(ports), traces._hlen(horizon)
-        if list(p.name for p in ports) != sorted(p.name for p in ports):
-            raise DistributionError("distribution ports must be in name order "
-                                    "(the weight vector indexes that space)")
-        if len(set(p.name for p in ports)) != len(ports):
-            raise DistributionError("duplicate port names in distribution")
+        if any(p.name >= q.name for p, q in zip(ports, ports[1:])):
+            raise DistributionError("distribution ports must be in strictly increasing name "
+                                    "order (the weight vector indexes that space)")
         ws = [Fraction(w) for w in weights]
         den = math.lcm(*(w.denominator for w in ws))
         factor = _factor(ports, horizon, (w.numerator * (den // w.denominator) for w in ws), den)
@@ -277,24 +275,6 @@ def marginal(d: Distribution, names: Iterable[str]) -> Distribution:
     return Distribution.of_factors(h, factors)
 
 
-def renamed_dist(d: Distribution, old: str, new: str) -> Distribution:
-    """Rename a port, preserving the joint law."""
-    if old not in d.names:
-        raise DistributionError(f"no port named {old!r} in distribution")
-    if new in d.names:
-        raise DistributionError(f"port name {new!r} already taken")
-    h = d.horizon
-    factors = []
-    for f in d.factors:
-        if old in (p.name for p in f.ports):
-            ports = tuple(sorted((p.renamed(new) if p.name == old else p for p in f.ports),
-                                 key=lambda p: p.name))
-            num = traces._spread(f.num, _space(f.ports, h), _space(ports, h), {old: new})
-            f = Factor(ports, num.reshape(-1), f.den)
-        factors.append(f)
-    return Distribution.of_factors(h, factors)
-
-
 # --- probabilistic contracts --------------------------------------------------
 
 class ProbContract(Record):
@@ -442,56 +422,6 @@ def compose_prob(pc1: ProbContract, pc2: ProbContract) -> ProbContract:
     base = contracts.compose(pc1.base, pc2.base)
     return ProbContract(base, pc1.pports | pc2.pports,
                         product_dist(pc1.dist, pc2.dist))
-
-
-def wrap(x: str, pc: ProbContract) -> tuple:
-    """Detach a probabilistic port so a peer contract may control it.
-
-    Returns ``(pc2, wrapper)``.  In ``pc2`` the distribution formerly on
-    ``x`` now rides on a fresh uncontrolled port ``x_p`` (joint law
-    preserved); ``x`` itself stays in the signature as a plain
-    uncontrolled port.  The wrapper contract controls ``x`` and copies,
-    step by step, either ``x_p`` or a second fresh input ``x_c`` into it,
-    choosing by the selector port ``x_s``.  Composing ``pc2`` with the
-    wrapper and then with the peer (its ``x`` renamed to ``x_c``) is
-    then defined.
-    """
-    if x not in pc.pports:
-        raise SignatureError(f"port {x!r} is not probabilistic in this contract")
-    sig = pc.base.signature
-    xport = sig.port(x)
-    xp, xc, xs = f"{x}_p", f"{x}_c", f"{x}_s"
-    for taken in (xp, xc, xs):
-        if taken in sig:
-            raise SignatureError(f"cannot wrap {x!r}: port name {taken!r} already taken")
-
-    # carry x's distribution over to x_p
-    dist2 = renamed_dist(pc.dist, x, xp)
-    sig2 = Signature.of(
-        controlled=tuple(sig.port(n) for n in sorted(sig.controlled)),
-        uncontrolled=tuple(sig.port(n) for n in sorted(sig.uncontrolled)) + (Port(xp, xport.domain),))
-    base2 = Contract(sig2,
-                     traces.lift(pc.base.assumption, sig2),
-                     traces.lift(pc.base.guarantee, sig2),
-                     canonical=pc.base.canonical)
-    pc2 = ProbContract(base2, (pc.pports - {x}) | {xp}, dist2)
-
-    wsig = Signature.of(
-        controlled=(xport,),
-        uncontrolled=(Port(xp, xport.domain), Port(xc, xport.domain), Port(xs, ("p", "c"))))
-
-    def select(t, val):
-        return np.where(val(xs) == 0, val(x) == val(xp), val(x) == val(xc))
-
-    guarantee = traces.from_step_predicate(wsig, pc.horizon, select)
-    wrapper = contracts.contract(traces.universe(wsig, pc.horizon), guarantee)
-    return pc2, wrapper
-
-
-def rename_prob(pc: ProbContract, old: str, new: str) -> ProbContract:
-    dist = renamed_dist(pc.dist, old, new) if old in pc.dist.names else pc.dist
-    pports = frozenset(new if n == old else n for n in pc.pports)
-    return ProbContract(contracts.renamed(pc.base, old, new), pports, dist)
 
 
 def refine_level(pc1: ProbContract, pc2: ProbContract) -> RefineReport:

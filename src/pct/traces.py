@@ -20,8 +20,9 @@ everything here round-trips through it bit-exactly.
 
 Computation works on a free view of that vector instead: reshaped in C
 order to one axis per slot, slot k becomes axis n-1-k.  Lifting is then a
-broadcast, projection an ``any`` over the dropped axes and renaming a
-transpose.  Only this module knows that layout; ``_spread`` and
+broadcast and projection an ``any`` over the dropped axes.  Ports are in
+name order in every space, so a sub-signature's axes keep their order in
+a larger space.  Only this module knows that layout; ``_spread`` and
 ``_reduce`` carry vectors of any dtype between spaces for the others.
 
 What an assertion holds
@@ -30,10 +31,10 @@ An ``Assertion`` holds only its ``view``: the mask on the axis view, with
 a size-1 axis for every slot it does not read, so a clause over a few
 ports of a large signature stays small.  Its one constructor takes that
 view or the run-indexed vector.  Every operation here reads and makes
-views: ``lift``, ``relabel`` and ``renamed`` copy nothing, the
-connectives combine views in their broadcast shape, and inclusion,
-equality and canonicity are ``everywhere`` tests that reduce each side
-over the axes only it reads instead of broadcasting.  ``Assertion.mask``,
+views: ``lift`` and ``relabel`` copy nothing, the connectives combine
+views in their broadcast shape, and inclusion, equality and canonicity
+are ``everywhere`` tests that reduce each side over the axes only it
+reads instead of broadcasting.  ``Assertion.mask``,
 the run-indexed vector, is filled from the view on its first read and
 kept; the oracle, ``runs``, ``len`` and serialization read it.  The
 enumeration cap still applies to the full signature.
@@ -133,9 +134,6 @@ class Port(Record):
         d = self.domain
         return len(d) == 2 and d[0] is False and d[1] is True
 
-    def renamed(self, new_name: str) -> "Port":
-        return Port(new_name, self.domain)
-
 
 def _hlen(h) -> int:
     """``h`` if it is a horizon: an int of at least 1, and not a bool."""
@@ -209,16 +207,6 @@ class Signature(Record):
         ports = tuple(p for p in self.ports if p.name in keep)
         return Signature(ports, self.controlled & keep, self.uncontrolled & keep)
 
-    def renamed(self, old: str, new: str) -> "Signature":
-        if old not in self:
-            raise SignatureError(f"no port named {old!r} in signature")
-        if new in self:
-            raise SignatureError(f"port name {new!r} already taken")
-        ports = tuple(sorted((p.renamed(new) if p.name == old else p for p in self.ports),
-                             key=lambda p: p.name))
-        ren = lambda s: frozenset(new if n == old else n for n in s)
-        return Signature(ports, ren(self.controlled), ren(self.uncontrolled))
-
 
 def _check_shared_domains(s1: Signature, s2: Signature) -> None:
     ports = s2._by_name
@@ -270,10 +258,12 @@ def is_subsignature(s1: Signature, s2: Signature) -> bool:
 class _Space(Record):
     """A run space: its size and the axis view.
 
-    ``ports`` are name-sorted.  ``shape`` and ``axes`` describe the view of
-    a run-indexed vector reshaped in C order: one axis per slot, the last
-    slot first, so slot k is axis n-1-k.  ``axes`` names the (port, step)
-    of each axis.  Slots of one-value ports (digit always 0) get no axis.
+    ``ports`` are in strictly increasing name order, which ``_space``
+    checks for every space it makes.  ``shape`` and ``axes`` describe the
+    view of a run-indexed vector reshaped in C order: one axis per slot,
+    the last slot first, so slot k is axis n-1-k.  ``axes`` names the
+    (port, step) of each axis.  Slots of one-value ports (digit always 0)
+    get no axis.
     """
 
     __slots__ = ("ports", "horizon", "size", "axes", "shape")
@@ -284,6 +274,8 @@ class _Space(Record):
 
 @lru_cache(maxsize=512)
 def _space(ports: tuple, horizon: int) -> _Space:
+    if any(p.name >= q.name for p, q in zip(ports, ports[1:])):
+        raise SignatureError(f"port names not strictly increasing: {[p.name for p in ports]}")
     view = [((p.name, t), len(p.domain)) for p in reversed(ports)
             for t in reversed(range(horizon)) if len(p.domain) > 1]
     shape = tuple(r for _, r in view)
@@ -298,24 +290,16 @@ def space_of(sig: Signature, h) -> _Space:
     return space
 
 
-def _spread(values: np.ndarray, src: _Space, dst: _Space, name_map=None) -> np.ndarray:
+def _spread(values: np.ndarray, src: _Space, dst: _Space) -> np.ndarray:
     """A vector over ``src`` as a view on ``dst``'s axes, ready to broadcast.
 
     ``values`` may also be given on ``src``'s axis view, size-1 axes
-    included.  Each slot of ``src`` must be a slot of ``dst`` once its port
-    is renamed through ``name_map``.  The axes are put in ``dst``'s order
-    and every slot ``src`` lacks gets a size-1 axis.
+    included.  Each port of ``src`` must be a port of ``dst``: both hold
+    their ports in name order, so a reshape that gives every slot ``src``
+    lacks a size-1 axis puts the axes in ``dst``'s order.
     """
-    if values.ndim != len(src.shape):
-        values = values.reshape(src.shape)
-    name_map = name_map or {}
-    pos = {slot: a for a, slot in enumerate(dst.axes)}
-    at = [pos[(name_map.get(name, name), t)] for name, t in src.axes]
-    shape = [1] * len(dst.axes)
-    for a, r in zip(at, values.shape):
-        shape[a] = r
-    order = sorted(range(len(at)), key=at.__getitem__)
-    return values.transpose(order).reshape(shape)
+    size = dict(zip(src.axes, values.shape if values.ndim == len(src.shape) else src.shape))
+    return values.reshape([size.get(slot, 1) for slot in dst.axes])
 
 
 # an operand whose innermost run is under _SHORT elements is copied out over
@@ -665,13 +649,6 @@ def relabel(e: Assertion, sig2: Signature) -> Assertion:
     if e.signature.ports != sig2.ports:
         raise SignatureError("relabel requires identical ports and domains")
     return Assertion(sig2, e.horizon, e.view)
-
-
-def renamed(e: Assertion, old: str, new: str) -> Assertion:
-    """Rename a port; the run set is carried across (index order may change)."""
-    sig2 = e.signature.renamed(old, new)
-    dst = space_of(sig2, e.horizon)
-    return Assertion(sig2, e.horizon, _spread(e.view, e.space, dst, {old: new}))
 
 
 def slot_values(sig: Signature, h, name: str, step: int) -> np.ndarray:

@@ -139,6 +139,13 @@ def test_a_bad_threshold_is_reported_before_the_query_runs(threshold, example, c
         (2, "", f"error: not a rational number: {threshold!r}\n")
 
 
+@pytest.mark.parametrize("alias", ["and", "1x", "a b", ""])
+def test_a_bad_compose_alias_is_reported_before_the_document_is_read(alias, example, capsys):
+    compose = [a.format(doc=example + ".missing") for a in QUERIES["compose"]]
+    assert _run(compose + ["--as", alias], capsys) == \
+        (2, "", f"error: --as {alias!r}: a contract name is an identifier, not a keyword\n")
+
+
 @pytest.mark.parametrize("target", ["missing directory", "a directory"])
 def test_compose_reports_an_out_path_it_cannot_write(target, example, tmp_path, capsys):
     out = tmp_path / "missing" / "x.pct" if target == "missing directory" else tmp_path

@@ -73,8 +73,8 @@ def test_canonical_flag_is_validated():
 
 
 def test_canonical_flag_holds_on_the_contracts_built_without_the_check():
-    """``contract``, ``canonicalize``, ``compose`` and ``renamed`` set the
-    flag without a pass over the runs; it must still say what the runs do."""
+    """``contract``, ``canonicalize`` and ``compose`` set the flag without
+    a pass over the runs; it must still say what the runs do."""
     def known(c):
         assert c.canonical == contracts._is_canonical(c.assumption, c.guarantee)
         return c
@@ -90,7 +90,6 @@ def test_canonical_flag_holds_on_the_contracts_built_without_the_check():
             assert known(pct.canonicalize(c)).canonical
         assert known(pct.compose(c1, c2)).canonical
         assert known(pct.compose(inst.pc1.base, inst.pc2.base)).canonical
-        assert known(contracts.renamed(c1, "ca0", "zz")).canonical == c1.canonical
     assert flags == {False, True}
 
 
@@ -300,11 +299,3 @@ def test_every_entry_point_refuses_two_horizons_alike(entry):
     }
     with pytest.raises(HorizonMismatchError, match="horizons differ: 1 vs 2"):
         calls[entry]()
-
-
-def test_renamed_contract():
-    rng = random.Random(13)
-    c = rand_contract(rng, SIG, 2)
-    r = contracts.renamed(c, "x", "out")
-    assert "out" in r.signature.controlled
-    assert contracts.renamed(r, "out", "x") == c

@@ -115,15 +115,6 @@ def test_marginal_of_correlated_table():
     assert pct.marginal(d, {"f1"}) == pct.uniform((F1,), 1)
 
 
-def test_renamed_dist_preserves_joint_law():
-    d = pct.from_table((F1, F2), 1, {
-        run_of({"f1": (False,), "f2": (True,)}): frac("1/3"),
-        run_of({"f1": (True,), "f2": (False,)}): frac("2/3")})
-    r = prob.renamed_dist(d, "f1", "zz")   # renaming reorders the ports
-    assert weight_of(r, {"zz": (False,), "f2": (True,)}) == frac("1/3")
-    assert weight_of(r, {"zz": (True,), "f2": (False,)}) == frac("2/3")
-
-
 # --- satisfaction levels -----------------------------------------------------------
 
 def _pc(sig, h, g_mask, pports, dist):

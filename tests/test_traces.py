@@ -20,6 +20,7 @@ from pct import (
     RoleConflictError,
     Signature,
     SignatureError,
+    probabilistic,
     traces,
 )
 from conftest import assertion_pairs, assertion_with_extension, assertions, run_of
@@ -312,14 +313,18 @@ def test_run_index_refuses_a_value_outside_a_one_value_domain():
         pct.run_index(sig, 2, run_of({"o": ("only", "other"), "a": (True, False)}))
 
 
-def test_renamed_round_trip():
-    e = pct.from_runs(SIG_AB, 2, [run_of({"a": (True, False), "b": (False, False)}),
-                                  run_of({"a": (False, True), "b": (True, True)})])
-    r = pct.renamed(e, "a", "zz")
-    assert {dict(x)["zz"] for x in pct.runs(r)} == {(True, False), (False, True)}
-    assert pct.renamed(r, "zz", "a") == e
-    with pytest.raises(SignatureError):
-        pct.renamed(e, "a", "b")
+@pytest.mark.parametrize("ports", [(B, A), (A, A)])
+def test_ports_out_of_name_order_are_refused_wherever_a_space_is_made(ports):
+    # the run index numbers the slots of name-sorted ports (docs/format.md)
+    sig = Signature(ports, frozenset(), frozenset({"a", "b"} & {p.name for p in ports}))
+    run = run_of({"a": (True,), "b": (False,)})
+    for make in (lambda: traces.space_of(sig, 1), lambda: pct.from_runs(sig, 1, [run]),
+                 lambda: pct.universe(sig, 1)):
+        with pytest.raises(SignatureError, match="port names not strictly increasing"):
+            make()
+    d = pct.Distribution.of_factors(1, [probabilistic.Factor(ports, np.array([1, 0, 0, 0]), 1)])
+    with pytest.raises(SignatureError, match="port names not strictly increasing"):
+        probabilistic._mass(d, np.ones(4, dtype=bool))
 
 
 def test_assertion_masks_are_read_only():

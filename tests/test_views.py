@@ -108,19 +108,6 @@ def test_project_matches_explicit_restriction(sig, h):
             assert materialize(pct.project(e, small)) == want
 
 
-@pytest.mark.parametrize("sig,h", [c for c in CASES if c[0].ports])
-def test_renamed_matches_explicit_renaming(sig, h):
-    rng = random.Random(str(sig) + str(h))
-    e = random_mask(rng, sig, h)
-    # move the first port past every other one, and the last before them
-    first, last = sig.names[0], sig.names[-1]
-    for old, new in ((first, "zz"), (last, "a0"), (first, first + "_")):
-        got = pct.renamed(e, old, new)
-        assert got.signature.role(new) == sig.role(old)
-        assert materialize(got) == frozenset(
-            entry_tuple({new if n == old else n: v for n, v in r}) for r in materialize(e))
-
-
 @pytest.mark.parametrize("sig,h", CASES)
 def test_product_union_and_inclusion_match_sets(sig, h):
     rng = random.Random(str(sig) + str(h))
@@ -347,8 +334,6 @@ def test_assertion_operations_agree_on_views_and_full_masks(sig, h):
                     small = sig.restricted(names)
                     assert same(pct.project(e1, small), pct.project(pair1[1], small))
             if sig.ports:
-                first = sig.names[0]
-                assert same(pct.renamed(e1, first, "zz"), pct.renamed(pair1[1], first, "zz"))
                 flipped = Signature(sig.ports, sig.uncontrolled, sig.controlled)
                 assert same(traces.relabel(e1, flipped), traces.relabel(pair1[1], flipped))
             for e2 in pair2:
@@ -544,21 +529,6 @@ def test_marginal_matches_index_loop(left, right, h):
         assert all(type(w) is Fraction for w in got.weights)
 
 
-@pytest.mark.parametrize("left,right,h", [c for c in DIST_CASES if c[0] + c[1]])
-def test_renamed_dist_matches_index_loop(left, right, h):
-    ports = left + right
-    d = random_dist(random.Random(f"r{ports}{h}"), ports, h)
-    names = sorted(p.name for p in ports)
-    for old, new in ((names[0], "zz"), (names[-1], "a0")):
-        got = probabilistic.renamed_dist(d, old, new)
-        moved = [p.renamed(new) if p.name == old else p for p in ports]
-        want = [Fraction(0)] * len(d.weights)
-        for i, r in enumerate(all_runs(ports, h)):
-            r2 = {new if n == old else n: v for n, v in r.items()}
-            want[index_of(moved, h, r2)] = d.weights[i]
-        assert list(got.weights) == want
-
-
 def test_receptive_adds_the_first_run_of_each_uncovered_fiber():
     sig = Signature.of(controlled=(Port("c", TRI),), uncontrolled=(Port("p"), Port("z")))
     h = 2
@@ -655,19 +625,6 @@ def test_factored_marginals_match_the_per_history_sum(parts, h, k):
             got = probabilistic.marginal(d, [p.name for p in keep])
             assert list(got.weights) == want
             assert got == probabilistic.Distribution(keep, h, want)
-
-
-@pytest.mark.parametrize("parts,h,k", factor_cases())
-def test_factored_renaming_matches_the_per_history_table(parts, h, k):
-    d, ref = build(parts, h, k)
-    for old in (d.ports[0].name, d.ports[-1].name):
-        for new in ("a0", "zz"):
-            got = probabilistic.renamed_dist(d, old, new)
-            moved = [p.renamed(new) if p.name == old else p for p in d.ports]
-            want = [Fraction(0)] * len(d.weights)
-            for r in all_runs(d.ports, h):
-                want[index_of(moved, h, {new if n == old else n: v for n, v in r.items()})] = ref(r)
-            assert list(got.weights) == want
 
 
 @pytest.mark.parametrize("k", [2, 3])
