@@ -8,6 +8,7 @@ the oracle's composition when clauses are read at every step; and
 ``verify --json-lines`` prints its golden case records."""
 
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -83,6 +84,47 @@ def test_one_process_gives_the_same_answers_around_failed_calls(example, tmp_pat
     assert _run(sat, capsys) == first
     assert _run(refine, capsys) == (0, (GOLDEN / "refine.txt").read_text("utf-8"), "")
     assert _run(sat, capsys) == first
+
+
+# the usage errors and help texts of tests/golden/usage.txt; no file is read
+USAGE_ARGVS = [
+    [],
+    ["bogus"],
+    ["sat", "doc.pct"],
+    ["sat", "doc.pct", "--impl", "m1", "--contract", "c", "--nope", "x"],
+    ["sat", "doc.pct", "--impl"],
+    ["verify", "--seeds", "x"],
+    ["refine", "-h"],
+    ["--help"],
+]
+
+
+def _transcript(argvs, capsys) -> str:
+    """Each argv as a shell line, then its exit code, stdout and stderr."""
+    return "\n".join(f"$ pct {shlex.join(argv)}\nexit {rc}\n--- stdout\n{out}--- stderr\n{err}"
+                     for argv in argvs for rc, out, err in [_run(argv, capsys)])
+
+
+def test_usage_errors_and_help_match_the_golden_transcript(capsys, monkeypatch):
+    """Usage stderr, help stdout and exit codes are part of the interface.
+    The wording is argparse's, recorded with Python 3.11 at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _transcript(USAGE_ARGVS, capsys) == (GOLDEN / "usage.txt").read_text("utf-8")
+
+
+@pytest.mark.parametrize("spelling", [
+    ["--imp", "m1", "--contract", "stage1_rel"],
+    ["--impl=m1", "--contract", "stage1_rel"],
+    ["--impl", "m2", "--contract", "stage1_rel", "--impl", "m1"],
+    ["--contract", "stage1_rel", "--impl", "m1"],
+    ["--impl", "m1", "--contract", "stage1_rel", "{doc}"],
+    ["--impl", "m1", "--contract", "stage1_rel", "--", "{doc}"],
+], ids=["abbreviated", "equals", "repeated", "reordered", "file-last", "double-dash"])
+def test_other_spellings_of_a_query_give_its_golden_output(spelling, example, capsys):
+    argv = ["sat"] + [a.format(doc=example) for a in spelling]
+    if "{doc}" not in spelling:
+        argv.insert(1, example)
+    assert _run(argv, capsys) == (0, (GOLDEN / "sat.txt").read_text("utf-8"), "")
 
 
 # clauses without a temporal operator hold when they hold at every step
