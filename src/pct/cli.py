@@ -5,12 +5,17 @@ Subcommands: ``sat``, ``compose``, ``refine``, ``verify``, ``example``,
 printed as exact rationals with an advisory decimal.  Exit codes: 0 on
 success, 1 when a checked property or threshold fails, 2 on usage or
 diagnostic errors.
+
+``COMMANDS`` describes the command line once.  A command line in its
+canonical spelling (see ``_parse``) is read directly; argparse, built from
+the same table, reads every other spelling and writes every usage error
+and help text, so a well-formed command line never imports it.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -240,55 +245,111 @@ def cmd_fmt(args) -> int:
     return 0
 
 
+# The command line, one entry per subcommand: its help, its function, its
+# positionals and its options.  An option is its flag and the keyword
+# arguments argparse gets for it; every one names its ``dest``.
+COMMANDS = {
+    "sat": ("satisfaction level of an implementation", cmd_sat, ("file",), {
+        "--impl": {"dest": "impl", "required": True, "help": "implementation name"},
+        "--contract": {"dest": "contract", "required": True,
+                       "help": "(probabilistic) contract name"},
+        "--at-least": {"dest": "at_least", "metavar": "Q",
+                       "help": "exit 1 when the level is below this rational"},
+    }),
+    "compose": ("compose two contracts into a new document", cmd_compose, ("file",), {
+        "--contracts": {"dest": "contracts", "required": True, "metavar": "A,B"},
+        "--out": {"dest": "out", "help": "output path (default: stdout)"},
+        "--as": {"dest": "alias", "default": "composite",
+                 "help": "name of the composed contract (default: composite)"},
+    }),
+    "refine": ("refinement level between two contracts", cmd_refine, ("file",), {
+        "--from": {"dest": "src", "required": True, "metavar": "C1"},
+        "--to": {"dest": "dst", "required": True, "metavar": "C2"},
+    }),
+    "verify": ("run the randomized verification suites", cmd_verify, (), {
+        "--seeds": {"dest": "seeds", "type": int, "default": 100},
+        "--budget": {"dest": "budget", "help": "e.g. ports=3,h=2,dom=2,space=1024"},
+        "--suite": {"dest": "suite", "help": "run one suite only"},
+        "--json-lines": {"dest": "json_lines", "action": "store_true",
+                         "help": "one JSON record per instance on stdout"},
+    }),
+    "example": ("run the bundled two-stage pipeline example", cmd_example, (), {}),
+    "fmt": ("normalize a document", cmd_fmt, ("file",), {
+        "--write": {"dest": "write", "action": "store_true",
+                    "help": "rewrite the file in place"},
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``COMMANDS``: it reads every spelling that
+    ``_parse`` does not, and writes the usage errors and help texts."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pct",
         description="Probabilistic assume/guarantee contracts over finite traces.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sat", help="satisfaction level of an implementation")
-    p.add_argument("file")
-    p.add_argument("--impl", required=True, help="implementation name")
-    p.add_argument("--contract", required=True, help="(probabilistic) contract name")
-    p.add_argument("--at-least", dest="at_least", metavar="Q",
-                   help="exit 1 when the level is below this rational")
-    p.set_defaults(func=cmd_sat)
-
-    p = sub.add_parser("compose", help="compose two contracts into a new document")
-    p.add_argument("file")
-    p.add_argument("--contracts", required=True, metavar="A,B")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--as", dest="alias", default="composite",
-                   help="name of the composed contract (default: composite)")
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("refine", help="refinement level between two contracts")
-    p.add_argument("file")
-    p.add_argument("--from", dest="src", required=True, metavar="C1")
-    p.add_argument("--to", dest="dst", required=True, metavar="C2")
-    p.set_defaults(func=cmd_refine)
-
-    p = sub.add_parser("verify", help="run the randomized verification suites")
-    p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--budget", help="e.g. ports=3,h=2,dom=2,space=1024")
-    p.add_argument("--suite", help="run one suite only")
-    p.add_argument("--json-lines", dest="json_lines", action="store_true",
-                   help="one JSON record per instance on stdout")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("example", help="run the bundled two-stage pipeline example")
-    p.set_defaults(func=cmd_example)
-
-    p = sub.add_parser("fmt", help="normalize a document")
-    p.add_argument("file")
-    p.add_argument("--write", action="store_true", help="rewrite the file in place")
-    p.set_defaults(func=cmd_fmt)
+    for name, (help_text, func, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in positionals:
+            p.add_argument(dest)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv):
+    """The namespace of ``argv`` in its canonical spelling, else None.
+
+    The canonical spelling is a subcommand, then its positionals and its
+    options in any order: full option names, each at most once, its value
+    the next word, every required one present.  No word may be ``--`` or
+    ``--opt=value``, no value may start with ``-``, and an ``int`` value
+    must convert.  On that spelling the namespace equals argparse's; every
+    other ``argv``, ``-h`` included, is argparse's to read or refuse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, positionals, options = COMMANDS[argv[0]]
+    args = {"command": argv[0], "func": func}
+    for kwargs in options.values():
+        switch = kwargs.get("action") == "store_true"
+        args[kwargs["dest"]] = kwargs.get("default", False if switch else None)
+    seen, values = set(), []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            values.append(word)
+            continue
+        kwargs = options.get(word)
+        if kwargs is None or word in seen:
+            return None
+        seen.add(word)
+        if kwargs.get("action") == "store_true":
+            args[kwargs["dest"]] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            args[kwargs["dest"]] = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+    if len(values) != len(positionals) or any(
+            kwargs.get("required") and flag not in seen for flag, kwargs in options.items()):
+        return None
+    args.update(zip(positionals, values))
+    return types.SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PctError as exc:

@@ -142,10 +142,16 @@ def _hlen(h) -> int:
     return h
 
 
+def _require_name_order(ports: tuple) -> None:
+    if any(p.name >= q.name for p, q in zip(ports, ports[1:])):
+        raise SignatureError(f"port names not strictly increasing: {[p.name for p in ports]}")
+
+
 class Signature(Record):
     """Ports of a component, split into controlled and uncontrolled sets.
 
-    The ports are also kept by name (``_by_name``, not a field), so that
+    The ports are in strictly increasing name order, which the constructor
+    checks.  They are also kept by name (``_by_name``, not a field), so that
     looking one up does not scan them.
     """
 
@@ -154,6 +160,7 @@ class Signature(Record):
     def __init__(self, ports: tuple, controlled: frozenset, uncontrolled: frozenset):
         if controlled & uncontrolled:
             raise SignatureError("controlled and uncontrolled port sets overlap")
+        _require_name_order(ports)
         by_name = {p.name: p for p in ports}
         if controlled | uncontrolled != by_name.keys():
             raise SignatureError("controlled/uncontrolled split must cover exactly the ports")
@@ -274,8 +281,7 @@ class _Space(Record):
 
 @lru_cache(maxsize=512)
 def _space(ports: tuple, horizon: int) -> _Space:
-    if any(p.name >= q.name for p, q in zip(ports, ports[1:])):
-        raise SignatureError(f"port names not strictly increasing: {[p.name for p in ports]}")
+    _require_name_order(ports)
     view = [((p.name, t), len(p.domain)) for p in reversed(ports)
             for t in reversed(range(horizon)) if len(p.domain) > 1]
     shape = tuple(r for _, r in view)

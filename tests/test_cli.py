@@ -7,6 +7,10 @@ other queries and failed ones; ``compose`` emits a document that denotes
 the oracle's composition when clauses are read at every step; and
 ``verify --json-lines`` prints its golden case records."""
 
+import contextlib
+import functools
+import importlib.util
+import io
 import os
 import shlex
 import subprocess
@@ -15,6 +19,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pct import cli, oracle, speclang
 
@@ -125,6 +131,116 @@ def test_other_spellings_of_a_query_give_its_golden_output(spelling, example, ca
     if "{doc}" not in spelling:
         argv.insert(1, example)
     assert _run(argv, capsys) == (0, (GOLDEN / "sat.txt").read_text("utf-8"), "")
+
+
+def _benchmark_queries() -> list:
+    """The argvs of the benchmark's three query kinds on one document."""
+    spec = importlib.util.spec_from_file_location(
+        "docgen", Path(__file__).resolve().parents[1] / "pctbench" / "docgen.py")
+    docgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(docgen)
+    return list(docgen.queries("doc.pct").values())
+
+
+def test_queries_are_read_directly_and_usage_errors_by_argparse():
+    queries = [[a.format(doc="doc.pct") for a in argv] for argv in QUERIES.values()]
+    for argv in queries + _benchmark_queries() + [["verify", "--seeds", "40", "--json-lines"]]:
+        assert cli._parse(argv) is not None, argv
+    for argv in USAGE_ARGVS:
+        assert cli._parse(argv) is None, argv
+
+
+@functools.lru_cache(maxsize=1)
+def _parser():
+    return cli.build_parser()
+
+
+def _argparse_vars(argv) -> dict:
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return vars(_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+
+
+VALUES = ["x", "m1", "doc.pct", "5", "0", " 7", "1_0", "٣", "", "a=b", "-5", "-", "-x"]
+
+
+@st.composite
+def canonical_argvs(draw):
+    """A subcommand, its positionals and some of its options (all required
+    ones), each option once, in any order, with values argparse reads alike."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, _, positionals, options = cli.COMMANDS[name]
+    plain = st.sampled_from([v for v in VALUES if not v.startswith("-")])
+    groups = [[draw(plain)] for _ in positionals]
+    for flag, kwargs in options.items():
+        if kwargs.get("required") or draw(st.booleans()):
+            if kwargs.get("action") == "store_true":
+                groups.append([flag])
+            elif kwargs.get("type") is int:
+                groups.append([flag, str(draw(st.integers(0, 999)))])
+            else:
+                groups.append([flag, draw(plain)])
+    return [name] + [word for group in draw(st.permutations(groups)) for word in group]
+
+
+WORDS = sorted({flag for _, _, _, options in cli.COMMANDS.values() for flag in options}
+               | {"--imp", "--contr", "--a", "--f", "--t", "--impl=m1", "--seeds=3", "--",
+                  "-h", "--help", "--json", "-x"} | set(VALUES) | set(cli.COMMANDS))
+
+
+@st.composite
+def edited_argvs(draw):
+    """A canonical argv with one to three words replaced, inserted or deleted."""
+    argv = draw(canonical_argvs())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(argv)))
+        argv[i:i + draw(st.integers(0, 1))] = draw(st.lists(st.sampled_from(WORDS), max_size=1))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_argvs())
+def test_the_canonical_spelling_is_read_directly_as_argparse_reads_it(argv):
+    args = cli._parse(argv)
+    assert args is not None and vars(args) == _argparse_vars(argv)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edited_argvs())
+def test_whatever_is_read_directly_argparse_reads_alike(argv):
+    args = cli._parse(argv)
+    if args is not None:
+        assert vars(args) == _argparse_vars(argv)
+
+
+def test_every_one_word_edit_of_a_full_command_line_is_read_as_argparse_reads_it():
+    """Each subcommand with all its options; one word replaced, inserted
+    or deleted at every place, with every word the edits above draw from."""
+    for name, (_, _, positionals, options) in cli.COMMANDS.items():
+        argv = [name, *("x" for _ in positionals)]
+        for flag, kwargs in options.items():
+            argv += [flag] if kwargs.get("action") == "store_true" else [flag, "5"]
+        for i in range(1, len(argv) + 1):
+            edits = [argv[:i] + argv[i + 1:]]
+            for word in WORDS:
+                edits += [argv[:i] + [word] + argv[i + 1:], argv[:i] + [word] + argv[i:]]
+            for edited in edits:
+                args = cli._parse(edited)
+                if args is not None:
+                    assert vars(args) == _argparse_vars(edited), edited
+
+
+def test_the_module_run_as_a_script_reads_its_command_line(example):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "pct.cli", "refine", example,
+                           "--from", "pipeline_rel", "--to", "relaxed_rel"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, (GOLDEN / "refine.txt").read_text("utf-8"), "")
 
 
 # clauses without a temporal operator hold when they hold at every step
@@ -284,9 +400,12 @@ def test_queries_do_not_import_the_oracle(tmp_path):
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_json():
-    """A fresh ``import pct.cli`` builds no dataclass and leaves ``json`` to
-    ``verify --json-lines``: both are fixed costs of every pct process."""
-    script = "import sys\nimport pct.cli\nprint(sorted({'dataclasses', 'json'} & set(sys.modules)))\n"
+    """A fresh ``import pct.cli`` builds no dataclass, leaves ``json`` to
+    ``verify --json-lines`` and ``argparse`` (with its ``gettext``) to a
+    command line outside the canonical spelling: all are fixed costs of
+    every pct process."""
+    script = ("import sys\nimport pct.cli\n"
+              "print(sorted({'argparse', 'dataclasses', 'gettext', 'json'} & set(sys.modules)))\n")
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

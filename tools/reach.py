@@ -5,7 +5,8 @@
 Runs, in this process, ``pct verify --seeds 60``, ``pct example`` and, on
 the benchmark's generated documents (``pctbench/docgen.py``, large and wide
 × full and small, seeds 0–2), ``sat`` (also with ``--at-least``),
-``refine``, ``compose`` (with and without ``--out``) and ``fmt``.  A
+``refine``, ``compose`` (with and without ``--out``) and ``fmt``; then a
+usage error and ``pct --help``, which end in argparse's ``SystemExit``.  A
 ``sys.setprofile`` hook records every function of ``src/pct`` entered,
 imports included; the script then prints ``file:line name`` for every
 function defined there (lambdas and comprehensions left out) that none of
@@ -56,7 +57,10 @@ def unreached(argvs) -> list:
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             for argv in argvs:
-                cli.main(argv)
+                try:
+                    cli.main(argv)
+                except SystemExit:  # argparse's end of a usage error or of help
+                    pass
     finally:
         sys.setprofile(old)
         sys.path.remove(str(SRC.parent))
@@ -85,6 +89,7 @@ def main() -> int:
                     argvs += [q["sat"], q["sat"] + ["--at-least", "1"], q["refine"], q["compose"],
                               q["compose"] + ["--out", str(path.with_suffix(".out.pct"))],
                               ["fmt", str(path)]]
+        argvs += [["sat", str(path)], ["--help"]]
         for file, line, name in unreached(argvs):
             print(f"{file}:{line} {name}")
     return 0
