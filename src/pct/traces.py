@@ -142,11 +142,6 @@ def _hlen(h) -> int:
     return h
 
 
-def _require_name_order(ports: tuple) -> None:
-    if any(p.name >= q.name for p, q in zip(ports, ports[1:])):
-        raise SignatureError(f"port names not strictly increasing: {[p.name for p in ports]}")
-
-
 class Signature(Record):
     """Ports of a component, split into controlled and uncontrolled sets.
 
@@ -160,7 +155,8 @@ class Signature(Record):
     def __init__(self, ports: tuple, controlled: frozenset, uncontrolled: frozenset):
         if controlled & uncontrolled:
             raise SignatureError("controlled and uncontrolled port sets overlap")
-        _require_name_order(ports)
+        if any(p.name >= q.name for p, q in zip(ports, ports[1:])):
+            raise SignatureError(f"port names not strictly increasing: {[p.name for p in ports]}")
         by_name = {p.name: p for p in ports}
         if controlled | uncontrolled != by_name.keys():
             raise SignatureError("controlled/uncontrolled split must cover exactly the ports")
@@ -265,12 +261,11 @@ def is_subsignature(s1: Signature, s2: Signature) -> bool:
 class _Space(Record):
     """A run space: its size and the axis view.
 
-    ``ports`` are in strictly increasing name order, which ``_space``
-    checks for every space it makes.  ``shape`` and ``axes`` describe the
-    view of a run-indexed vector reshaped in C order: one axis per slot,
-    the last slot first, so slot k is axis n-1-k.  ``axes`` names the
-    (port, step) of each axis.  Slots of one-value ports (digit always 0)
-    get no axis.
+    ``ports`` are a signature's, so in strictly increasing name order.
+    ``shape`` and ``axes`` describe the view of a run-indexed vector
+    reshaped in C order: one axis per slot, the last slot first, so slot k
+    is axis n-1-k.  ``axes`` names the (port, step) of each axis.  Slots
+    of one-value ports (digit always 0) get no axis.
     """
 
     __slots__ = ("ports", "horizon", "size", "axes", "shape")
@@ -281,7 +276,6 @@ class _Space(Record):
 
 @lru_cache(maxsize=512)
 def _space(ports: tuple, horizon: int) -> _Space:
-    _require_name_order(ports)
     view = [((p.name, t), len(p.domain)) for p in reversed(ports)
             for t in reversed(range(horizon)) if len(p.domain) > 1]
     shape = tuple(r for _, r in view)

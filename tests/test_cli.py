@@ -4,8 +4,10 @@ traceback, a pass over zero cases or a query's output;
 the query subcommands do not load the oracle; every subcommand prints its
 golden output on the bundled example, in a process that has already run
 other queries and failed ones; ``compose`` emits a document that denotes
-the oracle's composition when clauses are read at every step; and
-``verify --json-lines`` prints its golden case records."""
+the oracle's composition when clauses are read at every step;
+``verify --json-lines`` prints its golden case records; usage errors and
+help texts match their golden transcript; and a command line in the
+canonical spelling is read without argparse, into argparse's namespace."""
 
 import contextlib
 import functools

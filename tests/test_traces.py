@@ -318,9 +318,7 @@ def test_ports_out_of_name_order_are_refused_wherever_a_space_is_made(ports):
     # the run index numbers the slots of name-sorted ports (docs/format.md)
     with pytest.raises(SignatureError, match="port names not strictly increasing"):
         Signature(ports, frozenset(), frozenset(p.name for p in ports))
-    # a factor's ports are no Signature, so making its space checks them again
-    with pytest.raises(SignatureError, match="port names not strictly increasing"):
-        traces._space(ports, 1)
+    # a factor's ports are no Signature until their space is made
     d = pct.Distribution.of_factors(1, [probabilistic.Factor(ports, np.array([1, 0, 0, 0]), 1)])
     with pytest.raises(SignatureError, match="port names not strictly increasing"):
         probabilistic._mass(d, np.ones(4, dtype=bool))
