@@ -52,8 +52,10 @@ def _dist_sig(ports: Iterable[Port]) -> Signature:
     return Signature(ports, frozenset(), frozenset(p.name for p in ports))
 
 
-def _space(ports: Iterable[Port], h: int):
-    """The history space of name-sorted ports."""
+@functools.lru_cache(maxsize=512)
+def _space(ports: tuple, h: int):
+    """The history space of a tuple of name-sorted ports, made once per
+    tuple and horizon, as ``traces._space`` is."""
     return traces.space_of(_dist_sig(ports), h)
 
 
@@ -357,7 +359,7 @@ def _good_history_mask(target: Assertion, pc: ProbContract) -> np.ndarray:
     reduced to those ports and then spread to all of them, not lifted.
     """
     names = set(target.signature.names)
-    read = _space([p for p in pc.dist.ports if p.name in names], pc.horizon)
+    read = _space(tuple(p for p in pc.dist.ports if p.name in names), pc.horizon)
     good = traces._reduce(np.logical_and, target.view, target.space, read)
     return traces._spread(good, read, _space(pc.dist.ports, pc.horizon))
 
@@ -368,7 +370,10 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
     For a history ``w`` of the probabilistic ports, the singleton
     assertion {w}, intersected with m, must be included in the guarantee
     over the full signature; the level sums the weights of the histories
-    for which that holds.  Requires the implementation's uncontrolled
+    for which that holds.  The violations ``m and not G`` are reduced to
+    the histories without being made over the full signature where one
+    side reads a slot the other does not (``traces.reduce_apart``).
+    Requires the implementation's uncontrolled
     ports to be a subset of the contract's and its controlled ports to
     be exactly the contract's.
     """
@@ -388,9 +393,13 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
 
     big = traces.space_of(sig_c, pc.horizon)
     omega_space = traces.space_of(pc.dist.signature, pc.horizon)
-    # m and not G, which on booleans is m > G
-    viol = traces.combine(np.greater, traces.lifted_view(m, sig_c),
-                          traces.lifted_view(pc.base.guarantee, sig_c))
+    # the runs of m not in G, m > G on booleans, reduced to Omega with any:
+    # first m with any and G with all over the slots outside Omega only
+    # each reads, then the rest over their combination
+    keep = {i for i, (name, _) in enumerate(big.axes) if name in pc.pports}
+    viol = traces.combine(np.greater, *traces.reduce_apart(
+        np.logical_or, np.logical_and, traces.lifted_view(m, sig_c),
+        traces.lifted_view(pc.base.guarantee, sig_c), keep))
     bad = traces._reduce(np.logical_or, viol, big, omega_space)
 
     witness = None

@@ -51,12 +51,19 @@ then runs its inner loop over a few elements at a time.  So when the
 result has more than ``_BLOCK`` (4096) elements, an operand whose
 innermost run, constant or contiguous, is under ``_SHORT`` (64) elements
 is first copied out over the result's trailing axes that make up at
-least ``_BLOCK`` elements, where that copy is smaller than the result.
-Over 4096 one-byte elements NumPy's cost per inner call no longer
-counts, and a run of 64 already amortizes most of it, so copying such
-an operand is not repaid.  Smaller results pay only a size check.  Bool
-identities spare the temporaries: ``a > b`` is a and not b, and
-``a >= b`` is a or not b (docs/format.md, "Full-size masks").
+least ``_BLOCK`` elements, where that copy is smaller than the result,
+or else over the largest smaller block of at least ``_SHORT`` elements
+whose copy is at most a quarter of the result.  Over 4096 one-byte
+elements NumPy's cost per inner call no longer counts, and a run of 64
+already amortizes most of it, so copying such an operand is not repaid.
+Smaller results pay only a size check.  Reductions follow the same rule
+(``_reduced``): a large array whose innermost run of reduced or of kept
+axes is short is copied once with the kept axes in front or behind.
+Bool identities spare the temporaries: ``a > b`` is a and not b, and
+``a >= b`` is a or not b.  A value that is only reduced is reduced on
+each side first, over the axes that side alone reads (``reduce_apart``),
+so ``sat_level``'s violations reach full size only where both sides
+read every slot outside Omega (docs/format.md, "Full-size masks").
 """
 
 from __future__ import annotations
@@ -329,8 +336,14 @@ def _inner_run(x: np.ndarray, shape: tuple) -> int:
 
 def _blocked(operands: tuple, shape: tuple) -> tuple:
     """The operands of a combine into ``shape``, each with a short innermost
-    run copied out over the trailing block, where that copy is smaller
-    than the result."""
+    run copied out over a trailing block.
+
+    The block is the result's trailing axes that make up ``_BLOCK`` or more
+    elements, where that copy is smaller than the result.  An operand that
+    reads every axis outside that block would be copied whole; it is copied
+    over the largest smaller block of at least ``_SHORT`` elements whose
+    copy is at most a quarter of the result, and else left as is.
+    """
     size = math.prod(shape)
     if size <= _BLOCK:
         return operands
@@ -342,9 +355,13 @@ def _blocked(operands: tuple, shape: tuple) -> tuple:
     for x in operands:
         if _inner_run(x, shape) < _SHORT:
             full = (1,) * (len(shape) - x.ndim) + x.shape
-            outer = full[:k]
-            if math.prod(outer) * block < size:
-                x = np.broadcast_to(x.reshape(full), outer + shape[k:]).copy()
+            j, tail = k, block
+            if math.prod(full[:j]) * tail >= size:
+                while tail >= _SHORT and 4 * math.prod(full[:j]) * tail > size:
+                    tail //= shape[j]
+                    j += 1
+            if tail >= _SHORT and math.prod(full[:j]) * tail < size:
+                x = np.broadcast_to(x.reshape(full), full[:j] + shape[j:]).copy()
         out.append(x)
     return tuple(out)
 
@@ -374,6 +391,39 @@ def _filled(values: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
+def _reduced(ufunc: np.ufunc, x: np.ndarray, axes: tuple) -> np.ndarray:
+    """``ufunc.reduce(x, axis=axes, keepdims=True)``, with long inner loops
+    whatever the order of the reduced and the kept axes.
+
+    NumPy's inner loop runs over the innermost axes of one kind, reduced or
+    kept.  When ``x`` has more than ``_BLOCK`` elements and that run is
+    under ``_SHORT``, ``x`` is first copied with the kept axes in front of
+    the reduced ones, or behind them when the kept ones make up more
+    elements, so that the reduction runs over one long block per kept
+    point, or over long rows, one per reduced point.
+    """
+    if x.size > _BLOCK:
+        shape, run, kind = x.shape, 1, None
+        for i in range(x.ndim - 1, -1, -1):
+            if shape[i] > 1:
+                if kind is None:
+                    kind = i in axes
+                elif kind != (i in axes):
+                    break
+                run *= shape[i]
+        if run < _SHORT:
+            kept = [i for i in range(x.ndim) if i not in axes]
+            n = math.prod(shape[i] for i in axes)
+            if n * n >= x.size:
+                y = np.ascontiguousarray(x.transpose(kept + list(axes))).reshape(-1, n)
+                out = ufunc.reduce(y, axis=1)
+            else:
+                y = np.ascontiguousarray(x.transpose(list(axes) + kept)).reshape(n, -1)
+                out = ufunc.reduce(y, axis=0)
+            return out.reshape([1 if i in axes else r for i, r in enumerate(shape)])
+    return ufunc.reduce(x, axis=axes, keepdims=True)
+
+
 def _reduce(ufunc: np.ufunc, values: np.ndarray, src: _Space, dst: _Space) -> np.ndarray:
     """Reduce a vector over ``src`` along the slots ``dst`` lacks.
 
@@ -391,9 +441,33 @@ def _reduce(ufunc: np.ufunc, values: np.ndarray, src: _Space, dst: _Space) -> np
             shape.append(n)
         elif n > 1:
             rest.append(a)
-    out = ufunc.reduce(values, axis=tuple(rest), keepdims=True) if rest else values
+    out = _reduced(ufunc, values, tuple(rest)) if rest else values
     # reducing a 0-d object array gives a bare element, hence asarray
     return np.asarray(out, dtype=values.dtype).reshape(shape)
+
+
+def reduce_apart(ua: np.ufunc, ub: np.ufunc, a: np.ndarray, b: np.ndarray,
+                 keep=()) -> tuple:
+    """``a`` reduced with ``ua`` along the axes that only it reads, and ``b``
+    with ``ub`` along the axes that only it reads: (the two results).
+
+    ``a`` and ``b`` are bool arrays on one axis view.  An axis that only one
+    side reads has size over 1 there and 1 on the other side; the axes
+    numbered in ``keep`` are left as they are.  The reduced axes keep size
+    1, so the results still broadcast together, and a side with no such
+    axis is returned as is.  A value of the broadcast of ``f(a, b)``, with
+    ``f`` monotone in each operand, is reduced along those axes by reducing
+    each side first: ``any(a and not b)`` over an axis only ``a`` reads is
+    ``any(a) and not b``, and over one only ``b`` reads ``a and not
+    all(b)``.  So ``sat_level`` and ``everywhere`` never broadcast an axis
+    that one side alone reads.
+    """
+    out = []
+    for ufunc, x, y in ((ua, a, b), (ub, b, a)):
+        own = tuple(i for i, (m, n) in enumerate(zip(x.shape, y.shape))
+                    if n == 1 < m and i not in keep)
+        out.append(_reduced(ufunc, x, own) if own else x)
+    return tuple(out)
 
 
 # runs checked at a time by ``everywhere``
@@ -416,11 +490,9 @@ def everywhere(ufunc, a: np.ndarray, b: np.ndarray) -> bool:
         return bool(ufunc(a, b).all())
     pairs = ((a, b),)
     if a.shape != b.shape:
-        sides = []
-        for x, y in ((a, b), (b, a)):
-            own = tuple(i for i, (m, n) in enumerate(zip(x.shape, y.shape)) if n == 1 < m)
-            sides.append((np.logical_and.reduce(x, axis=own, keepdims=True),
-                          np.logical_or.reduce(x, axis=own, keepdims=True)) if own else (x,))
+        lows = reduce_apart(np.logical_and, np.logical_and, a, b)
+        highs = reduce_apart(np.logical_or, np.logical_or, a, b)
+        sides = [(lo, hi) if lo is not x else (x,) for x, lo, hi in zip((a, b), lows, highs)]
         pairs = tuple((x, y) for x in sides[0] for y in sides[1])
     # every pair now has one shape: the axes both read, and size 1 elsewhere
     for x, y in pairs:

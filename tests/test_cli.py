@@ -6,14 +6,19 @@ golden output on the bundled example, in a process that has already run
 other queries and failed ones; ``compose`` emits a document that denotes
 the oracle's composition when clauses are read at every step;
 ``verify --json-lines`` prints its golden case records; usage errors and
-help texts match their golden transcript; and a command line in the
-canonical spelling is read without argparse, into argparse's namespace."""
+help texts match their golden transcript; a command line in the
+canonical spelling is read without argparse, into argparse's namespace;
+and renaming the ports of a generated document, so that the
+probabilistic ones sort first, last or between the others, leaves
+``sat`` and ``refine`` printing the same lines."""
 
 import contextlib
 import functools
 import importlib.util
 import io
+import itertools
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -135,13 +140,61 @@ def test_other_spellings_of_a_query_give_its_golden_output(spelling, example, ca
     assert _run(argv, capsys) == (0, (GOLDEN / "sat.txt").read_text("utf-8"), "")
 
 
-def _benchmark_queries() -> list:
-    """The argvs of the benchmark's three query kinds on one document."""
+@functools.lru_cache(maxsize=1)
+def _docgen():
+    """The benchmark's document generator (standard library only)."""
     spec = importlib.util.spec_from_file_location(
         "docgen", Path(__file__).resolve().parents[1] / "pctbench" / "docgen.py")
     docgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(docgen)
-    return list(docgen.queries("doc.pct").values())
+    return docgen
+
+
+def _benchmark_queries() -> list:
+    """The argvs of the benchmark's three query kinds on one document."""
+    return list(_docgen().queries("doc.pct").values())
+
+
+def _renamed(text: str, layout: str) -> tuple:
+    """(the document with its ports renamed, the old name of each new one).
+
+    The generator names the probabilistic ports f0, f1, ..., which sort
+    before the others.  The new names keep the order within each group and
+    put the probabilistic ports first, last, or between the others."""
+    names = sorted(set(re.findall(r"\b[fux]\d+\b", text)))
+    omega = [n for n in names if n.startswith("f")]
+    rest = [n for n in names if not n.startswith("f")]
+    if layout == "first":
+        order = omega + rest
+    elif layout == "last":
+        order = rest + omega
+    else:
+        order = [n for pair in itertools.zip_longest(rest, omega) for n in pair if n]
+    new = {old: f"p{chr(ord('a') + i)}" for i, old in enumerate(order)}
+    return re.sub(r"\b[fux]\d+\b", lambda m: new[m.group()], text), {v: k for k, v in new.items()}
+
+
+@pytest.mark.parametrize("family,size,seed", [
+    ("large", "full", 0), ("large", "small", 0), ("large", "small", 1), ("large", "small", 2),
+    ("wide", "small", 0)])
+def test_renamed_ports_give_the_same_levels(family, size, seed, tmp_path, capsys):
+    # the run index orders ports by name, so a rename moves Omega's axes in
+    # every view; the levels and the worst history must not move with them
+    docgen = _docgen()
+    text = docgen.generate(family, size, seed)
+    path = tmp_path / "doc.pct"
+    path.write_text(text, encoding="utf-8")
+    queries = {k: v for k, v in docgen.queries(str(path)).items() if k != "compose"}
+    want = {k: _run(argv, capsys) for k, argv in queries.items()}
+    assert all(rc == 0 and not err for rc, _, err in want.values())
+    for layout in ("first", "last", "interleaved"):
+        renamed, old = _renamed(text, layout)
+        assert renamed != text
+        path.write_text(renamed, encoding="utf-8")
+        for kind, argv in queries.items():
+            rc, out, err = _run(argv, capsys)
+            out = re.sub(r"'(p[a-z])'", lambda m: repr(old[m.group(1)]), out)
+            assert (rc, out, err) == want[kind], (layout, kind)
 
 
 def test_queries_are_read_directly_and_usage_errors_by_argparse():

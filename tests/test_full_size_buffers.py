@@ -42,6 +42,12 @@ impl m {
   behavior always((x0 implies cmd0) and (cmd0 implies x0)) and always(x1 implies f2)
            and always(x2 or not f2);
 }
+impl m_all {
+  input f0, f1, f2, u0, u1;
+  output x0, x1, x2;
+  behavior always((x0 implies cmd0) and (cmd0 implies x0)) and always(x1 implies f2)
+           and always(x2 or not f2) and always(x2 or not u1);
+}
 probcontract spec_rel {
   contract spec;
   ports f0, f1, f2;
@@ -111,11 +117,27 @@ def test_lookup_probcontract_makes_the_two_masks_and_the_canonical_guarantee(doc
     assert (peak, kept) == (0, 0)
 
 
-def test_sat_level_makes_one_mask(doc):
-    # m > G, with m read through a broadcast view rather than lifted
+def test_sat_level_makes_no_full_size_mask_when_a_side_reads_a_slot_alone(doc):
+    # m does not read u1 and the canonical guarantee does: G is reduced with
+    # all over u1's slots before m > G, so the violations read 14 of the 16
     m = speclang.build_impl(doc, "m")
     pc = speclang.lookup_probcontract(doc, "spec_rel")
     assert m.signature != pc.signature
+    report, peak, kept = full_size_buffers(doc, lambda: probabilistic.sat_level(m, pc))
+    assert report.level > 0
+    assert (peak, kept) == (0, 0)
+
+
+def test_sat_level_makes_a_full_size_mask_when_both_sides_read_every_slot_outside_omega(doc):
+    # m_all also reads u1: no slot outside Omega is read by one side alone,
+    # so m > G is made over the whole space, through m's broadcast view
+    m = speclang.build_impl(doc, "m_all")
+    pc = speclang.lookup_probcontract(doc, "spec_rel")
+    space = traces.space_of(pc.signature, doc.horizon)
+    g = traces.lifted_view(pc.base.guarantee, pc.signature)
+    v = traces.lifted_view(m, pc.signature)
+    assert all(slot[0] in pc.pports or (r > 1 and n > 1)
+               for slot, r, n in zip(space.axes, g.shape, v.shape))
     report, peak, kept = full_size_buffers(doc, lambda: probabilistic.sat_level(m, pc))
     assert report.level > 0
     assert (peak, kept) == (1, 0)

@@ -448,6 +448,184 @@ def test_everywhere_finds_one_failing_point_in_any_chunk(at):
     assert traces.everywhere(np.greater_equal, x, y)
 
 
+# --- reducing each side apart -------------------------------------------------------
+
+def kept_axes(n, layout):
+    """Axis numbers of a kept set (as Omega's axes) of an n-axis view: the
+    first or the last third, every other axis, or groups of three."""
+    k = max(1, n // 3)
+    return {"first": set(range(k)), "last": set(range(n - k, n)),
+            "interleaved": set(range(0, n, 2)),
+            "groups": {i for i in range(n) if i // 3 % 2 == 0}}[layout]
+
+
+LAYOUTS = ("first", "last", "interleaved", "groups")
+
+# (ufunc, reduction, how each side is reduced): the ufunc is monotone in each
+# operand, so its reduction over an axis one side alone reads is the ufunc of
+# that side's reduction
+APART = [(np.greater, np.logical_or, np.logical_or, np.logical_and),
+         (np.logical_and, np.logical_or, np.logical_or, np.logical_or),
+         (np.greater_equal, np.logical_and, np.logical_and, np.logical_or),
+         (np.less_equal, np.logical_and, np.logical_or, np.logical_and),
+         (np.logical_or, np.logical_and, np.logical_and, np.logical_and)]
+
+
+def apart_shapes():
+    """Axis-view shapes with results under and over the block size."""
+    rng = random.Random(29)
+    out = [(2,) * 6, (3, 2, 3), (2,) * 14, (2,) * 17, (3,) * 10, (2, 3) * 5 + (2,) * 4]
+    while len(out) < 16:
+        shape = tuple(rng.choice((2, 2, 3)) for _ in range(rng.randint(3, 16)))
+        if math.prod(shape) <= 2**17:
+            out.append(shape)
+    return out
+
+
+@pytest.mark.parametrize("shape", apart_shapes())
+def test_reduce_apart_matches_the_reduce_of_the_plain_ufunc(shape):
+    rng = random.Random(f"apart:{shape}")
+    sizes = set()
+    for layout in LAYOUTS:
+        keep = kept_axes(len(shape), layout)
+        for _ in range(3):
+            a, b = (np.random.default_rng(rng.randrange(2**32)).random(
+                tuple(r if rng.random() < 0.6 else 1 for r in shape)) < 0.7 for _ in range(2))
+            dropped = tuple(i for i in range(len(shape)) if i not in keep
+                            and (a.shape[i] == 1) != (b.shape[i] == 1))
+            full = np.broadcast_shapes(a.shape, b.shape)
+            sizes.add(math.prod(full) > traces._BLOCK)
+            for ufunc, reduction, ua, ub in APART:
+                want = reduction.reduce(ufunc(np.broadcast_to(a, full), np.broadcast_to(b, full)),
+                                        axis=dropped, keepdims=True)
+                ra, rb = traces.reduce_apart(ua, ub, a, b, keep)
+                assert ra.ndim == rb.ndim == len(shape)
+                assert all(ra.shape[i] == rb.shape[i] == 1 for i in dropped)
+                assert (ra is a) == all(a.shape[i] == 1 for i in dropped)
+                got = traces.combine(ufunc, ra, rb)
+                assert got.shape == want.shape and np.array_equal(got, want)
+    assert math.prod(shape) <= traces._BLOCK or True in sizes
+
+
+@pytest.mark.parametrize("shape", apart_shapes())
+def test_reduced_matches_the_plain_reduce_in_every_layout(shape):
+    # the reduced axes are the kept set of each layout, or all the others
+    rng = random.Random(f"reduced:{shape}")
+    copied = set()
+    for layout in LAYOUTS:
+        for axes in (kept_axes(len(shape), layout),
+                     set(range(len(shape))) - kept_axes(len(shape), layout)):
+            own = tuple(r if rng.random() < 0.8 else 1 for r in shape)
+            x = np.random.default_rng(rng.randrange(2**32)).random(own)
+            axes = tuple(i for i in sorted(axes) if own[i] > 1)
+            if not axes:
+                continue
+            for ufunc, values in ((np.logical_or, x < 0.1), (np.logical_and, x < 0.9),
+                                  (np.add, (x * 7).astype(np.int64)),
+                                  (np.add, (x * 7).astype(np.int64).astype(object))):
+                want = ufunc.reduce(values, axis=axes, keepdims=True)
+                got = traces._reduced(ufunc, values, axes)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+            copied.add(math.prod(own) > traces._BLOCK and innermost_run(own, axes) < traces._SHORT)
+    # both sides of the gate, where the shape is large enough to have two
+    assert copied == {False, True} or math.prod(shape) < 4 * traces._BLOCK
+
+
+def innermost_run(shape, axes):
+    """The elements of the innermost axes of one kind, reduced or kept."""
+    sizes = [(r, i in axes) for i, r in enumerate(shape) if r > 1]
+    kind = sizes[-1][1]
+    return math.prod(itertools.takewhile(lambda r: r, (r if k == kind else 0
+                                                        for r, k in reversed(sizes))))
+
+
+SAT_PORTS = {"first": ("a", "b", "m", "n", "x", "y"), "last": ("u", "v", "m", "n", "x", "y"),
+             "interleaved": ("b", "n", "m", "o", "x", "y")}
+
+
+@pytest.mark.parametrize("layout", sorted(SAT_PORTS))
+@pytest.mark.parametrize("h", [1, 2])
+def test_sat_level_matches_the_oracle_when_each_side_reads_slots_alone(layout, h):
+    # two coins, two inputs and two outputs; m and G each read slots outside
+    # Omega that the other does not, so both are reduced before m > G
+    p, q, u, v, x, y = (Port(n, TRI if n == "n" and h == 1 else BOOL) for n in SAT_PORTS[layout])
+    sig = Signature.of(controlled=(x, y), uncontrolled=(p, q, u, v))
+    space = traces.space_of(sig, h)
+    omega = {p.name, q.name}
+    rng = random.Random(f"sat-apart:{layout}:{h}")
+    dist = probabilistic.product_dist(probabilistic.bernoulli_iid(p, Fraction(1, 3), h),
+                                      random_dist(rng, (q,), h))
+    for _ in range(6):
+        outside = [i for i, (n, _) in enumerate(space.axes) if n not in omega]
+        rng.shuffle(outside)
+        m_only, g_only = {outside[0]}, {outside[1]}
+        reads = [set(), set()]
+        for i in range(len(space.shape)):
+            side = rng.choice(("m", "g", "both", "both", "none")) if i not in m_only | g_only else (
+                "m" if i in m_only else "g")
+            if side in ("m", "both"):
+                reads[0].add(i)
+            if side in ("g", "both"):
+                reads[1].add(i)
+        mv, gv = (np.random.default_rng(rng.randrange(2**32)).random(
+            tuple(r if i in own else 1 for i, r in enumerate(space.shape))) < density
+            for own, density in zip(reads, (0.5, 0.9)))
+        m = Assertion(sig, h, mv)
+        pc = probabilistic.prob_contract(pct.contract(pct.universe(sig, h), Assertion(sig, h, gv)),
+                                         omega, dist)
+        report = probabilistic.sat_level(m, pc)
+        assert report.level == oracle.oracle_sat_level(m, pc)
+        full = Assertion(sig, h, np.broadcast_to(mv, space.shape).reshape(-1).copy())
+        assert probabilistic.sat_level(full, pc) == report
+
+
+def test_an_operand_on_every_outer_axis_is_copied_over_a_smaller_block():
+    shape = (2,) * 16
+    # reads the first 8 axes, which cover the 4096 block's outer axes, then
+    # every other pair: its copy over that block would be the whole result
+    x = np.random.default_rng(16).random(shape[:8] + (1, 1, 2, 2, 1, 1, 2, 2)) < 0.5
+    assert traces._inner_run(x, shape) == 4
+    (got,) = traces._blocked((x,), shape)
+    # the largest block of at least 64 whose copy is at most a quarter: the last 6 axes
+    assert got.shape == shape[:8] + (1, 1) + shape[10:]
+    assert traces._inner_run(got, shape) == 64 and 4 * got.size == math.prod(shape)
+    assert np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(x, shape))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_blocked_copies_are_equal_long_and_small(seed):
+    rng = random.Random(f"blocked:{seed}")
+    smaller = 0
+    while True:
+        shape = tuple(rng.choice((2, 2, 3)) for _ in range(rng.randint(13, 17)))
+        if traces._BLOCK < math.prod(shape) <= 2**18:
+            break
+    size = math.prod(shape)
+    k, block = len(shape), 1
+    while block < traces._BLOCK:
+        k -= 1
+        block *= shape[k]
+    for _ in range(20):
+        # every outer axis of the 4096 block, half of the time
+        cut = k if rng.random() < 0.5 else 0
+        own = tuple(r if i < cut or rng.random() < 0.5 else 1 for i, r in enumerate(shape))
+        x = np.random.default_rng(rng.randrange(2**32)).random(own) < 0.5
+        (got,) = traces._blocked((x,), shape)
+        assert np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(x, shape))
+        whole = math.prod(x.shape[:k]) * block >= size
+        if traces._inner_run(x, shape) >= traces._SHORT:
+            assert got is x
+        elif got is x:
+            # no trailing block of at least 64 gives a copy of a quarter or less
+            assert whole
+        else:
+            assert traces._inner_run(got, shape) >= traces._SHORT
+            assert 4 * got.size <= size if whole else got.size < size
+            smaller += whole
+    assert smaller
+
+
 def test_reduce_of_a_view_matches_the_reduce_of_its_fill():
     sig = Signature.of(controlled=(Port("a"), Port("b", TRI)), uncontrolled=(Port("c"), Port("d")))
     h, rng = 2, random.Random(7)
