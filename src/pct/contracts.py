@@ -132,8 +132,8 @@ def compose(c1: Contract, c2: Contract) -> Contract:
             f"both contracts control {sorted(overlap)}")
     c1, c2 = canonicalize(c1), canonicalize(c2)
     sig = traces.merge_signature_controlled(c1.signature, c2.signature)
-    a1, g1 = _lift_onto(sig, c1.assumption, c1.guarantee)
-    a2, g2 = _lift_onto(sig, c2.assumption, c2.guarantee)
+    a1, g1, a2, g2 = (traces.lifted_view(e, sig) for e in (
+        c1.assumption, c1.guarantee, c2.assumption, c2.guarantee))
     g = traces.combine(np.logical_and, g1, g2)
     # (A1 and A2) or not G, which on booleans is (A1 and A2) >= G
     a = traces.combine(np.greater_equal, traces.combine(np.logical_and, a1, a2), g)
@@ -141,21 +141,13 @@ def compose(c1: Contract, c2: Contract) -> Contract:
                            True)
 
 
-def _lift_onto(sig: Signature, *assertions: Assertion) -> list:
-    """Assertions over one signature as views lifted onto a merged
-    signature, role changes allowed."""
-    local = sig.restricted(assertions[0].signature.names)
-    return [traces.lifted_view(traces.relabel(e, local), sig) for e in assertions]
-
-
 def compose_impl(m1: Assertion, m2: Assertion) -> Assertion:
     """Compose implementations: intersection with the controlled-wins
     role merge used by contract composition."""
     traces.same_horizon(m1, m2)
     sig = traces.merge_signature_controlled(m1.signature, m2.signature)
-    [a] = _lift_onto(sig, m1)
-    [b] = _lift_onto(sig, m2)
-    return Assertion(sig, m1.horizon, traces.combine(np.logical_and, a, b))
+    return Assertion(sig, m1.horizon, traces.combine(
+        np.logical_and, traces.lifted_view(m1, sig), traces.lifted_view(m2, sig)))
 
 
 def refines(c1: Contract, c2: Contract) -> bool:

@@ -37,7 +37,7 @@ from .errors import (
     SignatureError,
 )
 from .record import Record, setfield
-from .traces import Assertion, Port, Signature
+from .traces import Assertion, Port, Signature, _space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,13 +52,6 @@ def _dist_sig(ports: Iterable[Port]) -> Signature:
     return Signature(ports, frozenset(), frozenset(p.name for p in ports))
 
 
-@functools.lru_cache(maxsize=512)
-def _space(ports: tuple, h: int):
-    """The history space of a tuple of name-sorted ports, made once per
-    tuple and horizon, as ``traces._space`` is."""
-    return traces.space_of(_dist_sig(ports), h)
-
-
 def _int_dtype(bound: int):
     """int64 when no value can exceed ``bound``, else Python ints."""
     return np.int64 if bound <= _INT64_MAX else object
@@ -68,16 +61,18 @@ class Factor(Record):
     """One independent block of a distribution.
 
     ``num[i] / den`` is the probability of the history with run index ``i``
-    over the block's name-sorted ``ports``.  The numerators are nonnegative,
-    sum to ``den`` and share no divisor with it, so equal laws have equal
-    factors.  ``num`` is int64 when ``den`` fits in it, else Python ints.
-    Factors compare by identity; ``Distribution`` compares their values.
+    over the block's ``ports``, which the constructor checks are name-sorted.
+    The numerators are nonnegative, sum to ``den`` and share no divisor with
+    it, so equal laws have equal factors.  ``num`` is int64 when ``den``
+    fits in it, else Python ints.  Factors compare by identity;
+    ``Distribution`` compares their values.
     """
 
     __slots__ = ("ports", "num", "den")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, ports: tuple, num: np.ndarray, den: int):
+        traces._check_name_order(ports)
         num.setflags(write=False)
         self._assign(ports, num, den)
 
@@ -125,8 +120,9 @@ class Distribution(Record):
         """The product of factors over disjoint ports."""
         d = cls.__new__(cls)
         factors = tuple(factors)
-        d._set(sorted((p for f in factors for p in f.ports), key=lambda p: p.name),
-               traces._hlen(horizon), factors)
+        ports = tuple(sorted((p for f in factors for p in f.ports), key=lambda p: p.name))
+        traces._check_name_order(ports)    # refuses factors that share a port
+        d._set(ports, traces._hlen(horizon), factors)
         return d
 
     def _set(self, ports, horizon: int, factors: tuple) -> None:
@@ -226,6 +222,7 @@ def bernoulli_iid(port: Port, p_true_per_step, h) -> Distribution:
     if not port.is_boolean:
         raise DistributionError(f"port {port.name} is not boolean")
     hh = traces._hlen(h)
+    _space((port,), hh)    # refuses a space above the cap before the table is made
     step = np.array([p.denominator - p.numerator, p.numerator], dtype=object)
     num = functools.reduce(np.multiply.outer, [step] * hh).reshape(-1)
     return Distribution.of_factors(hh, [_factor((port,), hh, num.tolist(), p.denominator ** hh)])
@@ -392,7 +389,7 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
         raise SignatureError("implementation ports must match the contract's domains and roles")
 
     big = traces.space_of(sig_c, pc.horizon)
-    omega_space = traces.space_of(pc.dist.signature, pc.horizon)
+    omega_space = _space(pc.dist.ports, pc.horizon)
     # the runs of m not in G, m > G on booleans, reduced to Omega with any:
     # first m with any and G with all over the slots outside Omega only
     # each reads, then the rest over their combination

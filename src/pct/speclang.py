@@ -987,9 +987,8 @@ def step_invariant(e: Expr, sig: Signature, h, defs: dict = None) -> bool:
 def denote(e: Expr, sig: Signature, h, defs: dict = None) -> Assertion:
     """The runs over ``sig`` satisfying ``e`` at every step."""
     hh = traces._hlen(h)
-    step = _Compiler(sig, hh, defs).compile(e)
     # the compiler is this call's own, and nothing writes to its values
-    return traces.from_step_predicate(sig, hh, lambda t, _values_of: step(t), owned=True)
+    return traces.from_step_predicate(sig, hh, _Compiler(sig, hh, defs).compile(e))
 
 
 # --- building core objects ------------------------------------------------------

@@ -31,13 +31,14 @@ An ``Assertion`` holds only its ``view``: the mask on the axis view, with
 a size-1 axis for every slot it does not read, so a clause over a few
 ports of a large signature stays small.  Its one constructor takes that
 view or the run-indexed vector.  Every operation here reads and makes
-views: ``lift`` and ``relabel`` copy nothing, the connectives combine
+views: ``lift`` and ``lifted_view`` copy nothing, the connectives combine
 views in their broadcast shape, and inclusion, equality and canonicity
 are ``everywhere`` tests that reduce each side over the axes only it
 reads instead of broadcasting.  ``Assertion.mask``,
 the run-indexed vector, is filled from the view on its first read and
 kept; the oracle, ``runs``, ``len`` and serialization read it.  The
-enumeration cap still applies to the full signature.
+enumeration cap still applies to the full signature: ``_space``, which
+makes every space, refuses one above it before building its axes.
 
 Full-size masks
 ---------------
@@ -149,6 +150,12 @@ def _hlen(h) -> int:
     return h
 
 
+def _check_name_order(ports: tuple) -> None:
+    """Refuse ports out of strictly increasing name order, which the run index numbers."""
+    if any(p.name >= q.name for p, q in zip(ports, ports[1:])):
+        raise SignatureError(f"port names not strictly increasing: {[p.name for p in ports]}")
+
+
 class Signature(Record):
     """Ports of a component, split into controlled and uncontrolled sets.
 
@@ -162,8 +169,7 @@ class Signature(Record):
     def __init__(self, ports: tuple, controlled: frozenset, uncontrolled: frozenset):
         if controlled & uncontrolled:
             raise SignatureError("controlled and uncontrolled port sets overlap")
-        if any(p.name >= q.name for p, q in zip(ports, ports[1:])):
-            raise SignatureError(f"port names not strictly increasing: {[p.name for p in ports]}")
+        _check_name_order(ports)
         by_name = {p.name: p for p in ports}
         if controlled | uncontrolled != by_name.keys():
             raise SignatureError("controlled/uncontrolled split must cover exactly the ports")
@@ -268,7 +274,7 @@ def is_subsignature(s1: Signature, s2: Signature) -> bool:
 class _Space(Record):
     """A run space: its size and the axis view.
 
-    ``ports`` are a signature's, so in strictly increasing name order.
+    ``ports`` are in strictly increasing name order.
     ``shape`` and ``axes`` describe the view of a run-indexed vector
     reshaped in C order: one axis per slot, the last slot first, so slot k
     is axis n-1-k.  ``axes`` names the (port, step) of each axis.  Slots
@@ -283,18 +289,27 @@ class _Space(Record):
 
 @lru_cache(maxsize=512)
 def _space(ports: tuple, horizon: int) -> _Space:
-    view = [((p.name, t), len(p.domain)) for p in reversed(ports)
-            for t in reversed(range(horizon)) if len(p.domain) > 1]
-    shape = tuple(r for _, r in view)
-    return _Space(ports, horizon, math.prod(shape), tuple(slot for slot, _ in view), shape)
+    """The run space of name-sorted ports, made once per ports and horizon.
+    A space above ``ENUMERATION_CAP`` is refused before anything of it is
+    built: the size is multiplied out one slot of a port with more than one
+    value at a time, until it passes the cap."""
+    size = 1
+    for p in ports:
+        if len(p.domain) > 1:
+            for _ in range(horizon):
+                size *= len(p.domain)
+                if size > ENUMERATION_CAP:
+                    raise CapacityError(
+                        f"run space of {len(ports)} port(s) at horizon {horizon} is above "
+                        f"the enumeration cap of {ENUMERATION_CAP} runs")
+    view = [((p.name, t), len(p.domain)) for p in reversed(ports) if len(p.domain) > 1
+            for t in reversed(range(horizon))]
+    return _Space(ports, horizon, size, tuple(slot for slot, _ in view),
+                  tuple(r for _, r in view))
 
 
 def space_of(sig: Signature, h) -> _Space:
-    space = _space(sig.ports, _hlen(h))
-    if space.size > ENUMERATION_CAP:
-        raise CapacityError(
-            f"run space has {space.size} points, above the enumeration cap {ENUMERATION_CAP}")
-    return space
+    return _space(sig.ports, _hlen(h))
 
 
 def _spread(values: np.ndarray, src: _Space, dst: _Space) -> np.ndarray:
@@ -659,20 +674,27 @@ def same_horizon(x, y) -> None:
 
 
 def lifted_view(e: Assertion, sig2: Signature) -> np.ndarray:
-    """The view of ``lift(e, sig2)``, made without a copy: a read-only
-    array on sig2's axis view that broadcasts to the full space."""
-    if sig2 == e.signature:
+    """``e``'s view on sig2's axis view, made without a copy.  sig2 must hold
+    e's ports with their domains; callers that need roles to agree check them."""
+    if sig2.ports == e.signature.ports:
         return e.view
-    if not is_subsignature(e.signature, sig2):
+    ports = sig2._by_name
+    if not all(ports.get(p.name) == p for p in e.signature.ports):
+        raise SignatureError("lift target must hold the assertion's ports with their domains")
+    return _spread(e.view, e.space, space_of(sig2, e.horizon))
+
+
+def _extends(sig: Signature, *es: Assertion) -> None:
+    if not all(is_subsignature(e.signature, sig) for e in es):
         raise SignatureError("lift target must extend the assertion's signature "
                              "with agreeing domains and roles")
-    return _spread(e.view, e.space, space_of(sig2, e.horizon))
 
 
 def lift(e: Assertion, sig2: Signature) -> Assertion:
     """Inverse projection: all runs over sig2 whose restriction lies in e."""
     if sig2 == e.signature:
         return e
+    _extends(sig2, e)
     return Assertion(sig2, e.horizon, lifted_view(e, sig2))
 
 
@@ -713,14 +735,8 @@ def union(e1: Assertion, e2: Assertion) -> Assertion:
 def included_in(e1: Assertion, e2: Assertion, sig: Signature) -> bool:
     """Signature-relative inclusion: lift both to sig and compare."""
     same_horizon(e1, e2)
+    _extends(sig, e1, e2)
     return everywhere(np.less_equal, lifted_view(e1, sig), lifted_view(e2, sig))
-
-
-def relabel(e: Assertion, sig2: Signature) -> Assertion:
-    """Swap the signature for one with identical ports but different roles."""
-    if e.signature.ports != sig2.ports:
-        raise SignatureError("relabel requires identical ports and domains")
-    return Assertion(sig2, e.horizon, e.view)
 
 
 def slot_values(sig: Signature, h, name: str, step: int) -> np.ndarray:
@@ -740,30 +756,23 @@ def slot_values(sig: Signature, h, name: str, step: int) -> np.ndarray:
     return out
 
 
-def from_step_predicate(sig: Signature, h, pred, *, owned: bool = False) -> Assertion:
-    """Runs satisfying ``pred`` at every step.
+def from_step_predicate(sig: Signature, h, step) -> Assertion:
+    """Runs at which ``step(t)`` holds at every step ``t``.
 
-    ``pred`` receives a step index ``t`` and a lookup ``name ->
-    slot_values(sig, h, name, t)`` and returns a boolean array that
-    broadcasts against the axis view, as any expression in the lookups does.
-    The step values are combined in their broadcast shape, which the
-    assertion keeps as its view: nothing of the full size is made.  A value
-    that is the same object as the previous step's is combined once:
-    ``pred`` must not write to an array it has returned.  The view is a new
-    array, unless ``owned`` says that the values were made for this call
-    alone and nothing else holds them; the view may then be one of them.
+    ``step(t)`` returns a boolean array that broadcasts against the axis
+    view, as any expression in ``slot_values(sig, h, name, t)`` does.  The
+    step values are combined in their broadcast shape, which the assertion
+    keeps as its view: nothing of the full size is made.  A value that is
+    the same object as the previous step's is combined once.  Like the
+    ``Assertion`` constructor, this takes over the arrays it is given.
     """
     hh = _hlen(h)
     held = last = None
-    combined = False
     for t in range(hh):
-        value = pred(t, lambda name, t=t: slot_values(sig, hh, name, t))
+        value = step(t)
         if value is not last:
-            combined = held is not None
             held = value if held is None else combine(np.logical_and, held, value)
             last = value
     held = np.asarray(held)
-    if not (owned or combined):
-        held = held.copy()
     n = len(space_of(sig, hh).shape)
     return Assertion(sig, hh, held.reshape((1,) * (n - held.ndim) + held.shape))

@@ -1,7 +1,9 @@
 """Shared generators for randomized tests: deterministic random documents,
 expressions, and hypothesis strategies for small assertion spaces."""
 
+import contextlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,19 @@ from hypothesis import strategies as st
 from pct import BOOL, Assertion, Port, Signature, traces
 
 ENUM_DOMAINS = [("red", "green", "blue"), (0, 1, 2), ("lo", "hi")]
+
+
+@contextlib.contextmanager
+def allocation_peak():
+    """Trace the allocations of the block; the list it yields receives
+    their peak, in bytes, when the block ends."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
 
 
 def run_of(histories: dict) -> tuple:

@@ -1,6 +1,7 @@
-"""CLI input validation: bad budgets, seed counts, suites, names, thresholds
-and output paths end in one diagnostic line and exit code 2, never a
-traceback, a pass over zero cases or a query's output;
+"""CLI input validation: bad budgets, seed counts, suites, names, thresholds,
+output paths and horizons above the enumeration cap end in one diagnostic
+line and exit code 2, never a traceback, a pass over zero cases or a
+query's output;
 the query subcommands do not load the oracle; every subcommand prints its
 golden output on the bundled example, in a process that has already run
 other queries and failed ones; ``compose`` emits a document that denotes
@@ -22,6 +23,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pct import cli, oracle, speclang
+from conftest import allocation_peak
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -426,6 +429,40 @@ def test_unknown_contract_name_is_one_diagnostic(argv, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "'nope'" in lines[0], err
     # the name comes from the command line, so there is no source location
     assert "1:1:" not in err
+
+
+HORIZON_DOC = """horizon {h};
+port x : bool controlled;
+contract c {{ output x; assume true; guarantee always(x); }}
+impl m {{ output x; behavior always(x); }}
+probcontract r {{ contract c; }}
+"""
+
+COIN_DOC = """horizon {h};
+port f : bool uncontrolled prob bernoulli(1/2);
+port x : {{0}} controlled;
+contract c {{ output x; assume true; guarantee always(x == 0); }}
+impl m {{ output x; behavior always(x == 0); }}
+probcontract r {{ contract c; ports f; }}
+"""
+
+
+@pytest.mark.parametrize("doc,h", [(HORIZON_DOC, 100000), (HORIZON_DOC, 3000000),
+                                   (COIN_DOC, 25), (COIN_DOC, 28)])
+def test_a_horizon_above_the_cap_is_one_diagnostic(doc, h, tmp_path, capsys):
+    """Neither the size's digits (over 4300 of them at horizon 100000), nor
+    the axes of the space (3000000 of them), nor a coin's 2^28 step weights
+    are made before the cap is refused."""
+    path = tmp_path / "big.pct"
+    path.write_text(doc.format(h=h))
+    argv = ["sat", str(path), "--impl", "m", "--contract", "r"]
+    start = time.perf_counter()
+    assert _run(argv, capsys) == (2, "", f"error: run space of 1 port(s) at horizon {h} "
+                                         "is above the enumeration cap of 16777216 runs\n")
+    assert time.perf_counter() - start < 1
+    with allocation_peak() as peak:
+        assert cli.main(argv) == 2
+    assert peak[0] < 2**22
 
 
 def test_verify_rejects_an_unknown_suite(capsys):

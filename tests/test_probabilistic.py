@@ -9,6 +9,7 @@ import pytest
 import pct
 from pct import (
     Assertion,
+    CapacityError,
     DistributionError,
     HorizonMismatchError,
     MarginalMismatchError,
@@ -20,7 +21,7 @@ from pct import (
     probabilistic as prob,
     traces,
 )
-from conftest import run_of, weight_of
+from conftest import allocation_peak, run_of, weight_of
 
 F1 = Port("f1")
 F2 = Port("f2")
@@ -47,6 +48,13 @@ def test_bernoulli_example_value():
 
 def test_bernoulli_half_is_uniform():
     assert pct.bernoulli_iid(F1, frac("1/2"), 1) == pct.uniform((F1,), 1)
+
+
+def test_bernoulli_refuses_a_space_above_the_cap_before_its_table():
+    # the 2^25 step weights are never multiplied out
+    with allocation_peak() as peak, pytest.raises(CapacityError):
+        pct.bernoulli_iid(Port("f"), Fraction(1, 2), 25)
+    assert peak[0] < 2**20
 
 
 def test_bernoulli_validation():

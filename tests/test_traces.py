@@ -1,6 +1,7 @@
 """Assertion algebra: enumerated examples plus the algebraic laws."""
 
 import re
+import time
 import traceback
 from pathlib import Path
 
@@ -23,7 +24,13 @@ from pct import (
     probabilistic,
     traces,
 )
-from conftest import assertion_pairs, assertion_with_extension, assertions, run_of
+from conftest import (
+    allocation_peak,
+    assertion_pairs,
+    assertion_with_extension,
+    assertions,
+    run_of,
+)
 
 A = Port("a")
 B = Port("b")
@@ -50,9 +57,50 @@ def test_universe_histories():
 
 def test_capacity_cap(monkeypatch):
     monkeypatch.setattr(traces, "ENUMERATION_CAP", 8)
+    # the cap is checked when a space is made, and spaces are kept once made
+    traces._space.cache_clear()
     with pytest.raises(CapacityError):
         pct.universe(SIG_AB, 2)
     assert len(pct.universe(SIG_A, 2)) == 4
+
+
+def test_the_cap_is_refused_before_anything_of_the_space_is_built():
+    # neither 2^200000 nor its digits, nor a list of 200000 axes
+    with allocation_peak() as peak, pytest.raises(
+            CapacityError, match=r"^run space of 1 port\(s\) at horizon 200000 is above "
+                                 r"the enumeration cap of 16777216 runs$"):
+        traces.space_of(SIG_A, 200000)
+    assert peak[0] < 2**20
+
+
+def test_a_one_value_port_costs_nothing_per_step():
+    start = time.perf_counter()
+    space = traces.space_of(Signature.of(uncontrolled=(Port("o", ("only",)),)), 10**8)
+    assert time.perf_counter() - start < 1
+    assert (space.size, space.shape, space.axes) == (1, (), ())
+
+
+def test_lift_and_included_in_refuse_a_role_mismatch():
+    sig = Signature.of(controlled=(A,), uncontrolled=(B,))
+    e = pct.from_runs(sig, 1, [run_of({"a": (True,), "b": (False,)})])
+    for target in (Signature(sig.ports, sig.uncontrolled, sig.controlled),
+                   Signature.of(uncontrolled=(A, B, X3)), Signature.of(controlled=(A, B, X3))):
+        with pytest.raises(SignatureError):
+            pct.lift(e, target)
+        with pytest.raises(SignatureError):
+            pct.included_in(e, e, target)
+
+
+def test_a_view_lifts_onto_any_holder_of_the_ports_with_their_domains():
+    sig = Signature.of(controlled=(A,), uncontrolled=(B,))
+    e = pct.from_runs(sig, 1, [run_of({"a": (True,), "b": (False,)})])
+    flipped = Signature.of(controlled=(B, X3), uncontrolled=(A,))
+    agreeing = Signature.of(controlled=(A,), uncontrolled=(B, X3))
+    assert np.array_equal(Assertion(flipped, 1, traces.lifted_view(e, flipped)).mask,
+                          pct.lift(e, agreeing).mask)
+    for target in (SIG_A, Signature.of(uncontrolled=(A, Port("b", (0, 1))))):
+        with pytest.raises(SignatureError):
+            traces.lifted_view(e, target)
 
 
 def test_port_validation():
@@ -318,10 +366,15 @@ def test_ports_out_of_name_order_are_refused_wherever_a_space_is_made(ports):
     # the run index numbers the slots of name-sorted ports (docs/format.md)
     with pytest.raises(SignatureError, match="port names not strictly increasing"):
         Signature(ports, frozenset(), frozenset(p.name for p in ports))
-    # a factor's ports are no Signature until their space is made
-    d = pct.Distribution.of_factors(1, [probabilistic.Factor(ports, np.array([1, 0, 0, 0]), 1)])
+    # a factor's ports index its numerators without a Signature
     with pytest.raises(SignatureError, match="port names not strictly increasing"):
-        probabilistic._mass(d, np.ones(4, dtype=bool))
+        probabilistic.Factor(ports, np.array([1, 0, 0, 0]), 1)
+
+
+def test_factors_that_share_a_port_make_no_distribution():
+    f = probabilistic.Factor((A,), np.array([1, 0]), 1)
+    with pytest.raises(SignatureError, match="port names not strictly increasing"):
+        pct.Distribution.of_factors(1, [f, f])
 
 
 def test_assertion_masks_are_read_only():
