@@ -9,11 +9,9 @@ verification suites check against an independent brute-force oracle.
 
 from .contracts import (
     Contract,
-    canonicalize,
     compose,
     compose_impl,
     contract,
-    maximal_implementation,
     refines,
     satisfaction_formulas,
     satisfies,
@@ -44,11 +42,9 @@ from .probabilistic import (
     SatReport,
     bernoulli_iid,
     compose_prob,
-    from_contract,
     from_table,
     marginal,
     point_mass_empty,
-    prob_contract,
     product_dist,
     refine_level,
     sat_level,

@@ -1,11 +1,12 @@
-"""Assume/guarantee contracts: canonical form, satisfaction, composition, refinement.
+"""Assume/guarantee contracts: satisfaction, composition, refinement.
 
 A contract pairs an assumption on the environment with a guarantee the
 component promises whenever the assumption holds.  Both assertions live
-over one common signature (they are lifted on construction).  The
-canonical form replaces the guarantee by ``G or not A``, the unique
-maximal satisfying implementation; satisfaction and composition are
-insensitive to canonicalization.
+over one common signature (``contract`` lifts them there).  A contract is
+stored in canonical form: its guarantee is ``G or not A``, the largest
+implementation that satisfies it.  A contract and its canonical form have
+the same implementations and compose and refine alike, so this is the
+only form kept.
 """
 
 from __future__ import annotations
@@ -21,81 +22,45 @@ from .traces import Assertion, Signature
 class Contract(Record):
     """A pair (assumption, guarantee) over a shared signature.
 
-    ``canonical`` records that the guarantee already absorbs the negated
-    assumption, i.e. ``complement(assumption) <= guarantee``; a contract
-    built with ``canonical=True`` is checked for it.
+    The stored guarantee is the given one or the negated assumption
+    (``G or not A``), so ``complement(assumption) <= guarantee`` holds
+    for every contract.
     """
 
-    __slots__ = ("signature", "assumption", "guarantee", "canonical")
+    __slots__ = ("signature", "assumption", "guarantee")
 
-    def __init__(self, signature: Signature, assumption: Assertion, guarantee: Assertion,
-                 canonical: bool = False):
-        self._fill(signature, assumption, guarantee, canonical)
-        if canonical and not _is_canonical(assumption, guarantee):
-            raise SignatureError("canonical flag set but complement(A) is not within G")
-
-    @classmethod
-    def _known(cls, signature: Signature, assumption: Assertion, guarantee: Assertion,
-               canonical: bool) -> "Contract":
-        """A contract whose canonicity the caller knows by construction:
-        ``canonical`` is taken as given, without a pass over the runs."""
-        c = cls.__new__(cls)
-        c._fill(signature, assumption, guarantee, canonical)
-        return c
-
-    def _fill(self, signature, assumption, guarantee, canonical) -> None:
+    def __init__(self, signature: Signature, assumption: Assertion, guarantee: Assertion):
         if assumption.signature != signature or guarantee.signature != signature:
             raise SignatureError("contract assertions must share the contract signature")
         traces.same_horizon(assumption, guarantee)
-        self._assign(signature, assumption, guarantee, canonical)
+        # G or not A, which on booleans is G >= A
+        g = Assertion(signature, assumption.horizon, traces.combine(
+            np.greater_equal, guarantee.view, assumption.view))
+        self._assign(signature, assumption, g)
 
     @property
     def horizon(self) -> int:
         return self.assumption.horizon
 
 
-def _is_canonical(a: Assertion, g: Assertion) -> bool:
-    """complement(A) within G: every run is in A or in G, checked on the
-    views without making ``A | G`` (``traces.everywhere``)."""
-    return traces.everywhere(np.logical_or, a.view, g.view)
-
-
 def contract(assumption: Assertion, guarantee: Assertion) -> Contract:
     """Build a contract, lifting both assertions to the union signature."""
-    traces.same_horizon(assumption, guarantee)
     sig = traces.union_signature(assumption.signature, guarantee.signature)
-    a = traces.lift(assumption, sig)
-    g = traces.lift(guarantee, sig)
-    return Contract._known(sig, a, g, _is_canonical(a, g))
-
-
-def canonicalize(c: Contract) -> Contract:
-    """Replace the guarantee by ``G or not A``; idempotent."""
-    if c.canonical:
-        return c
-    # G or not A, which on booleans is G >= A
-    g = Assertion(c.signature, c.horizon, traces.combine(
-        np.greater_equal, c.guarantee.view, c.assumption.view))
-    return Contract._known(c.signature, c.assumption, g, True)
-
-
-def maximal_implementation(c: Contract) -> Assertion:
-    """The largest implementation satisfying the contract."""
-    return canonicalize(c).guarantee
+    return Contract(sig, traces.lift(assumption, sig), traces.lift(guarantee, sig))
 
 
 def satisfies(m: Assertion, c: Contract) -> bool:
     """True when every run of m allowed by the assumption is guaranteed.
 
     Both sides are lifted to the union of the implementation's and the
-    contract's signatures, which must agree on shared ports.
+    contract's signatures, which must agree on shared ports.  The stored
+    guarantee holds every run the assumption rules out, so m&A is within
+    it exactly when m is.
     """
     traces.same_horizon(m, c)
     sig = traces.union_signature(m.signature, c.signature)
-    mm = traces.lifted_view(m, sig)
-    aa = traces.lifted_view(c.assumption, sig)
-    gg = traces.lifted_view(c.guarantee, sig)
-    return traces.everywhere(np.less_equal, traces.combine(np.logical_and, mm, aa), gg)
+    return traces.everywhere(np.less_equal, traces.lifted_view(m, sig),
+                             traces.lifted_view(c.guarantee, sig))
 
 
 def satisfaction_formulas(m: Assertion, c: Contract) -> tuple:
@@ -117,28 +82,25 @@ def satisfaction_formulas(m: Assertion, c: Contract) -> tuple:
 
 
 def compose(c1: Contract, c2: Contract) -> Contract:
-    """Parallel composition (inputs are canonicalized first).
+    """Parallel composition.
 
     The controlled port sets must be disjoint; a port controlled on one
     side may appear uncontrolled on the other and ends up controlled.
-    The result guarantees both guarantees, assumes both assumptions or
-    anything the joint guarantee already rules out, and is canonical by
-    construction.
+    The result guarantees both guarantees, and assumes both assumptions
+    or anything the joint guarantee already rules out.
     """
     traces.same_horizon(c1, c2)
     overlap = c1.signature.controlled & c2.signature.controlled
     if overlap:
         raise ControlledOverlapError(
             f"both contracts control {sorted(overlap)}")
-    c1, c2 = canonicalize(c1), canonicalize(c2)
     sig = traces.merge_signature_controlled(c1.signature, c2.signature)
     a1, g1, a2, g2 = (traces.lifted_view(e, sig) for e in (
         c1.assumption, c1.guarantee, c2.assumption, c2.guarantee))
     g = traces.combine(np.logical_and, g1, g2)
     # (A1 and A2) or not G, which on booleans is (A1 and A2) >= G
     a = traces.combine(np.greater_equal, traces.combine(np.logical_and, a1, a2), g)
-    return Contract._known(sig, Assertion(sig, c1.horizon, a), Assertion(sig, c1.horizon, g),
-                           True)
+    return Contract(sig, Assertion(sig, c1.horizon, a), Assertion(sig, c1.horizon, g))
 
 
 def compose_impl(m1: Assertion, m2: Assertion) -> Assertion:
@@ -153,8 +115,8 @@ def compose_impl(m1: Assertion, m2: Assertion) -> Assertion:
 def refines(c1: Contract, c2: Contract) -> bool:
     """True when c1 assumes less and guarantees more, over c2's signature.
 
-    Requires c1's signature to be a sub-signature of c2's; both contracts
-    are compared as given (canonicalize first for canonical refinement).
+    Requires c1's signature to be a sub-signature of c2's.  The
+    guarantees compared are the stored, canonical ones.
     """
     traces.same_horizon(c1, c2)
     if not traces.is_subsignature(c1.signature, c2.signature):

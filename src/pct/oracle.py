@@ -287,7 +287,8 @@ def oracle_satisfaction_formulas(m: Assertion, c: Contract) -> tuple:
 def oracle_compose_sets(c1: Contract, c2: Contract):
     """Composed (assumption, guarantee) as explicit run sets.
 
-    Mirrors the engine's contract: operands are taken in canonical form.
+    Operands are taken in canonical form, made here from their run sets
+    rather than read from the engine's stored guarantees.
     """
     sig = traces.merge_signature_controlled(c1.signature, c2.signature)
     h = c1.horizon
@@ -475,7 +476,7 @@ def _rand_prob_contract(rng, sig: Signature, h: int, pports, dist=None) -> ProbC
     base = contracts.contract(Assertion(sig, h, a_mask), Assertion(sig, h, g_mask))
     if dist is None:
         dist = _rand_dist(rng, tuple(sig.port(n) for n in sorted(pports)), h)
-    return probabilistic.prob_contract(base, pports, dist)
+    return ProbContract(base, pports, dist)
 
 
 def _side_signature(rng, budget: Budget, tag: str, h: int, shared_ports, peer_controlled):
@@ -592,14 +593,13 @@ def gen_refining_contracts(seed: int, budget: Budget = Budget(), tag: str = "",
     sig2 = Signature.of(controlled=ctrl, uncontrolled=unctrl + extend)
     h = _fit_horizon(sig2, h, budget)
     size1 = traces.space_of(sig1, h).size
-    c1 = contracts.canonicalize(contracts.contract(
+    c1 = contracts.contract(
         Assertion(sig1, h, _rand_mask(rng, size1, rng.uniform(0.5, 0.95))),
-        Assertion(sig1, h, _rand_mask(rng, size1, rng.uniform(0.5, 0.9)))))
+        Assertion(sig1, h, _rand_mask(rng, size1, rng.uniform(0.5, 0.9))))
     size2 = traces.space_of(sig2, h).size
     a2 = traces.lift(c1.assumption, sig2).mask & _rand_mask(rng, size2, rng.uniform(0.6, 1.0))
     g2 = traces.lift(c1.guarantee, sig2).mask | _rand_mask(rng, size2, rng.uniform(0.0, 0.4))
-    c2 = contracts.canonicalize(contracts.contract(
-        Assertion(sig2, h, a2), Assertion(sig2, h, g2)))
+    c2 = contracts.contract(Assertion(sig2, h, a2), Assertion(sig2, h, g2))
     return c1, c2, h
 
 
@@ -679,8 +679,8 @@ def check_lemma1(seed: int, budget: Budget = Budget()) -> CaseResult:
     inst = gen_compose_instance(seed, budget)
     rng = random.Random(f"lemma1:{seed}")
     c1, c2 = inst.pc1.base, inst.pc2.base
-    m1 = _subset_impl(rng, contracts.maximal_implementation(c1))
-    m2 = _subset_impl(rng, contracts.maximal_implementation(c2))
+    m1 = _subset_impl(rng, c1.guarantee)
+    m2 = _subset_impl(rng, c2.guarantee)
     sat1 = contracts.satisfies(m1, c1)
     sat2 = contracts.satisfies(m2, c2)
     composed = contracts.compose(c1, c2)
@@ -704,7 +704,7 @@ def check_lemma2_sat(seed: int, budget: Budget = Budget()) -> CaseResult:
     c1, c2, h = gen_refining_contracts(seed, budget)
     rng = random.Random(f"lemma2s:{seed}")
     refines = contracts.refines(c1, c2)
-    m = _subset_impl(rng, contracts.maximal_implementation(c1))
+    m = _subset_impl(rng, c1.guarantee)
     ok = refines and contracts.satisfies(m, c1) and contracts.satisfies(m, c2)
     oracle_ok = (oracle_satisfies(m, c1) == contracts.satisfies(m, c1)
                  and oracle_satisfies(m, c2) == contracts.satisfies(m, c2)

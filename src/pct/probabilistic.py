@@ -99,11 +99,10 @@ class Distribution(Record):
     ``ports`` (name-sorted).  ``Distribution(ports, horizon, weights)``
     makes a law of one block: ``weights[i]`` is the probability of the
     joint history with canonical index ``i`` in the run space of ``ports``
-    at ``horizon``.  The ``weights`` tuple of any distribution is built on
-    first use.
+    at ``horizon``.
     """
 
-    __slots__ = ("ports", "horizon", "factors", "_weights")
+    __slots__ = ("ports", "horizon", "factors")
 
     def __init__(self, ports, horizon: int, weights):
         ports, horizon = tuple(ports), traces._hlen(horizon)
@@ -132,7 +131,6 @@ class Distribution(Record):
         setfield(self, "ports", tuple(ports))
         setfield(self, "horizon", horizon)
         setfield(self, "factors", tuple(factors))
-        setfield(self, "_weights", None)
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):
@@ -173,13 +171,6 @@ class Distribution(Record):
             out = out * traces._spread(f.num.astype(out.dtype, copy=False),
                                        _space(f.ports, self.horizon), space)
         return out.reshape(-1)
-
-    @property
-    def weights(self) -> tuple:
-        if self._weights is None:
-            den = self.denominator
-            setfield(self, "_weights", tuple(Fraction(n, den) for n in self.numerators().tolist()))
-        return self._weights
 
 
 def _mass(d: Distribution, mask: np.ndarray) -> Fraction:
@@ -279,16 +270,15 @@ def marginal(d: Distribution, names: Iterable[str]) -> Distribution:
 class ProbContract(Record):
     """A contract, a set of probabilistic uncontrolled ports, and their law.
 
-    The base contract is kept in canonical form; use ``prob_contract`` to
-    build one from an arbitrary contract.
+    ``pports`` names the probabilistic ports, in any iterable, and ``dist``
+    is their joint law.  A plain contract is the probabilistic contract
+    with no such ports and the unit law ``point_mass_empty``.
     """
 
     __slots__ = ("base", "pports", "dist")
 
-    def __init__(self, base: Contract, pports: frozenset, dist: Distribution):
-        if not base.canonical:
-            raise SignatureError("probabilistic contracts require a canonical base; "
-                                 "use prob_contract()")
+    def __init__(self, base: Contract, pports: Iterable[str], dist: Distribution):
+        pports = frozenset(pports)
         if not pports <= base.signature.uncontrolled:
             extra = pports - base.signature.uncontrolled
             raise SignatureError(
@@ -309,15 +299,6 @@ class ProbContract(Record):
     @property
     def signature(self) -> Signature:
         return self.base.signature
-
-
-def prob_contract(base: Contract, pports: Iterable[str], dist: Distribution) -> ProbContract:
-    return ProbContract(contracts.canonicalize(base), frozenset(pports), dist)
-
-
-def from_contract(c: Contract) -> ProbContract:
-    """Wrap a plain contract as probability-free (no probabilistic ports)."""
-    return prob_contract(c, (), point_mass_empty(c.horizon))
 
 
 class SatReport(Record):

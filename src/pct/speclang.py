@@ -795,6 +795,12 @@ def _invariant(step) -> bool:
     return getattr(step, "invariant", False)
 
 
+def _reading(ports: tuple, step):
+    """A comparison's step function: step-invariant when every port it
+    reads has one value."""
+    return _Once(lambda: step(0)) if all(len(p.domain) == 1 for p in ports) else step
+
+
 class _Definition:
     """A definition's step function, evaluated once per step.
 
@@ -832,10 +838,11 @@ class _Compiler:
     port is read.  Every name, type and step check happens here; the step
     functions check nothing.  A definition is compiled once and evaluated
     once per step.  A step-invariant node (a temporal operator, ``at``, a
-    literal, or a negation or connective of invariant operands) is
-    evaluated once in all and gives the same object at every step.  With
-    ``h`` None (a document without a horizon) step bounds go unchecked and
-    the step functions must not be called.
+    literal, a comparison of ports of one value, or a negation or
+    connective of invariant operands) is evaluated once in all and gives
+    the same object at every step.  With ``h`` None (a document without a
+    horizon) step bounds go unchecked and the step functions must not be
+    called.
     """
 
     def __init__(self, sig: Signature, h: Optional[int], defs: dict):
@@ -955,7 +962,7 @@ class _Compiler:
             if not traces.same_domain(pl.domain, pr.domain):
                 raise SemanticError(
                     f"ports {pl.name!r} and {pr.name!r} have different domains", *e.loc)
-            return lambda t: read_left(t) == read_right(t)
+            return _reading((pl, pr), lambda t: read_left(t) == read_right(t))
         if not (left or right):
             for op in (e.left, e.right):
                 if isinstance(op, PortOperand):
@@ -968,7 +975,7 @@ class _Compiler:
             if isinstance(lit, PortOperand):
                 raise ResolveError(f"undefined name {value!r}", *lit.loc)
             raise SemanticError(f"value {value!r} not in domain of port {p.name!r}", *lit.loc)
-        return lambda t: read(t) == index
+        return _reading((p,), lambda t: read(t) == index)
 
 
 _RULES = {Lit: _Compiler.literal, NameRef: _Compiler.name, Not: _Compiler.negation,
@@ -979,8 +986,9 @@ _RULES = {Lit: _Compiler.literal, NameRef: _Compiler.name, Not: _Compiler.negati
 
 def step_invariant(e: Expr, sig: Signature, h, defs: dict = None) -> bool:
     """Whether ``e`` has one value at every step, as the compiler decides
-    it: a literal, a temporal operator, ``at``, or a negation or connective
-    of such.  ``e`` is checked against ``sig`` but not evaluated."""
+    it: a literal, a temporal operator, ``at``, a comparison of ports of one
+    value, or a negation or connective of such.  ``e`` is checked against
+    ``sig`` but not evaluated."""
     return _invariant(_Compiler(sig, traces._hlen(h), defs).compile(e))
 
 
@@ -1061,7 +1069,7 @@ def build_probcontract(doc: Document, name: str) -> _prob.ProbContract:
     for pname in decl.ports:
         dist = _prob.product_dist(dist, build_port_distribution(doc, pname))
     try:
-        return _prob.prob_contract(base, decl.ports, dist)
+        return _prob.ProbContract(base, decl.ports, dist)
     except (SignatureError, DistributionError) as exc:
         raise SemanticError(str(exc), *decl.loc) from exc
 
@@ -1072,7 +1080,8 @@ def lookup_probcontract(doc: Document, name: str) -> _prob.ProbContract:
     if name in doc.probcontracts:
         return build_probcontract(doc, name)
     if name in doc.contracts:
-        return _prob.from_contract(build_contract(doc, name))
+        c = build_contract(doc, name)
+        return _prob.ProbContract(c, (), _prob.point_mass_empty(c.horizon))
     raise ResolveError(f"undefined contract {name!r}")
 
 

@@ -32,7 +32,7 @@ a size-1 axis for every slot it does not read, so a clause over a few
 ports of a large signature stays small.  Its one constructor takes that
 view or the run-indexed vector.  Every operation here reads and makes
 views: ``lift`` and ``lifted_view`` copy nothing, the connectives combine
-views in their broadcast shape, and inclusion, equality and canonicity
+views in their broadcast shape, and inclusion, equality and satisfaction
 are ``everywhere`` tests that reduce each side over the axes only it
 reads instead of broadcasting.  ``Assertion.mask``,
 the run-indexed vector, is filled from the view on its first read and
@@ -763,12 +763,13 @@ def from_step_predicate(sig: Signature, h, step) -> Assertion:
     view, as any expression in ``slot_values(sig, h, name, t)`` does.  The
     step values are combined in their broadcast shape, which the assertion
     keeps as its view: nothing of the full size is made.  A value that is
-    the same object as the previous step's is combined once.  Like the
+    the same object as the previous step's is combined once, and a step
+    function marked ``invariant`` is called at step 0 only.  Like the
     ``Assertion`` constructor, this takes over the arrays it is given.
     """
     hh = _hlen(h)
     held = last = None
-    for t in range(hh):
+    for t in range(1 if getattr(step, "invariant", False) else hh):
         value = step(t)
         if value is not last:
             held = value if held is None else combine(np.logical_and, held, value)

@@ -33,9 +33,15 @@ def run_of(histories: dict) -> tuple:
     return tuple(sorted((name, tuple(vals)) for name, vals in histories.items()))
 
 
+def weights(d) -> list:
+    """The weight of every joint history of the distribution ``d``, in
+    run-index order: its numerators over its denominator."""
+    return [Fraction(n, d.denominator) for n in d.numerators().tolist()]
+
+
 def weight_of(d, histories: dict) -> Fraction:
     """The weight the distribution ``d`` gives one joint history."""
-    return d.weights[traces.run_index(d.signature, d.horizon, run_of(histories))]
+    return weights(d)[traces.run_index(d.signature, d.horizon, run_of(histories))]
 
 
 # --- hypothesis strategies ------------------------------------------------------

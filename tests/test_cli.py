@@ -465,6 +465,46 @@ def test_a_horizon_above_the_cap_is_one_diagnostic(doc, h, tmp_path, capsys):
     assert peak[0] < 2**22
 
 
+ONE_VALUE_DOC = """horizon 1000000;
+port x : {0} controlled;
+contract c { assume true; guarantee always(x == 0); }
+impl m { behavior x == 0; }
+"""
+
+
+def test_a_one_value_port_is_read_once_at_a_long_horizon(tmp_path):
+    """A read of a port of one value is step-invariant, so neither
+    ``always`` nor the step loop of ``denote`` goes over the million steps."""
+    path = tmp_path / "one_value.pct"
+    path.write_text(ONE_VALUE_DOC)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pct.cli", "sat", str(path),
+                           "--impl", "m", "--contract", "c"],
+                          capture_output=True, text=True, env=env)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "level = 1 (1.0)\n", "")
+
+
+def test_compose_refuses_a_printer_that_changes_the_meaning(example, capsys, monkeypatch):
+    """The round-trip check of ``compose`` compares the composed contract
+    with the one its printed document denotes: a printer that writes a valid
+    document of another meaning, ``and`` as ``or``, is caught."""
+    real = speclang.format_expr
+
+    def and_as_or(e, parent_prec=0):
+        if isinstance(e, speclang.And):
+            e = speclang.Or(e.loc, e.left, e.right)
+        return real(e, parent_prec)
+
+    monkeypatch.setattr(speclang, "format_expr", and_as_or)
+    argv = [a.format(doc=example) for a in QUERIES["compose"]]
+    rc, out, err = _run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert "does not round-trip" in err
+
+
 def test_verify_rejects_an_unknown_suite(capsys):
     assert cli.main(["verify", "--suite", "bogus", "--seeds", "1"]) == 2
     out, err = capsys.readouterr()

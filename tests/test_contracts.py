@@ -1,4 +1,5 @@
-"""Contract layer: canonical form, satisfaction, composition, refinement."""
+"""Contract layer: the stored canonical form, satisfaction, composition,
+refinement."""
 
 import random
 
@@ -39,58 +40,53 @@ def rand_contract(rng, sig, h):
 
 def test_canonicalize_top_assumption_unchanged():
     g = rand_assertion(random.Random(1), SIG, 1)
-    c = pct.contract(pct.universe(SIG, 1), g)
-    assert pct.canonicalize(c).guarantee == g
+    assert pct.contract(pct.universe(SIG, 1), g).guarantee == g
 
 
 def test_canonicalize_universe_guarantee_unchanged():
     c = pct.contract(rand_assertion(random.Random(2), SIG, 1), pct.universe(SIG, 1))
-    assert pct.canonicalize(c).guarantee == pct.universe(SIG, 1)
-    assert c.canonical  # universe guarantee absorbs anything already
+    assert c.guarantee == pct.universe(SIG, 1)
 
 
 def test_canonicalize_fills_in_negated_assumption():
     e = pct.from_runs(SIG_A, 1, [run_of({"a": (True,)})])
-    c = pct.contract(e, e)
-    cc = pct.canonicalize(c)
-    assert cc.guarantee == pct.universe(SIG_A, 1)
-    assert cc.canonical
+    assert pct.contract(e, e).guarantee == pct.universe(SIG_A, 1)
 
 
 def test_canonicalize_idempotent():
     rng = random.Random(3)
     for _ in range(25):
         c = rand_contract(rng, SIG, 2)
-        cc = pct.canonicalize(c)
-        assert pct.canonicalize(cc) == cc
-        assert cc.canonical
+        assert contracts.Contract(c.signature, c.assumption, c.guarantee) == c
 
 
-def test_canonical_flag_is_validated():
-    e = pct.from_runs(SIG_A, 1, [run_of({"a": (True,)})])
-    with pytest.raises(SignatureError):
-        contracts.Contract(SIG_A, e, e, canonical=True)
-
-
-def test_canonical_flag_holds_on_the_contracts_built_without_the_check():
-    """``contract``, ``canonicalize`` and ``compose`` set the flag without
-    a pass over the runs; it must still say what the runs do."""
-    def known(c):
-        assert c.canonical == contracts._is_canonical(c.assumption, c.guarantee)
-        return c
-
-    flags = set()
+def test_every_contract_stores_its_guarantee_or_the_negated_assumption(docgen):
+    """``Contract``, ``contract``, ``compose``, ``build_contract`` and the
+    instance generators all give contracts with complement(A) within G,
+    by the oracle's inclusion."""
+    given = set()
     for seed in range(40):
         inst = oracle.gen_compose_instance(seed)
-        # the implementations as guarantees: the contract is rarely canonical
-        c1 = known(pct.contract(inst.pc1.base.assumption, inst.m1))
-        c2 = known(pct.contract(inst.pc2.base.assumption, inst.m2))
-        flags |= {c1.canonical, c2.canonical}
-        for c in (c1, c2, inst.pc1.base, inst.pc2.base):
-            assert known(pct.canonicalize(c)).canonical
-        assert known(pct.compose(c1, c2)).canonical
-        assert known(pct.compose(inst.pc1.base, inst.pc2.base)).canonical
-    assert flags == {False, True}
+        a1, a2 = inst.pc1.base.assumption, inst.pc2.base.assumption
+        # the implementations as guarantees: rarely within them as given
+        given |= {oracle.oracle_included(pct.complement(a), m, m.signature)
+                  for a, m in ((a1, inst.m1), (a2, inst.m2))}
+        c1 = contracts.Contract(inst.m1.signature, a1, inst.m1)
+        c2 = pct.contract(a2, inst.m2)
+        refine = oracle.gen_refine_instance(seed)
+        built = [c1, c2, inst.pc1.base, inst.pc2.base, pct.compose(c1, c2),
+                 pct.compose(inst.pc1.base, inst.pc2.base), refine.pc1.base, refine.pc2.base,
+                 *oracle.gen_refining_contracts(seed)[:2]]
+        doc = pct.parse(docgen(seed).document())
+        for name in doc.contracts:
+            try:
+                built.append(pct.build_contract(doc, name))
+            except pct.SpecLangError:
+                continue
+        for c in built:
+            assert oracle.oracle_included(pct.complement(c.assumption), c.guarantee,
+                                          c.signature), seed
+    assert given == {False, True}
 
 
 def test_satisfies_trivial_cases():
@@ -125,13 +121,14 @@ def test_satisfaction_formulas_always_agree():
 def test_satisfaction_invariant_under_canonicalization():
     rng = random.Random(6)
     for _ in range(40):
-        c = rand_contract(rng, SIG, 1)
+        a, g = rand_assertion(rng, SIG, 1, 0.7), rand_assertion(rng, SIG, 1, 0.6)
+        c = pct.contract(a, g)
         m = rand_assertion(rng, SIG, 1, keep=0.4)
-        assert pct.satisfies(m, c) == pct.satisfies(m, pct.canonicalize(c))
-        mc = pct.maximal_implementation(c)
-        assert pct.satisfies(m, c) == pct.included_in(m, mc, c.signature)
-    # the maximal implementation itself satisfies
-    assert pct.satisfies(mc, c)
+        # m&A within G as given, by the oracle
+        assert pct.satisfies(m, c) == oracle.oracle_included(pct.product(m, a), g, SIG)
+        assert pct.satisfies(m, c) == pct.included_in(m, c.guarantee, c.signature)
+    # the stored guarantee, the largest implementation, itself satisfies
+    assert pct.satisfies(c.guarantee, c)
 
 
 def test_compose_unit_is_canonicalization():
@@ -141,7 +138,7 @@ def test_compose_unit_is_canonicalization():
     free = Signature.of(uncontrolled=(A, X))
     unit = pct.contract(pct.universe(free, 1), pct.universe(free, 1))
     composed = pct.compose(c, unit)
-    assert composed == pct.canonicalize(c)
+    assert composed == c
 
 
 def test_compose_disjoint_top_assumptions():
@@ -162,7 +159,6 @@ def test_compose_output_is_canonical():
         c1 = rand_contract(rng, SIG, 1)
         c2 = rand_contract(rng, sig2, 1)
         composed = pct.compose(c1, c2)
-        assert composed.canonical
         assert pct.included_in(pct.complement(composed.assumption),
                                composed.guarantee, composed.signature)
 
@@ -237,8 +233,9 @@ def _one_run_of(mask, c1, c2):
 
 
 def _break_one_inclusion(c1, c2, which):
-    """c1 changed so that exactly one inclusion of ``refines(c1, c2)`` fails:
-    a run of A2 is dropped from A1, or a run outside G2 is added to G1."""
+    """c1 changed so that an inclusion of ``refines(c1, c2)`` fails: a run of
+    A2 is dropped from A1, or a run outside G2 is added to G1.  A run dropped
+    from A1 joins the stored G1, so G1 may then leave G2 as well."""
     if which == "assumption":
         run = _one_run_of(c2.assumption.mask, c1, c2)
         if run is None:
@@ -249,7 +246,7 @@ def _break_one_inclusion(c1, c2, which):
     if run is None:
         return None
     g = Assertion(c1.signature, c1.horizon, c1.guarantee.mask | run)
-    return contracts.Contract(c1.signature, c1.assumption, g, canonical=c1.canonical)
+    return contracts.Contract(c1.signature, c1.assumption, g)
 
 
 def _refining_pairs(seed):
@@ -276,7 +273,10 @@ def test_refines_fails_when_one_inclusion_fails(which):
             sig = c2.signature
             inclusions = (oracle.oracle_included(c2.assumption, broken.assumption, sig),
                           oracle.oracle_included(broken.guarantee, c2.guarantee, sig))
-            assert inclusions == ((False, True) if which == "assumption" else (True, False))
+            if which == "assumption":
+                assert not inclusions[0]
+            else:
+                assert inclusions == (True, False)
             assert pct.refines(broken, c2) is False
             assert oracle.oracle_refines(broken, c2) is False
             checked += 1

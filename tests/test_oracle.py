@@ -16,6 +16,7 @@ import pytest
 from pct import (BOOL, Assertion, PctError, Port, Signature, contracts, oracle, probabilistic,
                  speclang, traces)
 from pct.errors import SpecLangError
+from conftest import weights
 
 TRI = (0, 1, 2)
 ONE = ("only",)
@@ -192,7 +193,7 @@ def test_weighted_histories_match_the_distribution():
         for d in (inst.pc1.dist, inst.pc2.dist,
                   probabilistic.product_dist(inst.pc1.dist, inst.pc2.dist)):
             ref = reference_runs(d.ports, d.horizon)
-            want = [(ref[i], w) for i, w in enumerate(d.weights)]
+            want = [(ref[i], w) for i, w in enumerate(weights(d))]
             assert oracle._weighted_histories(d) == want
 
 

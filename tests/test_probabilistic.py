@@ -21,7 +21,7 @@ from pct import (
     probabilistic as prob,
     traces,
 )
-from conftest import allocation_peak, run_of, weight_of
+from conftest import allocation_peak, run_of, weight_of, weights
 
 F1 = Port("f1")
 F2 = Port("f2")
@@ -127,7 +127,7 @@ def test_marginal_of_correlated_table():
 
 def _pc(sig, h, g_mask, pports, dist):
     g = Assertion(sig, h, g_mask)
-    return prob.prob_contract(pct.contract(pct.universe(sig, h), g), pports, dist)
+    return prob.ProbContract(pct.contract(pct.universe(sig, h), g), pports, dist)
 
 
 SIG_QZ = Signature.of(uncontrolled=(Q, Z))
@@ -208,7 +208,7 @@ def test_sat_report_recomputable():
     c = _pc(SIG_QZ, h, g.mask, {"q"}, dist)
     report = prob.sat_level(pct.universe(SIG_QZ, h), c)
     assert report.level == weight_of(dist, {"q": (False, False)})
-    assert sum(dist.weights) == 1
+    assert sum(weights(dist)) == 1
 
 
 # --- composition -------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_compose_prob_unit_keeps_distribution():
     pc1 = _pc(sig1, h, np.ones(4, dtype=bool), {"q"}, pct.uniform((Q,), h))
     plain = pct.contract(pct.universe(Signature.of(uncontrolled=(Z,)), h),
                          pct.universe(Signature.of(uncontrolled=(Z,)), h))
-    unit = prob.from_contract(plain)
+    unit = prob.ProbContract(plain, (), prob.point_mass_empty(h))
     composed = prob.compose_prob(pc1, unit)
     assert composed.dist == pc1.dist
     assert composed.pports == {"q"}

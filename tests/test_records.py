@@ -32,7 +32,7 @@ def _dist(p=Fraction(1, 2)):
 
 
 def _pc(p=Fraction(1, 2)):
-    return probabilistic.prob_contract(_contract(), {"a"}, _dist(p))
+    return probabilistic.ProbContract(_contract(), {"a"}, _dist(p))
 
 
 LOC, LOC2 = (3, 4), (9, 9)
@@ -54,7 +54,7 @@ CASES = {
                   lambda: _assertion((1, 0, 1, 1))),
     "Contract": (lambda: contracts.Contract(SIG, _assertion((1,) * 4), _assertion((1, 0, 1, 0))),
                  lambda: contracts.Contract(guarantee=_assertion((1, 0, 1, 0)), signature=SIG,
-                                            assumption=_assertion((1,) * 4), canonical=False),
+                                            assumption=_assertion((1,) * 4)),
                  lambda: contracts.Contract(SIG, _assertion((1,) * 4), _assertion((1, 1, 1, 0)))),
     "Distribution": (lambda: probabilistic.Distribution((A,), 1, (Fraction(1, 4), Fraction(3, 4))),
                      lambda: probabilistic.Distribution(weights=(Fraction(1, 4), Fraction(3, 4)),
@@ -206,7 +206,7 @@ def test_repr_names_the_public_fields(name):
     assert text.startswith(f"{type(r).__qualname__}(") and text.endswith(")")
     for field in type(r)._fields:
         assert f"{field}={getattr(r, field)!r}" in text
-    assert "_key" not in text and "_weights" not in text
+    assert "_key" not in text
 
 
 def test_field_order_and_repr_examples():
@@ -227,7 +227,6 @@ def test_defaults():
     assert Port("a").domain == BOOL
     assert probabilistic.SatReport(Fraction(1)).witness_bad is None
     assert probabilistic.RefineReport(Fraction(1), Fraction(1)).degenerate is False
-    assert contracts.Contract(SIG, _assertion((1,) * 4), _assertion((1,) * 4)).canonical is False
     b = oracle.Budget()
     assert (b.max_ports_per_side, b.max_horizon, b.max_domain, b.max_space) == (3, 3, 3, 4096)
     r1, r2 = oracle.CaseResult("s", 0, True, True), oracle.CaseResult("s", 0, True, True)
@@ -277,10 +276,8 @@ def test_checks_run_on_construction():
         Assertion(SIG, 1, _mask((1, 0)))
     with pytest.raises(Exception, match="positive integer"):
         oracle.Budget(max_horizon=0)
-    with pytest.raises(Exception, match="canonical base"):
-        probabilistic.ProbContract(
-            contracts.Contract(SIG, _assertion((1, 0, 1, 0)), _assertion((1, 0, 1, 0))),
-            frozenset("a"), _dist())
+    with pytest.raises(Exception, match="uncontrolled ports of the base"):
+        probabilistic.ProbContract(_contract(), "x", _dist())
     f = _dist().factors[0]
     assert not f.num.flags.writeable and not _assertion((1, 0, 0, 1)).mask.flags.writeable
 
