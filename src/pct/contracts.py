@@ -24,7 +24,11 @@ class Contract(Record):
 
     The stored guarantee is the given one or the negated assumption
     (``G or not A``), so ``complement(assumption) <= guarantee`` holds
-    for every contract.
+    for every contract.  It is kept as factors, ``g or not A`` for each
+    factor ``g`` of the given guarantee, since ``or`` distributes over
+    ``and``.  Factors of G that read no slot outside another's and A's go
+    into one: so where A reads every slot that G reads, the stored
+    guarantee is one factor.
     """
 
     __slots__ = ("signature", "assumption", "guarantee")
@@ -33,10 +37,15 @@ class Contract(Record):
         if assumption.signature != signature or guarantee.signature != signature:
             raise SignatureError("contract assertions must share the contract signature")
         traces.same_horizon(assumption, guarantee)
-        # G or not A, which on booleans is G >= A
-        g = Assertion(signature, assumption.horizon, traces.combine(
-            np.greater_equal, guarantee.view, assumption.view))
-        self._assign(signature, assumption, g)
+        # G or not A, which on booleans is G >= A, for each factor of G;
+        # factors that read no slot outside another's and A's are combined
+        # first, since apart each would be as large
+        a, gs = assumption.view, guarantee.factors
+        if len(gs) == 1:
+            g = traces.combine(np.greater_equal, gs[0], a)
+        else:
+            g = tuple([traces.combine(np.greater_equal, x, a) for x in traces._nested(gs, a.shape)])
+        self._assign(signature, assumption, Assertion(signature, assumption.horizon, g))
 
     @property
     def horizon(self) -> int:
@@ -104,12 +113,12 @@ def compose(c1: Contract, c2: Contract) -> Contract:
 
 
 def compose_impl(m1: Assertion, m2: Assertion) -> Assertion:
-    """Compose implementations: intersection with the controlled-wins
-    role merge used by contract composition."""
+    """Compose implementations: intersection, the factors of both sides,
+    with the controlled-wins role merge used by contract composition."""
     traces.same_horizon(m1, m2)
     sig = traces.merge_signature_controlled(m1.signature, m2.signature)
-    return Assertion(sig, m1.horizon, traces.combine(
-        np.logical_and, traces.lifted_view(m1, sig), traces.lifted_view(m2, sig)))
+    return Assertion(sig, m1.horizon,
+                     traces.lifted_factors(m1, sig) + traces.lifted_factors(m2, sig))
 
 
 def refines(c1: Contract, c2: Contract) -> bool:

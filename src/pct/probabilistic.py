@@ -333,12 +333,14 @@ def _good_history_mask(target: Assertion, pc: ProbContract) -> np.ndarray:
     lifted there.
 
     The runs over ``target``'s own signature that extend a history are fixed
-    by its probabilistic ports that ``target`` reads, so ``target``'s view is
-    reduced to those ports and then spread to all of them, not lifted.
+    by its probabilistic ports that ``target`` reads, so ``target`` is
+    reduced to those ports and then spread to all of them, not lifted.  It
+    is reduced factor by factor, since ``all`` distributes over ``and``.
     """
     names = set(target.signature.names)
     read = _space(tuple(p for p in pc.dist.ports if p.name in names), pc.horizon)
-    good = traces._reduce(np.logical_and, target.view, target.space, read)
+    good = traces.conjunction([traces._reduce(np.logical_and, f, target.space, read)
+                               for f in target.factors])
     return traces._spread(good, read, _space(pc.dist.ports, pc.horizon))
 
 
@@ -348,9 +350,10 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
     For a history ``w`` of the probabilistic ports, the singleton
     assertion {w}, intersected with m, must be included in the guarantee
     over the full signature; the level sums the weights of the histories
-    for which that holds.  The violations ``m and not G`` are reduced to
-    the histories without being made over the full signature where one
-    side reads a slot the other does not (``traces.reduce_apart``).
+    for which that holds.  The violations ``m and not G`` are the union,
+    over the factors ``g`` of the stored guarantee, of ``m and not g``, and
+    each is reduced to the histories one slot at a time over the factors
+    of m (``traces.eliminate``), never made over the full signature.
     Requires the implementation's uncontrolled
     ports to be a subset of the contract's and its controlled ports to
     be exactly the contract's.
@@ -371,13 +374,18 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
 
     big = traces.space_of(sig_c, pc.horizon)
     omega_space = _space(pc.dist.ports, pc.horizon)
-    # the runs of m not in G, m > G on booleans, reduced to Omega with any:
-    # first m with any and G with all over the slots outside Omega only
-    # each reads, then the rest over their combination
-    keep = {i for i, (name, _) in enumerate(big.axes) if name in pc.pports}
-    viol = traces.combine(np.greater, *traces.reduce_apart(
-        np.logical_or, np.logical_and, traces.lifted_view(m, sig_c),
-        traces.lifted_view(pc.base.guarantee, sig_c), keep))
+    omega = {i for i, (name, _) in enumerate(big.axes) if name in pc.pports}
+    # G is the conjunction of its factors, so the runs of m not in G are the
+    # union over them of the runs of m not in g, each reduced to Omega with any
+    ms = traces.lifted_factors(m, sig_c)
+    gs = traces.lifted_factors(pc.base.guarantee, sig_c)
+    if len(gs) > 1 and traces.joint_size(ms) < big.size:
+        # m's factors reduced once over the slots outside Omega that no
+        # factor of G reads, where that never makes a mask of full size
+        ms = traces.eliminate(ms, omega | {i for g in gs for i, r in enumerate(g.shape) if r > 1})
+    viol = traces.conjunction(traces.eliminate(ms, omega, gs[0]))
+    for g in gs[1:]:
+        viol = viol | traces.conjunction(traces.eliminate(ms, omega, g))
     bad = traces._reduce(np.logical_or, viol, big, omega_space)
 
     witness = None

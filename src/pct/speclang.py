@@ -993,10 +993,30 @@ def step_invariant(e: Expr, sig: Signature, h, defs: dict = None) -> bool:
 
 
 def denote(e: Expr, sig: Signature, h, defs: dict = None) -> Assertion:
-    """The runs over ``sig`` satisfying ``e`` at every step."""
+    """The runs over ``sig`` satisfying ``e`` at every step.
+
+    An ``and`` holds at every step exactly when each side does, so each
+    conjunct of ``e``'s top-level ``and`` tree is its own factor of the
+    assertion, where the assertion keeps its factors apart
+    (``traces.kept_apart``).
+    """
     hh = traces._hlen(h)
     # the compiler is this call's own, and nothing writes to its values
-    return traces.from_step_predicate(sig, hh, _Compiler(sig, hh, defs).compile(e))
+    compiler = _Compiler(sig, hh, defs)
+    parts = _conjuncts(e) if traces.kept_apart(traces.space_of(sig, hh)) else (e,)
+    return traces.from_step_predicate(sig, hh, *map(compiler.compile, parts))
+
+
+def _conjuncts(e: Expr) -> list:
+    """The operands of ``e``'s top-level ``and`` tree, left to right."""
+    out, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is And:
+            stack += (x.right, x.left)
+        else:
+            out.append(x)
+    return out
 
 
 # --- building core objects ------------------------------------------------------

@@ -27,26 +27,32 @@ a larger space.  Only this module knows that layout; ``_spread`` and
 
 What an assertion holds
 -----------------------
-An ``Assertion`` holds only its ``view``: the mask on the axis view, with
-a size-1 axis for every slot it does not read, so a clause over a few
-ports of a large signature stays small.  Its one constructor takes that
-view or the run-indexed vector.  Every operation here reads and makes
-views: ``lift`` and ``lifted_view`` copy nothing, the connectives combine
-views in their broadcast shape, and inclusion, equality and satisfaction
-are ``everywhere`` tests that reduce each side over the axes only it
-reads instead of broadcasting.  ``Assertion.mask``,
-the run-indexed vector, is filled from the view on its first read and
-kept; the oracle, ``runs``, ``len`` and serialization read it.  The
-enumeration cap still applies to the full signature: ``_space``, which
-makes every space, refuses one above it before building its axes.
+An ``Assertion`` holds its ``factors``: bool arrays on the axis view, each
+with a size-1 axis for every slot it does not read, whose ``and`` is the
+run set, so a clause over a few ports of a large signature stays small and
+a conjunction of clauses is never made whole unless something reads it
+whole.  Its one constructor takes the run-indexed vector, a view, or a
+tuple of views; factors whose read slots nest are combined at once, and
+so are all of them in a space of at most ``_BLOCK`` runs (``kept_apart``).
+``view``, the conjunction, and ``Assertion.mask``, the run-indexed vector,
+are made on their first read and kept.  ``lift``, ``product`` and
+``compose_impl`` spread or join the factors; the other connectives
+combine views in their broadcast shape, and inclusion, equality and
+satisfaction are ``everywhere`` tests that reduce each side over the axes
+only it reads instead of broadcasting.  ``eliminate`` takes ``any`` of a
+conjunction of factors over slots one factor at a time, which is how
+``sat_level`` reduces its violations to Omega.  The oracle, ``runs``,
+``len`` and serialization read the mask.  The enumeration cap still
+applies to the full signature: ``_space``, which makes every space,
+refuses one above it before building its axes.
 
 Full-size masks
 ---------------
 Every step that makes a mask of a whole space allocates that mask and
 nothing else of its size: ``combine`` (the connectives of ``denote``, the
-steps of ``from_step_predicate``, ``product``, ``union``, ``compose``,
-``sat_level``'s violations) when its operands together read every slot,
-and the first read of ``Assertion.mask``.  Operands
+steps of ``from_step_predicate``, ``union``, ``compose``, the conjunction
+of an assertion's factors, ``eliminate``'s pairs) when its operands
+together read every slot, and the first read of ``Assertion.mask``.  Operands
 that read different ports broadcast along interleaved axes, and NumPy
 then runs its inner loop over a few elements at a time.  So when the
 result has more than ``_BLOCK`` (4096) elements, an operand whose
@@ -62,15 +68,16 @@ Smaller results pay only a size check.  Reductions follow the same rule
 axes is short is copied once with the kept axes in front or behind.
 Bool identities spare the temporaries: ``a > b`` is a and not b, and
 ``a >= b`` is a or not b.  A value that is only reduced is reduced on
-each side first, over the axes that side alone reads (``reduce_apart``),
-so ``sat_level``'s violations reach full size only where both sides
-read every slot outside Omega (docs/format.md, "Full-size masks").
+each side first, over the axes that side alone reads (``reduce_apart``,
+``eliminate``), so ``sat_level``'s largest array is its largest partial
+product, not the conjunction (docs/format.md, "Full-size masks").
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -161,10 +168,11 @@ class Signature(Record):
 
     The ports are in strictly increasing name order, which the constructor
     checks.  They are also kept by name (``_by_name``, not a field), so that
-    looking one up does not scan them.
+    looking one up does not scan them, and the space last asked of them is
+    kept (``_space``), so that asking again hashes no ports.
     """
 
-    __slots__ = ("ports", "controlled", "uncontrolled", "_by_name")
+    __slots__ = ("ports", "controlled", "uncontrolled", "_by_name", "_space")
 
     def __init__(self, ports: tuple, controlled: frozenset, uncontrolled: frozenset):
         if controlled & uncontrolled:
@@ -177,6 +185,7 @@ class Signature(Record):
         setfield(self, "controlled", controlled)
         setfield(self, "uncontrolled", uncontrolled)
         setfield(self, "_by_name", by_name)
+        setfield(self, "_space", None)
 
     def __eq__(self, other):
         return self is other or (type(other) is Signature and self.ports == other.ports
@@ -278,13 +287,16 @@ class _Space(Record):
     ``shape`` and ``axes`` describe the view of a run-indexed vector
     reshaped in C order: one axis per slot, the last slot first, so slot k
     is axis n-1-k.  ``axes`` names the (port, step) of each axis.  Slots
-    of one-value ports (digit always 0) get no axis.
+    of one-value ports (digit always 0) get no axis.  ``_digits`` keeps
+    the arrays of ``slot_values``, made on first use: at most one small
+    array per slot.
     """
 
-    __slots__ = ("ports", "horizon", "size", "axes", "shape")
+    __slots__ = ("ports", "horizon", "size", "axes", "shape", "_digits")
 
     def __init__(self, ports, horizon, size, axes, shape):
         self._assign(ports, horizon, size, axes, shape)
+        setfield(self, "_digits", {})
 
 
 @lru_cache(maxsize=512)
@@ -309,7 +321,11 @@ def _space(ports: tuple, horizon: int) -> _Space:
 
 
 def space_of(sig: Signature, h) -> _Space:
-    return _space(sig.ports, _hlen(h))
+    space = sig._space
+    if space is None or space.horizon != h or type(h) is not int:
+        space = _space(sig.ports, _hlen(h))
+        setfield(sig, "_space", space)
+    return space
 
 
 def _spread(values: np.ndarray, src: _Space, dst: _Space) -> np.ndarray:
@@ -395,8 +411,23 @@ def combine(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the result has at most a.size * b.size elements, and an operand of
     # the result's shape is never copied
     if a.size * b.size > _BLOCK and a.shape != b.shape:
-        a, b = _blocked((a, b), np.broadcast_shapes(a.shape, b.shape))
+        a, b = _blocked((a, b), _joint(a.shape, b.shape))
     return ufunc(a, b)
+
+
+def _joint(a: tuple, b: tuple) -> tuple:
+    """The broadcast of two shapes that broadcast together: the larger size
+    on each axis, the shorter shape padded with leading 1s.  NumPy's own
+    ``broadcast_shapes`` stops at 32 dimensions, arrays and ufuncs at 64."""
+    n = len(a) - len(b)
+    if n:
+        a, b = ((1,) * -n + a, b) if n < 0 else (a, (1,) * n + b)
+    return tuple([x if x > y else y for x, y in zip(a, b)])
+
+
+def joint_size(arrays) -> int:
+    """The number of elements of the broadcast of arrays on one axis view."""
+    return math.prod(reduce(_joint, [x.shape for x in arrays]))
 
 
 def _filled(values: np.ndarray, shape: tuple) -> np.ndarray:
@@ -461,26 +492,23 @@ def _reduce(ufunc: np.ufunc, values: np.ndarray, src: _Space, dst: _Space) -> np
     return np.asarray(out, dtype=values.dtype).reshape(shape)
 
 
-def reduce_apart(ua: np.ufunc, ub: np.ufunc, a: np.ndarray, b: np.ndarray,
-                 keep=()) -> tuple:
+def reduce_apart(ua: np.ufunc, ub: np.ufunc, a: np.ndarray, b: np.ndarray) -> tuple:
     """``a`` reduced with ``ua`` along the axes that only it reads, and ``b``
     with ``ub`` along the axes that only it reads: (the two results).
 
     ``a`` and ``b`` are bool arrays on one axis view.  An axis that only one
-    side reads has size over 1 there and 1 on the other side; the axes
-    numbered in ``keep`` are left as they are.  The reduced axes keep size
-    1, so the results still broadcast together, and a side with no such
-    axis is returned as is.  A value of the broadcast of ``f(a, b)``, with
-    ``f`` monotone in each operand, is reduced along those axes by reducing
-    each side first: ``any(a and not b)`` over an axis only ``a`` reads is
-    ``any(a) and not b``, and over one only ``b`` reads ``a and not
-    all(b)``.  So ``sat_level`` and ``everywhere`` never broadcast an axis
+    side reads has size over 1 there and 1 on the other side.  The reduced
+    axes keep size 1, so the results still broadcast together, and a side
+    with no such axis is returned as is.  A value of the broadcast of
+    ``f(a, b)``, with ``f`` monotone in each operand, is reduced along
+    those axes by reducing each side first: ``any(a and not b)`` over an
+    axis only ``a`` reads is ``any(a) and not b``, and over one only ``b``
+    reads ``a and not all(b)``.  So ``everywhere`` never broadcasts an axis
     that one side alone reads.
     """
     out = []
     for ufunc, x, y in ((ua, a, b), (ub, b, a)):
-        own = tuple(i for i, (m, n) in enumerate(zip(x.shape, y.shape))
-                    if n == 1 < m and i not in keep)
+        own = tuple(i for i, (m, n) in enumerate(zip(x.shape, y.shape)) if n == 1 < m)
         out.append(_reduced(ufunc, x, own) if own else x)
     return tuple(out)
 
@@ -528,39 +556,178 @@ def everywhere(ufunc, a: np.ndarray, b: np.ndarray) -> bool:
     return True
 
 
+# --- conjunctions of factors ----------------------------------------------------
+
+def _bits(axes) -> int:
+    """A set of axis numbers as the bits of an int."""
+    return sum([1 << i for i in axes])
+
+
+def _axes(bits: int) -> tuple:
+    """The axis numbers of the bits of an int, in order."""
+    return tuple([i for i in range(bits.bit_length()) if bits >> i & 1])
+
+
+def conjunction(factors) -> np.ndarray:
+    """The ``and`` of bool arrays on one axis view, in their broadcast
+    shape, the smallest first; one array is returned as it is."""
+    if len(factors) == 1:
+        return factors[0]
+    factors = sorted(factors, key=lambda x: x.size)
+    out = factors[0]
+    for x in factors[1:]:
+        out = combine(np.logical_and, out, x)
+    return out
+
+
+def _nested(factors, base: tuple = ()) -> tuple:
+    """``factors`` with each one whose read axes lie within another's read
+    axes, or within the axes of the shape ``base``, combined into that one,
+    the largest first: the combination, broadcast against ``base``, is no
+    larger than the array it goes into."""
+    out = []    # [array, its broadcast shape against base]
+    for shape, x in sorted(((_joint(x.shape, base) if base else x.shape, x) for x in factors),
+                           key=lambda item: math.prod(item[0]), reverse=True):
+        # on every axis, a size of 1 or the radix: within means no larger
+        into = next((item for item in out if all(map(operator.le, x.shape, item[1]))), None)
+        if into is None:
+            out.append([x, shape])
+        else:
+            into[0] = combine(np.logical_and, into[0], x)
+    return tuple(x for x, _ in out)
+
+
+def eliminate(factors, keep, neg: np.ndarray | None = None) -> list:
+    """``any``, over every axis not numbered in ``keep``, of the ``and`` of
+    the bool arrays ``factors`` and, when ``neg`` is given, ``not neg``:
+    as bool arrays whose ``and`` it is, each reading only axes in ``keep``.
+
+    All the arrays are on one axis view, and ``factors`` is not empty.  A
+    conjunction of at most ``_BLOCK`` elements is made and reduced at once;
+    a larger one is never made whole.  Two identities take ``any`` over one
+    axis at a time into a single array: over an axis that one array alone
+    reads, ∃x (f ∧ r) = (∃x f) ∧ r, and ∃x ¬g = ¬∀x g, so that array is
+    reduced alone, with ``any``, or with ``all`` in ``neg``.  While an axis
+    outside ``keep`` is read by two or more arrays, the pair that reads one
+    and has the smallest broadcast is combined into one array (``and``, or
+    ``f > neg``, which is f and not neg), and the reductions are taken
+    again.  Last, ``neg`` if still apart is combined with the array that
+    gives the smallest result.  The largest array made is the largest pair.
+    """
+    if joint_size(factors if neg is None else [*factors, neg]) <= _BLOCK:
+        x = conjunction(factors)
+        if neg is not None:
+            x = combine(np.greater, x, neg)
+        own = tuple(i for i, r in enumerate(x.shape) if r > 1 and i not in keep)
+        return [_reduced(np.logical_or, x, own) if own else x]
+    items = list(factors)
+    negated = neg is not None    # whether the last item is neg
+    if negated:
+        items.append(neg)
+    drop = ~_bits(keep)
+    reads = [_bits([i for i, r in enumerate(x.shape) if r > 1]) & drop for x in items]
+    while True:
+        once = twice = 0
+        for r in reads:
+            twice |= once & r
+            once |= r
+        sole, last = once & ~twice, len(items) - 1
+        for j, r in enumerate(reads):
+            if r & sole:
+                ufunc = np.logical_and if negated and j == last else np.logical_or
+                items[j] = _reduced(ufunc, items[j], _axes(r & sole))
+                reads[j] = r & ~sole
+        if not twice:
+            break
+        _, j, k = min((joint_size((items[j], items[k])), j, k)
+                      for j in range(len(items)) for k in range(j + 1, len(items))
+                      if reads[j] & reads[k])
+        y = items.pop(k)
+        reads[j] |= reads.pop(k)
+        if negated and k == last:
+            items[j], negated = combine(np.greater, items[j], y), False
+        else:
+            items[j] = combine(np.logical_and, items[j], y)
+    if negated:
+        g = items.pop()
+        _, j = min((joint_size((x, g)), j) for j, x in enumerate(items))
+        items[j] = combine(np.greater, items[j], g)
+    return items
+
+
 # --- assertions ---------------------------------------------------------------
+
+def kept_apart(space: _Space) -> bool:
+    """Whether an assertion over ``space`` keeps its factors apart.  In a
+    space of at most ``_BLOCK`` runs it combines them at once: there the
+    calls that factors apart cost outweigh the elements they save."""
+    return space.size > _BLOCK
+
+
+def _on_axes(x: np.ndarray, shape: tuple) -> bool:
+    """Whether ``x`` is a bool array on the axes of ``shape``, of size 1 on any of them."""
+    return x.dtype == bool and x.ndim == len(shape) and (
+        x.shape == shape or all([n == r or n == 1 for n, r in zip(x.shape, shape)]))
+
 
 class Assertion(Record):
     """A set of runs over a signature at a fixed horizon.
 
-    It holds ``view``: its mask on the axis view of its space, with a
-    size-1 axis for every slot it does not read (read-only).  ``mask``, the
-    run-indexed vector of the whole space, is filled from the view on its
-    first read and kept; a view of full size in C order is the mask itself.
-    The constructor takes either form of ``values``: the run-indexed vector,
-    which is kept as the mask, or a view on the space's axes.  The array is
-    made read-only.
+    It holds ``factors``: bool arrays on the axis view of its space, each
+    with a size-1 axis for every slot it does not read (read-only), whose
+    ``and`` is the run set.  ``view``, that conjunction in its broadcast
+    shape, and ``mask``, the run-indexed vector of the whole space, are made
+    on their first read and kept; a one-factor view is the factor, and a
+    view of full size in C order is the mask itself.  The constructor takes
+    ``values`` as the run-indexed vector, which is kept as the mask, as a
+    view on the space's axes, or as a tuple of such views, the factors; of
+    two factors whose read slots nest, the smaller is combined into the
+    larger at once.  The arrays are made read-only.
     """
 
-    __slots__ = ("signature", "horizon", "view", "_mask")
+    __slots__ = ("signature", "horizon", "factors", "_view", "_mask")
     _fields = ("signature", "horizon")    # the arrays are left out of the repr
 
-    def __init__(self, signature: Signature, horizon: int, values: np.ndarray):
+    def __init__(self, signature: Signature, horizon: int, values):
         space = space_of(signature, horizon)
         shape = space.shape
-        if values.dtype == bool and values.ndim == len(shape) and (values.shape == shape or all(
-                n == r or n == 1 for n, r in zip(values.shape, shape))):
-            view, mask = values, None
-        elif values.dtype == bool and values.shape == (space.size,):
-            view, mask = values.reshape(shape), values
+        mask = None
+        if type(values) is not tuple:
+            if values.ndim != len(shape) and values.dtype == bool and values.shape == (space.size,):
+                # the view of a read-only vector is read-only
+                values.setflags(write=False)
+                mask, values = values, values.reshape(shape)
+            elif _on_axes(values, shape):
+                values.setflags(write=False)
+            else:
+                raise PctError("assertion values must be a boolean vector over the run space "
+                               "or a boolean array on its axes")
+            values = (values,)
         else:
-            raise PctError("assertion values must be a boolean vector over the run space "
-                           "or a boolean array on its axes")
-        values.setflags(write=False)
+            if not all([_on_axes(x, shape) for x in values]):
+                raise PctError("assertion factors must be boolean arrays on the run space's axes")
+            for x in values:
+                x.setflags(write=False)
+            if len(values) > 1:
+                values = _nested(values) if kept_apart(space) else (conjunction(values),)
+                for x in values:
+                    x.setflags(write=False)
         setfield(self, "signature", signature)
         setfield(self, "horizon", horizon)
-        setfield(self, "view", view)
+        setfield(self, "factors", values)
+        setfield(self, "_view", values[0] if len(values) == 1 else None)
         setfield(self, "_mask", mask)
+
+    @property
+    def view(self) -> np.ndarray:
+        """The conjunction of the factors on the axis view: made on first
+        read, then kept."""
+        view = self._view
+        if view is None:
+            view = conjunction(self.factors)
+            view.setflags(write=False)
+            setfield(self, "_view", view)
+        return view
 
     @property
     def space(self) -> _Space:
@@ -673,15 +840,30 @@ def same_horizon(x, y) -> None:
         raise HorizonMismatchError(f"horizons differ: {x.horizon} vs {y.horizon}")
 
 
+def lifted_factors(e: Assertion, sig2: Signature) -> tuple:
+    """``e``'s factors on sig2's axis view, made without a copy.  sig2 must
+    hold e's ports with their domains; callers that need roles to agree
+    check them."""
+    if sig2.ports == e.signature.ports:
+        return e.factors
+    dst = _lift_target(e, sig2)
+    return tuple([_spread(x, e.space, dst) for x in e.factors])
+
+
 def lifted_view(e: Assertion, sig2: Signature) -> np.ndarray:
-    """``e``'s view on sig2's axis view, made without a copy.  sig2 must hold
-    e's ports with their domains; callers that need roles to agree check them."""
+    """``e``'s view on sig2's axis view, made without a copy, as
+    ``lifted_factors`` makes its factors."""
     if sig2.ports == e.signature.ports:
         return e.view
+    return _spread(e.view, e.space, _lift_target(e, sig2))
+
+
+def _lift_target(e: Assertion, sig2: Signature) -> _Space:
+    """sig2's space at e's horizon, where sig2 holds e's ports with their domains."""
     ports = sig2._by_name
     if not all(ports.get(p.name) == p for p in e.signature.ports):
         raise SignatureError("lift target must hold the assertion's ports with their domains")
-    return _spread(e.view, e.space, space_of(sig2, e.horizon))
+    return space_of(sig2, e.horizon)
 
 
 def _extends(sig: Signature, *es: Assertion) -> None:
@@ -695,7 +877,7 @@ def lift(e: Assertion, sig2: Signature) -> Assertion:
     if sig2 == e.signature:
         return e
     _extends(sig2, e)
-    return Assertion(sig2, e.horizon, lifted_view(e, sig2))
+    return Assertion(sig2, e.horizon, lifted_factors(e, sig2))
 
 
 def project(e: Assertion, sig2: Signature) -> Assertion:
@@ -713,7 +895,7 @@ def complement(e: Assertion) -> Assertion:
 
 
 def product(e1: Assertion, e2: Assertion) -> Assertion:
-    """Intersection over the union signature.
+    """Intersection over the union signature: the factors of both sides.
 
     Shared ports must agree on domain and role; resolving a
     controlled/uncontrolled conflict is a contract-level concern and is
@@ -721,8 +903,7 @@ def product(e1: Assertion, e2: Assertion) -> Assertion:
     """
     same_horizon(e1, e2)
     sig = union_signature(e1.signature, e2.signature)
-    return Assertion(sig, e1.horizon, combine(np.logical_and, lifted_view(e1, sig),
-                                              lifted_view(e2, sig)))
+    return Assertion(sig, e1.horizon, lifted_factors(e1, sig) + lifted_factors(e2, sig))
 
 
 def union(e1: Assertion, e2: Assertion) -> Assertion:
@@ -743,37 +924,47 @@ def slot_values(sig: Signature, h, name: str, step: int) -> np.ndarray:
     """Domain-position digit of (port, step) at every run, on the axis view.
 
     The result has shape (1, ..., r, ..., 1): it broadcasts against the
-    view of any vector over the run space.  Read-only.
+    view of any vector over the run space.  Read-only, and made once per
+    space and slot.
     """
     hh = _hlen(h)
     space = space_of(sig, hh)
     sig.port(name)
     if not 0 <= step < hh:
         raise PctError(f"step {step} outside horizon 0..{hh - 1}")
-    shape = tuple(r if slot == (name, step) else 1 for slot, r in zip(space.axes, space.shape))
-    out = np.arange(math.prod(shape)).reshape(shape)
-    out.setflags(write=False)
+    out = space._digits.get((name, step))
+    if out is None:
+        shape = [1] * len(space.axes)
+        if (name, step) in space.axes:    # a port of one value has no axis
+            i = space.axes.index((name, step))
+            shape[i] = space.shape[i]
+        out = space._digits[name, step] = np.arange(math.prod(shape)).reshape(shape)
+        out.setflags(write=False)
     return out
 
 
-def from_step_predicate(sig: Signature, h, step) -> Assertion:
-    """Runs at which ``step(t)`` holds at every step ``t``.
+def from_step_predicate(sig: Signature, h, step, *more) -> Assertion:
+    """Runs at which ``step(t)``, and each of ``more``, holds at every step ``t``.
 
     ``step(t)`` returns a boolean array that broadcasts against the axis
     view, as any expression in ``slot_values(sig, h, name, t)`` does.  The
-    step values are combined in their broadcast shape, which the assertion
-    keeps as its view: nothing of the full size is made.  A value that is
-    the same object as the previous step's is combined once, and a step
-    function marked ``invariant`` is called at step 0 only.  Like the
-    ``Assertion`` constructor, this takes over the arrays it is given.
+    step values of each step function are combined in their broadcast
+    shape, and the assertion keeps the results as its factors: nothing of
+    the full size is made.  A value that is the same object as the previous
+    step's is combined once, and a step function marked ``invariant`` is
+    called at step 0 only.  Like the ``Assertion`` constructor, this takes
+    over the arrays it is given.
     """
     hh = _hlen(h)
-    held = last = None
-    for t in range(1 if getattr(step, "invariant", False) else hh):
-        value = step(t)
-        if value is not last:
-            held = value if held is None else combine(np.logical_and, held, value)
-            last = value
-    held = np.asarray(held)
     n = len(space_of(sig, hh).shape)
-    return Assertion(sig, hh, held.reshape((1,) * (n - held.ndim) + held.shape))
+    factors = []
+    for fn in (step,) + more:
+        held = last = None
+        for t in range(1 if getattr(fn, "invariant", False) else hh):
+            value = fn(t)
+            if value is not last:
+                held = value if held is None else combine(np.logical_and, held, value)
+                last = value
+        held = np.asarray(held)
+        factors.append(held.reshape((1,) * (n - held.ndim) + held.shape))
+    return Assertion(sig, hh, tuple(factors))

@@ -310,6 +310,26 @@ def test_step_invariant_nodes_are_evaluated_once(text, ands, steps, reads, monke
     assert got == want
 
 
+@pytest.mark.parametrize("text,ands,factors", [
+    # each side of a top-level and is its own factor, never conjoined
+    ("always(x) and always(y)", 0, 2),
+    ("x and y and at(1, x and y)", 1, 3),
+    # a conjunct that reads no slot outside another's goes into that one
+    ("always(x) and at(0, x)", 0, 1),
+    # only the top-level and tree is split
+    ("not (always(x) and always(y))", 1, 1),
+])
+def test_a_top_level_and_is_split_into_factors_above_the_block(text, ands, factors, monkeypatch):
+    # XY has 64 runs at horizon 3; with a block of 1 it is a large space
+    want = pct.denote(pct.parse_expr(text), XY, 3)
+    assert len(want.factors) == 1
+    monkeypatch.setattr(traces, "_BLOCK", 1)
+    counts = _counting(monkeypatch)
+    got = pct.denote(pct.parse_expr(text), XY, 3)
+    assert counts["and"] == ands and len(got.factors) == factors
+    assert got == want and np.array_equal(got.mask, want.mask)
+
+
 def per_step_mask(e, sig, h, defs):
     """The mask of ``e`` as the parent algorithm computes it: ``e`` is
     evaluated at every step separately, temporal operators and ``at``
