@@ -68,8 +68,7 @@ def satisfies(m: Assertion, c: Contract) -> bool:
     """
     traces.same_horizon(m, c)
     sig = traces.union_signature(m.signature, c.signature)
-    return traces.everywhere(np.less_equal, traces.lifted_view(m, sig),
-                             traces.lifted_view(c.guarantee, sig))
+    return traces.within(traces.lifted_factors(m, sig), traces.lifted_factors(c.guarantee, sig))
 
 
 def satisfaction_formulas(m: Assertion, c: Contract) -> tuple:

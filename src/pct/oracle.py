@@ -412,19 +412,23 @@ class Budget(Record):
 
     @classmethod
     def parse(cls, text: str) -> "Budget":
-        """Parse 'ports=3,h=2,dom=2,space=1024' (all keys optional)."""
+        """Parse 'ports=3,h=2,dom=2,space=1024' (all keys optional, each
+        at most once)."""
         kwargs = {}
         keys = {"ports": "max_ports_per_side", "h": "max_horizon",
                 "dom": "max_domain", "space": "max_space"}
         if text:
             for part in text.split(","):
                 k, _, v = part.partition("=")
-                if k.strip() not in keys:
-                    raise PctError(f"unknown budget key {k.strip()!r}")
+                k = k.strip()
+                if k not in keys:
+                    raise PctError(f"unknown budget key {k!r}")
+                if keys[k] in kwargs:
+                    raise PctError(f"budget key {k!r} is given twice")
                 try:
-                    kwargs[keys[k.strip()]] = int(v)
+                    kwargs[keys[k]] = int(v)
                 except ValueError:
-                    raise PctError(f"budget {k.strip()} must be an integer, got {v!r}") from None
+                    raise PctError(f"budget {k} must be an integer, got {v!r}") from None
         return cls(**kwargs)
 
 
@@ -675,7 +679,7 @@ def _subset_impl(rng, target: Assertion) -> Assertion:
 @_one_case()
 def check_lemma1(seed: int, budget: Budget = Budget()) -> CaseResult:
     """Satisfying implementations compose into the composed contract, and
-    the three satisfaction formulas agree everywhere."""
+    the three satisfaction formulas agree on each pair."""
     inst = gen_compose_instance(seed, budget)
     rng = random.Random(f"lemma1:{seed}")
     c1, c2 = inst.pc1.base, inst.pc2.base

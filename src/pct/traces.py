@@ -37,11 +37,13 @@ so are all of them in a space of at most ``_BLOCK`` runs (``kept_apart``).
 ``view``, the conjunction, and ``Assertion.mask``, the run-indexed vector,
 are made on their first read and kept.  ``lift``, ``product`` and
 ``compose_impl`` spread or join the factors; the other connectives
-combine views in their broadcast shape, and inclusion, equality and
-satisfaction are ``everywhere`` tests that reduce each side over the axes
-only it reads instead of broadcasting.  ``eliminate`` takes ``any`` of a
-conjunction of factors over slots one factor at a time, which is how
-``sat_level`` reduces its violations to Omega.  The oracle, ``runs``,
+combine views in their broadcast shape.  ``eliminate`` takes ``any`` of a
+conjunction of factors over slots one factor at a time.  It is the one
+quantifier over runs: ``sat_level`` reduces its violations to Omega with
+it, ``project`` the factors to the kept slots, and ``is_empty`` to no
+slot.  ``within``, which is ``eliminate`` with an empty ``keep`` for each
+factor of the wider side, tests inclusion, satisfaction and equality on
+the factors.  The oracle, ``runs``,
 ``len`` and serialization read the mask.  The enumeration cap still
 applies to the full signature: ``_space``, which makes every space,
 refuses one above it before building its axes.
@@ -68,9 +70,10 @@ Smaller results pay only a size check.  Reductions follow the same rule
 axes is short is copied once with the kept axes in front or behind.
 Bool identities spare the temporaries: ``a > b`` is a and not b, and
 ``a >= b`` is a or not b.  A value that is only reduced is reduced on
-each side first, over the axes that side alone reads (``reduce_apart``,
-``eliminate``), so ``sat_level``'s largest array is its largest partial
-product, not the conjunction (docs/format.md, "Full-size masks").
+each side first, over the axes that side alone reads (``eliminate``), so
+the largest array of ``sat_level``, ``within`` and ``project`` is their
+largest partial product, not the conjunction (docs/format.md, "Full-size
+masks").
 """
 
 from __future__ import annotations
@@ -419,6 +422,8 @@ def _joint(a: tuple, b: tuple) -> tuple:
     """The broadcast of two shapes that broadcast together: the larger size
     on each axis, the shorter shape padded with leading 1s.  NumPy's own
     ``broadcast_shapes`` stops at 32 dimensions, arrays and ufuncs at 64."""
+    if a == b:
+        return a
     n = len(a) - len(b)
     if n:
         a, b = ((1,) * -n + a, b) if n < 0 else (a, (1,) * n + b)
@@ -492,70 +497,6 @@ def _reduce(ufunc: np.ufunc, values: np.ndarray, src: _Space, dst: _Space) -> np
     return np.asarray(out, dtype=values.dtype).reshape(shape)
 
 
-def reduce_apart(ua: np.ufunc, ub: np.ufunc, a: np.ndarray, b: np.ndarray) -> tuple:
-    """``a`` reduced with ``ua`` along the axes that only it reads, and ``b``
-    with ``ub`` along the axes that only it reads: (the two results).
-
-    ``a`` and ``b`` are bool arrays on one axis view.  An axis that only one
-    side reads has size over 1 there and 1 on the other side.  The reduced
-    axes keep size 1, so the results still broadcast together, and a side
-    with no such axis is returned as is.  A value of the broadcast of
-    ``f(a, b)``, with ``f`` monotone in each operand, is reduced along
-    those axes by reducing each side first: ``any(a and not b)`` over an
-    axis only ``a`` reads is ``any(a) and not b``, and over one only ``b``
-    reads ``a and not all(b)``.  So ``everywhere`` never broadcasts an axis
-    that one side alone reads.
-    """
-    out = []
-    for ufunc, x, y in ((ua, a, b), (ub, b, a)):
-        own = tuple(i for i, (m, n) in enumerate(zip(x.shape, y.shape)) if n == 1 < m)
-        out.append(_reduced(ufunc, x, own) if own else x)
-    return tuple(out)
-
-
-# runs checked at a time by ``everywhere``
-_CHUNK = 1 << 16
-
-
-def everywhere(ufunc, a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the boolean ``ufunc(a, b)`` holds at every point of the
-    broadcast of two bool arrays on one axis view, without making it.
-
-    Along the axes that only one side reads, all that matters is which
-    values that side takes there: at most two, its ``all`` and its ``any``
-    along them.  So each side is reduced to those two over its own axes,
-    and the ufunc is checked on every pair of them over the axes both read,
-    ``_CHUNK`` runs at a time into one buffer, stopping at the first chunk
-    where it fails.
-    """
-    # the broadcast has at most a.size * b.size elements
-    if a.size * b.size <= _CHUNK or (a.shape == b.shape and a.size <= _CHUNK):
-        return bool(ufunc(a, b).all())
-    pairs = ((a, b),)
-    if a.shape != b.shape:
-        lows = reduce_apart(np.logical_and, np.logical_and, a, b)
-        highs = reduce_apart(np.logical_or, np.logical_or, a, b)
-        sides = [(lo, hi) if lo is not x else (x,) for x, lo, hi in zip((a, b), lows, highs)]
-        pairs = tuple((x, y) for x in sides[0] for y in sides[1])
-    # every pair now has one shape: the axes both read, and size 1 elsewhere
-    for x, y in pairs:
-        if x.size <= _CHUNK:
-            if not ufunc(x, y).all():
-                return False
-            continue
-        # dropping size-1 axes never copies
-        shape = tuple(r for r in x.shape if r > 1)
-        x, y = x.reshape(shape), y.reshape(shape)
-        k, block = len(shape), 1
-        while block < _CHUNK:
-            k -= 1
-            block *= shape[k]
-        buf = np.empty(shape[k:], dtype=bool)
-        if not all(ufunc(x[i], y[i], out=buf).all() for i in np.ndindex(shape[:k])):
-            return False
-    return True
-
-
 # --- conjunctions of factors ----------------------------------------------------
 
 def _bits(axes) -> int:
@@ -603,21 +544,26 @@ def eliminate(factors, keep, neg: np.ndarray | None = None) -> list:
     as bool arrays whose ``and`` it is, each reading only axes in ``keep``.
 
     All the arrays are on one axis view, and ``factors`` is not empty.  A
-    conjunction of at most ``_BLOCK`` elements is made and reduced at once;
-    a larger one is never made whole.  Two identities take ``any`` over one
-    axis at a time into a single array: over an axis that one array alone
-    reads, ∃x (f ∧ r) = (∃x f) ∧ r, and ∃x ¬g = ¬∀x g, so that array is
-    reduced alone, with ``any``, or with ``all`` in ``neg``.  While an axis
-    outside ``keep`` is read by two or more arrays, the pair that reads one
-    and has the smallest broadcast is combined into one array (``and``, or
-    ``f > neg``, which is f and not neg), and the reductions are taken
-    again.  Last, ``neg`` if still apart is combined with the array that
-    gives the smallest result.  The largest array made is the largest pair.
+    conjunction of at most ``_BLOCK`` elements is made and reduced at once,
+    with one ``any`` when ``keep`` is empty; a larger one is never made
+    whole.  Two identities take ``any`` over one axis at a time into a
+    single array: over an axis that one array alone reads, ∃x (f ∧ r) =
+    (∃x f) ∧ r, and ∃x ¬g = ¬∀x g, so that array is reduced alone, with
+    ``any``, or with ``all`` in ``neg``.  While an axis outside ``keep`` is
+    read by two or more arrays, the pair that reads one and has the
+    smallest broadcast is combined into one array (``and``, or ``f > neg``,
+    which is f and not neg), and the reductions are taken again.  Last,
+    ``neg`` if still apart is combined with the array that gives the
+    smallest result.  The largest array made is the largest pair.
     """
-    if joint_size(factors if neg is None else [*factors, neg]) <= _BLOCK:
+    arrays = factors if neg is None else [*factors, neg]
+    # the conjunction has at most the product of the sizes, as in combine
+    if math.prod([x.size for x in arrays]) <= _BLOCK or joint_size(arrays) <= _BLOCK:
         x = conjunction(factors)
         if neg is not None:
             x = combine(np.greater, x, neg)
+        if not keep:
+            return [x.any(keepdims=True)]
         own = tuple(i for i, r in enumerate(x.shape) if r > 1 and i not in keep)
         return [_reduced(np.logical_or, x, own) if own else x]
     items = list(factors)
@@ -653,6 +599,16 @@ def eliminate(factors, keep, neg: np.ndarray | None = None) -> list:
         _, j = min((joint_size((x, g)), j) for j, x in enumerate(items))
         items[j] = combine(np.greater, items[j], g)
     return items
+
+
+def within(fs, gs) -> bool:
+    """Whether the ``and`` of the bool arrays ``fs`` lies within the ``and``
+    of ``gs``, all on one axis view: for every ``g``, ``fs`` and not ``g``
+    has no point, which is ``eliminate`` with an empty ``keep``."""
+    for g in gs:
+        if all(eliminate(fs, (), g)):
+            return False
+    return True
 
 
 # --- assertions ---------------------------------------------------------------
@@ -748,17 +704,22 @@ class Assertion(Record):
         return mask
 
     def __eq__(self, other):
-        return (isinstance(other, Assertion)
-                and self.signature == other.signature
-                and self.horizon == other.horizon
-                and everywhere(np.equal, self.view, other.view))
+        """Equal run sets: two kept views of one shape are compared in one
+        pass, and otherwise the factors are ``within`` each other."""
+        if not (isinstance(other, Assertion) and self.signature == other.signature
+                and self.horizon == other.horizon):
+            return False
+        a, b = self._view, other._view
+        if a is not None and b is not None and a.shape == b.shape:
+            return np.array_equal(a, b)
+        return within(self.factors, other.factors) and within(other.factors, self.factors)
 
     def __len__(self) -> int:
         return int(self.mask.sum())
 
     @property
     def is_empty(self) -> bool:
-        return not self.view.any()
+        return not all(eliminate(self.factors, ()))
 
     def __iter__(self) -> Iterator[tuple]:
         return runs(self)
@@ -881,13 +842,16 @@ def lift(e: Assertion, sig2: Signature) -> Assertion:
 
 
 def project(e: Assertion, sig2: Signature) -> Assertion:
-    """Image of the runs under restriction to sig2's ports."""
+    """Image of the runs under restriction to sig2's ports: ``any`` of the
+    factors over the slots sig2 lacks, on sig2's axes."""
     if not is_subsignature(sig2, e.signature):
         raise SignatureError("projection target must be a sub-signature")
     if sig2 == e.signature:
         return e
-    small = space_of(sig2, e.horizon)
-    return Assertion(sig2, e.horizon, _reduce(np.logical_or, e.view, e.space, small))
+    slots = set(space_of(sig2, e.horizon).axes)
+    keep = [i for i, slot in enumerate(e.space.axes) if slot in slots]
+    return Assertion(sig2, e.horizon, tuple([x.reshape([x.shape[i] for i in keep])
+                                             for x in eliminate(e.factors, keep)]))
 
 
 def complement(e: Assertion) -> Assertion:
@@ -917,7 +881,7 @@ def included_in(e1: Assertion, e2: Assertion, sig: Signature) -> bool:
     """Signature-relative inclusion: lift both to sig and compare."""
     same_horizon(e1, e2)
     _extends(sig, e1, e2)
-    return everywhere(np.less_equal, lifted_view(e1, sig), lifted_view(e2, sig))
+    return within(lifted_factors(e1, sig), lifted_factors(e2, sig))
 
 
 def slot_values(sig: Signature, h, name: str, step: int) -> np.ndarray:

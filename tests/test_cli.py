@@ -398,6 +398,8 @@ def test_fmt_write_reports_a_failed_write(example, capsys, monkeypatch):
     ["--seeds", "0"],
     ["--seeds", "-5"],
     ["--budget", "space=2"],
+    ["--budget", "h=1,h=3"],
+    ["--budget", "h=2, h =2"],
 ])
 def test_verify_rejects_bad_input(argv, capsys):
     assert cli.main(["verify", "--suite", "lemma2_sat", *argv]) == 2

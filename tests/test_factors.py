@@ -149,6 +149,29 @@ def test_refine_level_of_conjunctions_matches_the_oracle(seed, block):
     assert (report.level, report.p_g1, report.degenerate) == oracle.oracle_refine_level(pc1, pc2)
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_quantified_set_operations_on_conjunctions_match_the_oracle(seed, block):
+    # project, is_empty, ==, included_in and satisfies take their any over
+    # runs with eliminate; the oracle reads the runs of the masks
+    rng = random.Random(f"set-factors:{seed}")
+    h = rng.choice((1, 2))
+    sig, _, _ = level_case(rng, h)
+    e1, e2 = (factored(rng, sig, h, rng.choice((0.2, 0.8, 0.95))) for _ in range(2))
+    runs1, runs2 = oracle.materialize(e1), oracle.materialize(e2)
+    assert e1.is_empty == (not runs1)
+    assert (e1 == e2, e2 == e1) == (runs1 == runs2,) * 2
+    assert e1 == whole(e1) and whole(e1) == e1
+    assert pct.included_in(e1, e2, sig) == (runs1 <= runs2)
+    assert pct.included_in(pct.product(e1, e2), e2, sig)
+    for _ in range(3):
+        keep = {n for n in sig.names if rng.random() < 0.5}
+        want = frozenset(tuple((n, v) for n, v in r if n in keep) for r in runs1)
+        assert oracle.materialize(pct.project(e1, sig.restricted(keep))) == want
+    c = pct.contract(factored(rng, sig, h, 0.5), factored(rng, sig, h, 0.9))
+    assert contracts.satisfies(e1, c) == oracle.oracle_satisfies(e1, c)
+    assert contracts.satisfies(pct.product(e1, c.guarantee), c)
+
+
 def test_the_stored_guarantee_keeps_the_factors_the_assumption_does_not_cover(monkeypatch):
     monkeypatch.setattr(traces, "_BLOCK", 1)
     sig = Signature.of(controlled=(Port("x"), Port("y")), uncontrolled=(Port("a"), Port("b")))
@@ -174,7 +197,8 @@ def test_the_stored_guarantee_keeps_the_factors_the_assumption_does_not_cover(mo
 
 # --- the engine's helpers stay out of the oracle --------------------------------------
 
-HELPERS = {"eliminate", "conjunction", "lifted_factors", "_nested", "kept_apart", "joint_size"}
+HELPERS = {"eliminate", "within", "conjunction", "lifted_factors", "_nested", "kept_apart",
+           "joint_size"}
 
 
 def test_the_oracle_names_none_of_the_factor_helpers():

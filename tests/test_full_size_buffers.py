@@ -181,3 +181,35 @@ def test_cmd_compose_makes_no_full_size_mask(tmp_path):
     (rc, text), peak, kept = full_size_buffers(speclang.parse(path.read_text()), compose)
     assert rc == 0 and "probcontract composite" in text
     assert (peak, kept) == (0, 0)
+
+
+def test_satisfies_makes_no_full_size_mask(doc):
+    # m_all's factors and the stored guarantee's together read every slot;
+    # each factor g of the guarantee is tested against m one slot at a time
+    m = speclang.build_impl(doc, "m_all")
+    spec = speclang.build_contract(doc, "spec")
+    assert m.signature == spec.signature and len(spec.guarantee.factors) > 1
+    ok, peak, kept = full_size_buffers(doc, lambda: contracts.satisfies(m, spec))
+    assert not ok
+    assert (peak, kept) == (0, 0)
+
+
+def test_included_in_makes_no_full_size_mask(doc):
+    m = speclang.build_impl(doc, "m_all")
+    spec = speclang.build_contract(doc, "spec")
+    for e1, e2 in ((m, spec.guarantee), (spec.guarantee, m)):
+        ok, peak, kept = full_size_buffers(
+            doc, lambda: traces.included_in(e1, e2, spec.signature))
+        assert not ok
+        assert (peak, kept) == (0, 0)
+
+
+def test_project_of_factors_makes_no_full_size_mask(doc):
+    # dropping f2 eliminates its slots from the two factors that read it;
+    # a fresh assertion each call, since a kept view would be reduced as is
+    small = speclang.build_impl(doc, "m_all").signature.restricted(
+        ("f0", "f1", "u0", "u1", "x0", "x1", "x2"))
+    e, peak, kept = full_size_buffers(
+        doc, lambda: traces.project(speclang.build_impl(doc, "m_all"), small))
+    assert len(e.factors) > 1
+    assert (peak, kept) == (0, 0)

@@ -395,32 +395,46 @@ def test_contract_operations_agree_on_views_and_full_masks(seed):
     assert probabilistic.refine_level(pcs["f"][1], pcs["v"][0]) == want_refine
 
 
-@pytest.mark.parametrize("shape", kernel_shapes())
-def test_everywhere_matches_plain_broadcasting(shape):
-    rng = random.Random(f"everywhere:{shape}")
+def plain_within(fs, gs):
+    """not any(f and not g) of the plain broadcast of the factors."""
+    full = np.broadcast_shapes(*(x.shape for x in fs + gs))
+    f = np.logical_and.reduce([np.broadcast_to(x, full) for x in fs])
+    g = np.logical_and.reduce([np.broadcast_to(x, full) for x in gs])
+    return not (f & ~g).any()
+
+
+def check_within(rng, shape, monkeypatch):
+    """``within`` of 1 to 3 random factors on each side, which read 60 % of
+    the axes, against the plain broadcast: once with a block of one
+    element, so that ``eliminate`` never makes a conjunction at once, and
+    once with the block as it is."""
+    cases = []
     for _ in range(6):
-        ops = []
-        for _ in range(2):
-            own = tuple(r if rng.random() < 0.6 else 1 for r in shape)
-            # mostly True, so that a check does not stop at its first chunk
-            ops.append(np.random.default_rng(rng.randrange(2**32)).random(own) < 0.97)
-        full = np.broadcast_shapes(*(x.shape for x in ops))
-        for ufunc in KERNEL_UFUNCS + (np.less_equal, np.logical_or):
-            want = bool(ufunc(*(np.broadcast_to(x, full) for x in ops)).all())
-            assert traces.everywhere(ufunc, *ops) == want
-        # equal operands, so that the check runs through every chunk
-        assert traces.everywhere(np.equal, ops[0], ops[0].copy())
+        fs, gs = ([np.random.default_rng(rng.randrange(2**32)).random(
+            tuple(r if rng.random() < 0.6 else 1 for r in shape)) < density
+            for _ in range(rng.randint(1, 3))] for density in (rng.choice((0.1, 0.9)), 0.97))
+        # the last two hold: the conjunction of both sides lies within either
+        cases += [(fs, gs), (gs, fs), (fs + gs, gs), (gs + fs, fs)]
+    want = [plain_within(fs, gs) for fs, gs in cases]
+    assert False in want
+    for block in (1, traces._BLOCK):
+        monkeypatch.setattr(traces, "_BLOCK", block)
+        assert [traces.within(fs, gs) for fs, gs in cases] == want
 
 
-def test_everywhere_reduces_every_axis_only_one_side_reads():
+@pytest.mark.parametrize("shape", kernel_shapes())
+def test_within_matches_plain_broadcasting(shape, monkeypatch):
+    check_within(random.Random(f"within:{shape}"), shape, monkeypatch)
+
+
+def test_within_reduces_every_axis_only_one_side_reads():
     # two axes each that only one side reads, around 2^17 points both read
     shape = (2,) * 21
     rng = np.random.default_rng(21)
     a = rng.random((2, 2, 1, 1) + shape[4:]) < 0.999
     b = rng.random((1, 1, 2, 2) + shape[4:]) < 0.999
-    for ufunc in (np.logical_or, np.less_equal, np.greater_equal, np.equal):
-        want = bool(ufunc(np.broadcast_to(a, shape), np.broadcast_to(b, shape)).all())
-        assert traces.everywhere(ufunc, a, b) == want
+    assert traces.within([a], [b]) == plain_within([a], [b])
+    assert traces.within([a, b], [b]) and traces.within([b, a], [a])
     # at one shared point, a holds only where its second axis is 1 and b
     # fails only where its second axis is 0: a <= b fails there, though the
     # two axes' positions agree
@@ -428,24 +442,36 @@ def test_everywhere_reduces_every_axis_only_one_side_reads():
     a[:, 1, :, :, 0] = True
     b = np.ones((1, 1, 2, 2) + shape[4:], dtype=bool)
     b[:, :, :, 0, 0] = False
-    assert not traces.everywhere(np.less_equal, a, b)
+    assert not traces.within([a], [b])
     b[:, :, :, 0, 0] = True
-    assert traces.everywhere(np.less_equal, a, b)
+    assert traces.within([a], [b])
 
 
 @pytest.mark.parametrize("at", [0, 2**16 - 1, 2**16, 2**18 - 1])
-def test_everywhere_finds_one_failing_point_in_any_chunk(at):
-    shape = (2,) * 18
-    x = np.ones(shape, dtype=bool)
-    y = x.copy()
-    y.reshape(-1)[at] = False
-    assert traces.everywhere(np.equal, x, x.copy())
-    assert not traces.everywhere(np.equal, x, y)
-    assert not traces.everywhere(np.less_equal, x, y)
-    assert traces.everywhere(np.greater_equal, x, y)
+def test_equality_finds_one_flipped_run(at):
+    # 2^18 runs held three ways: two one-factor views of one shape compare
+    # in one pass, and factors compare by within both ways
+    sig = Signature.of(uncontrolled=[Port(name) for name in "abcdef"])
+    shape = traces.space_of(sig, 3).shape
+    rng = np.random.default_rng(18)
+    factors = tuple(rng.random(tuple(r if lo <= i < lo + 8 else 1 for i, r in enumerate(shape)))
+                    < 0.97 for lo in (0, 5, 10))
+    mask = np.logical_and.reduce([np.broadcast_to(x, shape) for x in factors]).reshape(-1)
+    ways = [Assertion(sig, 3, mask.copy()), Assertion(sig, 3, mask.reshape(shape).copy()),
+            Assertion(sig, 3, factors)]
+    assert len(ways[2].factors) == 3
+    assert all(x == y for x in ways for y in ways)
+    # kept views of two shapes that hold one set
+    one, filled = (Assertion(sig, 3, x) for x in (factors[0].copy(),
+                                                  np.broadcast_to(factors[0], shape).copy()))
+    assert one.view.shape != filled.view.shape and one == filled and filled == one
+    flipped = mask.copy()
+    flipped[at] = not flipped[at]
+    for other in (Assertion(sig, 3, flipped.copy()), Assertion(sig, 3, flipped.reshape(shape))):
+        assert all(x != other and other != x for x in ways)
 
 
-# --- reducing each side apart -------------------------------------------------------
+# --- reductions in every layout ------------------------------------------------------
 
 def kept_axes(n, layout):
     """Axis numbers of a kept set (as Omega's axes) of an n-axis view: the
@@ -457,16 +483,6 @@ def kept_axes(n, layout):
 
 
 LAYOUTS = ("first", "last", "interleaved", "groups")
-
-# (ufunc, reduction, how each side is reduced): the ufunc is monotone in each
-# operand, so its reduction over an axis one side alone reads is the ufunc of
-# that side's reduction
-APART = [(np.greater, np.logical_or, np.logical_or, np.logical_and),
-         (np.logical_and, np.logical_or, np.logical_or, np.logical_or),
-         (np.greater_equal, np.logical_and, np.logical_and, np.logical_or),
-         (np.less_equal, np.logical_and, np.logical_or, np.logical_and),
-         (np.logical_or, np.logical_and, np.logical_and, np.logical_and)]
-
 
 def apart_shapes():
     """Axis-view shapes with results under and over the block size."""
@@ -480,25 +496,8 @@ def apart_shapes():
 
 
 @pytest.mark.parametrize("shape", apart_shapes())
-def test_reduce_apart_matches_the_reduce_of_the_plain_ufunc(shape):
-    rng = random.Random(f"apart:{shape}")
-    sizes = set()
-    for _ in range(12):
-        a, b = (np.random.default_rng(rng.randrange(2**32)).random(
-            tuple(r if rng.random() < 0.6 else 1 for r in shape)) < 0.7 for _ in range(2))
-        dropped = tuple(i for i in range(len(shape)) if (a.shape[i] == 1) != (b.shape[i] == 1))
-        full = np.broadcast_shapes(a.shape, b.shape)
-        sizes.add(math.prod(full) > traces._BLOCK)
-        for ufunc, reduction, ua, ub in APART:
-            want = reduction.reduce(ufunc(np.broadcast_to(a, full), np.broadcast_to(b, full)),
-                                    axis=dropped, keepdims=True)
-            ra, rb = traces.reduce_apart(ua, ub, a, b)
-            assert ra.ndim == rb.ndim == len(shape)
-            assert all(ra.shape[i] == rb.shape[i] == 1 for i in dropped)
-            assert (ra is a) == all(a.shape[i] == 1 for i in dropped)
-            got = traces.combine(ufunc, ra, rb)
-            assert got.shape == want.shape and np.array_equal(got, want)
-    assert math.prod(shape) <= traces._BLOCK or True in sizes
+def test_within_matches_plain_broadcasting_on_apart_shapes(shape, monkeypatch):
+    check_within(random.Random(f"within-apart:{shape}"), shape, monkeypatch)
 
 
 @pytest.mark.parametrize("shape", apart_shapes())
