@@ -91,8 +91,7 @@ def _canonical_guarantee_expr(decl, sig, h: int, defs: dict) -> speclang.Expr:
 def cmd_compose(args) -> int:
     # a bad name is reported before any work is done, by the lexer's rule
     out_name = args.alias
-    m = speclang._TOKEN_RE.fullmatch(out_name)
-    if m is None or m.lastgroup != "IDENT" or out_name in speclang.KEYWORDS:
+    if not speclang.is_name(out_name):
         raise PctError(f"--as {out_name!r}: a contract name is an identifier, not a keyword")
     doc = _load(args.file)
     names = [n.strip() for n in args.contracts.split(",") if n.strip()]

@@ -9,7 +9,9 @@ base gives every record a ``repr`` of those fields and, where the record
 does not define its own, equality and a hash over them, leaving out
 ``loc`` (a node's source location).  The records built in hot loops
 define their own ``__init__``, ``__eq__`` and ``__hash__``: the generic
-ones are several times slower.
+ones are several times slower.  ``_assign``, and the ``__init__`` of the
+records a parse builds, set each field through its slot's own descriptor
+(``_setters``), which skips ``object.__setattr__``'s checks.
 """
 
 setfield = object.__setattr__
@@ -18,12 +20,15 @@ setfield = object.__setattr__
 class Record:
     __slots__ = ()
     _fields = ()
+    _setters = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "_fields" not in cls.__dict__:
             own = cls.__dict__.get("__slots__", ())
             cls._fields = cls._fields + tuple(n for n in own if not n.startswith("_"))
+        # a slot's own descriptor sets it faster than setfield does
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -34,8 +39,8 @@ class Record:
     def _assign(self, *values) -> None:
         """Set the fields to ``values``, in ``_fields`` order: the ``__init__``
         of a record that is not built in a hot loop."""
-        for name, value in zip(self._fields, values, strict=True):
-            setfield(self, name, value)
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)

@@ -20,6 +20,7 @@ import bisect
 import functools
 import re
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
     SemanticError,
     SignatureError,
 )
-from .record import Record, setfield
+from .record import Record
 from .traces import Assertion, Port, Signature
 
 MAX_NESTING = 80
@@ -48,48 +49,64 @@ KEYWORDS = frozenset("""
 
 # --- tokens -------------------------------------------------------------------
 
-# One match per lexeme.  Whitespace and comments between tokens are one
-# ``skip`` match; any character no other group takes is ``bad``.
+# One match per lexeme: the whitespace and comments before it, then the
+# lexeme (a name or keyword, punctuation, or a number).  The lexeme is
+# empty at the end of the text and before a character no lexeme starts
+# with, the only places the skipped text can stop without one; so no
+# match fails, and no skipped text is matched twice.
 _TOKEN_RE = re.compile(r"""
-      (?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
-    | (?P<DECIMAL>[0-9]+\.[0-9]+)
-    | (?P<INT>[0-9]+)
-    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<PUNCT>==|[{}()\[\]:;,=/])
-    | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+    ([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+    ([A-Za-z_][A-Za-z0-9_]*|[{}()\[\]:;,/]|==?|[0-9]+(?:\.[0-9]+)?|)
+""", re.VERBOSE)
 
-_NEWLINE_RE = re.compile("\n")
+# ASCII classes: str.isdigit and str.isalpha also take other scripts' digits
+# and letters, which are no lexeme's characters
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 
-def _tokenize(text: str) -> list:
-    """The tokens of ``text`` as ``(kind, text, offset)`` tuples, ending in EOF.
+def _tokenize(text: str) -> tuple:
+    """The lexemes of ``text`` and the offset of each: two lists, ending in
+    the empty lexeme at offset ``len(text)`` (end of input).
 
-    ``kind`` is IDENT, KEYWORD, INT, DECIMAL, PUNCT or EOF; ``offset`` is
-    the index of the token's first character in ``text``.
+    A lexeme's first character tells its kind: a digit starts an integer
+    or a decimal (which has a '.'), a letter or '_' a name or a keyword
+    (``KEYWORDS``), anything else is punctuation.  Offsets are summed from
+    the lengths of the matched texts, so no match object is made.
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        lexeme = m.group()
-        if kind == "IDENT" and lexeme in KEYWORDS:
-            kind = "KEYWORD"
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {lexeme!r}",
-                             *_line_col(_line_starts(text), m.start()))
-        tokens.append((kind, lexeme, m.start()))
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+    pairs = _TOKEN_RE.findall(text)
+    lexemes = [lexeme for _, lexeme in pairs]
+    offsets = list(accumulate(map(len, chain.from_iterable(pairs))))[::2]
+    end = lexemes.index("")
+    if offsets[end] != len(text):
+        raise ParseError(f"unexpected character {text[offsets[end]]!r}",
+                         *_line_col(_line_starts(text), offsets[end]))
+    del lexemes[end + 1:], offsets[end + 1:]
+    return lexemes, offsets
 
 
-KIND, TEXT, OFFSET = 0, 1, 2    # the fields of a token
+def _is_name(lexeme: str) -> bool:
+    """Whether a lexeme is an identifier, not a keyword."""
+    return lexeme[:1] in _NAME_START and lexeme not in KEYWORDS
+
+
+def _is_int(lexeme: str) -> bool:
+    """Whether a lexeme is an integer, not a decimal."""
+    return lexeme[:1] in _DIGITS and "." not in lexeme
+
+
+def is_name(text: str) -> bool:
+    """Whether ``text`` is a name a document can declare: one identifier
+    lexeme, not a keyword."""
+    return _is_name(text) and _NAME_CHARS.issuperset(text)
 
 
 def _line_starts(text: str) -> list:
     """The offset at which each line of ``text`` starts."""
-    return [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
+    # a line starts one past the newline that ends the line before it
+    lengths = map(len, text.split("\n")[:-1])
+    return list(accumulate((n + 1 for n in lengths), initial=0))
 
 
 def _line_col(starts: list, offset: int) -> tuple:
@@ -114,15 +131,15 @@ class Expr(Record):
     __slots__ = ("loc",)
 
     def __init__(self, loc: tuple = (0, 0)):
-        setfield(self, "loc", loc)
+        _set_loc(self, loc)
 
 
 class Lit(Expr):
     __slots__ = ("value",)
 
     def __init__(self, loc: tuple = (0, 0), value: bool = True):
-        setfield(self, "loc", loc)
-        setfield(self, "value", value)
+        _set_loc(self, loc)
+        _set_lit_value(self, value)
 
 
 class NameRef(Expr):
@@ -130,16 +147,16 @@ class NameRef(Expr):
     __slots__ = ("name",)
 
     def __init__(self, loc: tuple = (0, 0), name: str = ""):
-        setfield(self, "loc", loc)
-        setfield(self, "name", name)
+        _set_loc(self, loc)
+        _set_ref_name(self, name)
 
 
 class Not(Expr):
     __slots__ = ("body",)
 
     def __init__(self, loc: tuple = (0, 0), body: Expr = None):
-        setfield(self, "loc", loc)
-        setfield(self, "body", body)
+        _set_loc(self, loc)
+        _set_not_body(self, body)
 
 
 class _Binary(Expr):
@@ -147,9 +164,9 @@ class _Binary(Expr):
     __slots__ = ("left", "right")
 
     def __init__(self, loc: tuple = (0, 0), left=None, right=None):
-        setfield(self, "loc", loc)
-        setfield(self, "left", left)
-        setfield(self, "right", right)
+        _set_loc(self, loc)
+        _set_left(self, left)
+        _set_right(self, right)
 
 
 class And(_Binary):
@@ -169,33 +186,33 @@ class Temporal(Expr):
 
     def __init__(self, loc: tuple = (0, 0), op: str = "always", body: Expr = None):
         # op: always | never | eventually
-        setfield(self, "loc", loc)
-        setfield(self, "op", op)
-        setfield(self, "body", body)
+        _set_loc(self, loc)
+        _set_temporal_op(self, op)
+        _set_temporal_body(self, body)
 
 
 class At(Expr):
     __slots__ = ("step", "body")
 
     def __init__(self, loc: tuple = (0, 0), step: int = 0, body: Expr = None):
-        setfield(self, "loc", loc)
-        setfield(self, "step", step)
-        setfield(self, "body", body)
+        _set_loc(self, loc)
+        _set_at_step(self, step)
+        _set_at_body(self, body)
 
 
 class Operand(Record):
     __slots__ = ("loc",)
 
     def __init__(self, loc: tuple = (0, 0)):
-        setfield(self, "loc", loc)
+        _set_operand_loc(self, loc)
 
 
 class PortOperand(Operand):
     __slots__ = ("name",)
 
     def __init__(self, loc: tuple = (0, 0), name: str = ""):
-        setfield(self, "loc", loc)
-        setfield(self, "name", name)
+        _set_operand_loc(self, loc)
+        _set_port_name(self, name)
 
 
 class ValueOperand(Operand):
@@ -203,8 +220,8 @@ class ValueOperand(Operand):
     __slots__ = ("value",)
 
     def __init__(self, loc: tuple = (0, 0), value=None):
-        setfield(self, "loc", loc)
-        setfield(self, "value", value)
+        _set_operand_loc(self, loc)
+        _set_operand_value(self, value)
 
     def _values(self) -> tuple:
         return _typed((self.value,))
@@ -214,9 +231,9 @@ class PrevOperand(Operand):
     __slots__ = ("name", "init")
 
     def __init__(self, loc: tuple = (0, 0), name: str = "", init=None):
-        setfield(self, "loc", loc)
-        setfield(self, "name", name)
-        setfield(self, "init", init)
+        _set_operand_loc(self, loc)
+        _set_prev_name(self, name)
+        _set_prev_init(self, init)
 
     def _values(self) -> tuple:
         return (self.name, *_typed((self.init,)))
@@ -225,6 +242,19 @@ class PrevOperand(Operand):
 class Cmp(_Binary):
     """``left == right`` over two operands."""
     __slots__ = ()
+
+
+# A parse builds a node for about every other token, so the nodes set their
+# fields through the slots' own descriptors: a third faster than
+# ``setfield``, which goes through ``object.__setattr__``'s checks.
+_set_loc, _set_operand_loc = Expr.loc.__set__, Operand.loc.__set__
+_set_lit_value, _set_ref_name, _set_not_body = (
+    Lit.value.__set__, NameRef.name.__set__, Not.body.__set__)
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+_set_temporal_op, _set_temporal_body = Temporal.op.__set__, Temporal.body.__set__
+_set_at_step, _set_at_body = At.step.__set__, At.body.__set__
+_set_port_name, _set_operand_value = PortOperand.name.__set__, ValueOperand.value.__set__
+_set_prev_name, _set_prev_init = PrevOperand.name.__set__, PrevOperand.init.__set__
 
 
 # --- document AST ---------------------------------------------------------------
@@ -302,396 +332,419 @@ class Document(Record):
 
 # --- parser -------------------------------------------------------------------
 
-class _Parser:
-    """Recursive descent over the tokens of one text.
+_TEMPORAL_OPS = frozenset(("always", "never", "eventually"))
 
-    Line and column are computed from the text's line starts, only for a
-    diagnostic or a node's ``loc``.
+
+class _Parser:
+    """Recursive descent over the lexemes of one text.
+
+    A token is tested by its text: keywords and punctuation are texts no
+    other token has, and any other token's first character tells its kind
+    (``_is_name``, ``_is_int``).  The end of input is the empty lexeme.  A
+    node's ``loc`` is ``_line_col`` of the offset of its operator (``not``,
+    ``and``, ``or``, ``implies``) or else of its first token; a
+    diagnostic's is that of the token the parser stopped at.
+
+    ``expr`` reads the ``implies``, ``or``, ``and`` and ``not`` levels of
+    an expression in one loop and calls ``atom`` for each operand.
+    ``depth`` counts the levels of docs/grammar.ebnf's "Nesting" paragraph:
+    one for each expr (each ``implies`` opens one), each unary (one per
+    ``not``, and one for the operand) and each atom an atom lies in.
     """
 
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.starts = None
+        self.lexemes, self.offsets = _tokenize(text)
+        self.starts = _line_starts(text)
         self.i = 0
-        self.tok = self.tokens[0]
         self.depth = 0
 
-    def where(self, tok) -> tuple:
-        """(line, col) of a token."""
-        if self.starts is None:
-            self.starts = _line_starts(self.text)
-        return _line_col(self.starts, tok[OFFSET])
+    def loc(self, i: int) -> tuple:
+        """(line, col) of the token at index ``i``."""
+        return _line_col(self.starts, self.offsets[i])
 
-    def loc(self) -> tuple:
-        return self.where(self.tok)
-
-    def error(self, message):
-        raise ParseError(message, *self.loc())
+    def error(self, message) -> ParseError:
+        return ParseError(message, *self.loc(self.i))
 
     def found(self) -> str:
-        return repr(self.tok[TEXT] or "end of input")
+        return repr(self.lexemes[self.i] or "end of input")
 
-    def advance(self) -> tuple:
-        t = self.tok
-        if t[KIND] != "EOF":
-            self.i += 1
-            self.tok = self.tokens[self.i]
-        return t
+    def expect(self, lexeme: str) -> None:
+        if self.lexemes[self.i] != lexeme:
+            raise self.error(f"expected {lexeme!r}, found {self.found()}")
+        self.i += 1
 
-    def at(self, kind, text=None) -> bool:
-        t = self.tok
-        return t[KIND] == kind and (text is None or t[TEXT] == text)
+    def integer(self) -> int:
+        t = self.lexemes[self.i]
+        if not _is_int(t):
+            raise self.error(f"expected 'int', found {self.found()}")
+        self.i += 1
+        return int(t)
 
-    def at_kw(self, *words) -> bool:
-        t = self.tok
-        return t[KIND] == "KEYWORD" and t[TEXT] in words
-
-    def expect(self, kind, text=None) -> tuple:
-        if not self.at(kind, text):
-            want = text or kind.lower()
-            raise self.error(f"expected {want!r}, found {self.found()}")
-        return self.advance()
-
-    def expect_kw(self, word) -> tuple:
-        if not self.at_kw(word):
-            raise self.error(f"expected {word!r}, found {self.found()}")
-        return self.advance()
-
-    def ident(self, what="name") -> tuple:
-        kind, text, _ = self.tok
-        if kind == "KEYWORD":
-            raise self.error(f"{text!r} is a keyword and cannot be used as a {what}")
-        if kind != "IDENT":
+    def name(self, what: str) -> str:
+        t = self.lexemes[self.i]
+        if t in KEYWORDS:
+            raise self.error(f"{t!r} is a keyword and cannot be used as a {what}")
+        if t[:1] not in _NAME_START:
             raise self.error(f"expected {what}, found {self.found()}")
-        return self.advance()
+        self.i += 1
+        return t
 
     def comma_list(self, item) -> list:
         """``item (, item)*``."""
         items = [item()]
-        while self.at("PUNCT", ","):
-            self.advance()
+        while self.lexemes[self.i] == ",":
+            self.i += 1
             items.append(item())
         return items
 
     def port_names(self) -> list:
-        return self.comma_list(lambda: self.ident("port name")[TEXT])
+        return self.comma_list(lambda: self.name("port name"))
 
     # document --------------------------------------------------------------
 
     def document(self) -> Document:
+        lexemes = self.lexemes
         horizon = None
         ports, defs, cdecls, idecls, pdecls = {}, {}, {}, {}, {}
+        declared = set()
 
         def declare(name, loc):
-            if name in ports or name in defs or name in cdecls or name in idecls \
-                    or name in pdecls:
+            if name in declared:
                 raise SemanticError(f"duplicate name {name!r}", *loc)
+            declared.add(name)
 
-        while not self.at("EOF"):
-            if self.at_kw("horizon"):
-                t = self.advance()
-                if horizon is not None:
-                    raise SemanticError("horizon declared twice", *self.where(t))
-                num = self.expect("INT")
-                horizon = int(num[TEXT])
-                if horizon < 1:
-                    raise SemanticError("horizon must be at least 1", *self.where(num))
-                self.expect("PUNCT", ";")
-            elif self.at_kw("port"):
+        while True:
+            i = self.i
+            t = lexemes[i]
+            if t == "port":
                 d = self.port_decl()
                 declare(d.name, d.loc)
                 ports[d.name] = d
-            elif self.at_kw("def"):
-                self.advance()
-                name = self.ident("definition name")
-                declare(name[TEXT], self.where(name))
-                self.expect("PUNCT", "=")
-                body = self.expr()
-                self.expect("PUNCT", ";")
-                defs[name[TEXT]] = body
-            elif self.at_kw("contract"):
+            elif t == "def":
+                self.i = i + 1
+                loc = self.loc(self.i)
+                name = self.name("definition name")
+                declare(name, loc)
+                self.expect("=")
+                defs[name] = self.expr()
+                self.expect(";")
+            elif t == "contract":
                 d = self.contract_decl()
                 declare(d.name, d.loc)
                 cdecls[d.name] = d
-            elif self.at_kw("impl"):
+            elif t == "impl":
                 d = self.impl_decl()
                 declare(d.name, d.loc)
                 idecls[d.name] = d
-            elif self.at_kw("probcontract"):
+            elif t == "probcontract":
                 d = self.probcontract_decl()
                 declare(d.name, d.loc)
                 pdecls[d.name] = d
+            elif t == "horizon":
+                if horizon is not None:
+                    raise SemanticError("horizon declared twice", *self.loc(i))
+                self.i = i + 1
+                at_num = self.i
+                horizon = self.integer()
+                if horizon < 1:
+                    raise SemanticError("horizon must be at least 1", *self.loc(at_num))
+                self.expect(";")
+            elif t:
+                raise self.error(f"expected a declaration, found {self.found()}")
             else:
-                raise self.error(
-                    f"expected a declaration, found {self.found()}")
+                break
 
-        doc = Document(horizon, ports, defs, cdecls, idecls, pdecls)
-        _resolve(doc)
-        return doc
+        return Document(horizon, ports, defs, cdecls, idecls, pdecls)
 
     def port_decl(self) -> PortDecl:
-        kw = self.expect_kw("port")
-        name = self.ident("port name")
-        self.expect("PUNCT", ":")
-        if self.at_kw("bool"):
-            self.advance()
+        loc = self.loc(self.i)
+        self.i += 1
+        at_name = self.i
+        name = self.name("port name")
+        self.expect(":")
+        t = self.lexemes[self.i]
+        if t == "bool":
+            self.i += 1
             domain = ()
-        elif self.at("PUNCT", "{"):
-            self.advance()
-            values = self.comma_list(self.value_token)
-            self.expect("PUNCT", "}")
+        elif t == "{":
+            self.i += 1
+            values = self.comma_list(self.value)
+            self.expect("}")
             if len(set(values)) != len(values):
-                raise SemanticError(f"duplicate values in domain of {name[TEXT]!r}",
-                                    *self.where(name))
+                raise SemanticError(f"duplicate values in domain of {name!r}",
+                                    *self.loc(at_name))
             domain = tuple(values)
         else:
             raise self.error("expected 'bool' or a '{...}' value list")
-        if self.at_kw("controlled", "uncontrolled"):
-            role = self.advance()[TEXT]
-        else:
+        role = self.lexemes[self.i]
+        if role != "controlled" and role != "uncontrolled":
             raise self.error("expected 'controlled' or 'uncontrolled'")
+        self.i += 1
         dist = None
-        if self.at_kw("prob"):
-            self.advance()
+        if self.lexemes[self.i] == "prob":
+            self.i += 1
             dist = self.dist_decl()
-        self.expect("PUNCT", ";")
-        return PortDecl(name[TEXT], domain, role, dist, self.where(kw))
+        self.expect(";")
+        return PortDecl(name, domain, role, dist, loc)
 
-    def value_token(self):
-        t = self.tok
-        if self.at_kw("true"):
-            self.advance()
-            return True
-        if self.at_kw("false"):
-            self.advance()
-            return False
-        if t[KIND] == "INT":
-            self.advance()
-            return int(t[TEXT])
-        if t[KIND] == "IDENT":
-            self.advance()
-            return t[TEXT]
-        raise self.error(f"expected a value, found {self.found()}")
+    def value(self):
+        t = self.lexemes[self.i]
+        if t == "true":
+            v = True
+        elif t == "false":
+            v = False
+        elif _is_int(t):
+            v = int(t)
+        elif _is_name(t):
+            v = t
+        else:
+            raise self.error(f"expected a value, found {self.found()}")
+        self.i += 1
+        return v
 
     def rational(self) -> Fraction:
-        t = self.tok
-        if t[KIND] == "DECIMAL":
-            self.advance()
-            return Fraction(t[TEXT])
-        if t[KIND] == "INT":
-            self.advance()
-            num = int(t[TEXT])
-            if self.at("PUNCT", "/"):
-                self.advance()
-                den = self.expect("INT")
-                if int(den[TEXT]) == 0:
-                    raise SemanticError("zero denominator", *self.where(den))
-                return Fraction(num, int(den[TEXT]))
-            return Fraction(num)
-        raise self.error(f"expected a probability, found {self.found()}")
+        t = self.lexemes[self.i]
+        if t[:1] not in _DIGITS:
+            raise self.error(f"expected a probability, found {self.found()}")
+        self.i += 1
+        if "." in t:
+            return Fraction(t)
+        if self.lexemes[self.i] != "/":
+            return Fraction(int(t))
+        self.i += 1
+        at_den = self.i
+        den = self.integer()
+        if den == 0:
+            raise SemanticError("zero denominator", *self.loc(at_den))
+        return Fraction(int(t), den)
 
     def dist_decl(self):
-        loc = self.loc()
-        if self.at_kw("bernoulli"):
-            self.advance()
-            self.expect("PUNCT", "(")
+        loc = self.loc(self.i)
+        t = self.lexemes[self.i]
+        if t == "bernoulli":
+            self.i += 1
+            self.expect("(")
             p = self.rational()
-            self.expect("PUNCT", ")")
+            self.expect(")")
             if not 0 <= p <= 1:
                 raise SemanticError(f"probability {p} outside [0, 1]", *loc)
             return BernoulliDecl(p, loc)
-        if self.at_kw("table"):
-            self.advance()
-            self.expect("PUNCT", "{")
+        if t == "table":
+            self.i += 1
+            self.expect("{")
             entries = []
-            while not self.at("PUNCT", "}"):
+            while self.lexemes[self.i] != "}":
                 hist = self.history_literal()
-                self.expect("PUNCT", ":")
+                self.expect(":")
                 w = self.rational()
-                self.expect("PUNCT", ";")
+                self.expect(";")
                 entries.append((hist, w))
-            self.expect("PUNCT", "}")
+            self.i += 1
             return TableDecl(tuple(entries), loc)
         raise self.error("expected 'bernoulli' or 'table'")
 
     def history_literal(self) -> tuple:
-        self.expect("PUNCT", "[")
-        values = self.comma_list(self.value_token)
-        self.expect("PUNCT", "]")
+        self.expect("[")
+        values = self.comma_list(self.value)
+        self.expect("]")
         return tuple(values)
 
     def io_clause(self):
         # stored sorted so parse(print(doc)) is structurally stable
         inputs, outputs = None, None
-        while self.at_kw("input", "output"):
-            kw = self.advance()
-            names = self.port_names()
-            self.expect("PUNCT", ";")
-            if kw[TEXT] == "input":
-                inputs = tuple(sorted((inputs or ()) + tuple(names)))
+        while True:
+            kw = self.lexemes[self.i]
+            if kw != "input" and kw != "output":
+                return inputs, outputs
+            self.i += 1
+            names = tuple(self.port_names())
+            self.expect(";")
+            if kw == "input":
+                inputs = tuple(sorted((inputs or ()) + names))
             else:
-                outputs = tuple(sorted((outputs or ()) + tuple(names)))
-        return inputs, outputs
+                outputs = tuple(sorted((outputs or ()) + names))
 
     def contract_decl(self) -> ContractDecl:
-        kw = self.expect_kw("contract")
-        name = self.ident("contract name")
-        self.expect("PUNCT", "{")
+        loc = self.loc(self.i)
+        self.i += 1
+        name = self.name("contract name")
+        self.expect("{")
         inputs, outputs = self.io_clause()
-        self.expect_kw("assume")
+        self.expect("assume")
         assume = self.expr()
-        self.expect("PUNCT", ";")
-        self.expect_kw("guarantee")
+        self.expect(";")
+        self.expect("guarantee")
         guarantee = self.expr()
-        self.expect("PUNCT", ";")
-        self.expect("PUNCT", "}")
-        return ContractDecl(name[TEXT], inputs, outputs, assume, guarantee, self.where(kw))
+        self.expect(";")
+        self.expect("}")
+        return ContractDecl(name, inputs, outputs, assume, guarantee, loc)
 
     def impl_decl(self) -> ImplDecl:
-        kw = self.expect_kw("impl")
-        name = self.ident("implementation name")
-        self.expect("PUNCT", "{")
+        loc = self.loc(self.i)
+        self.i += 1
+        name = self.name("implementation name")
+        self.expect("{")
         inputs, outputs = self.io_clause()
-        self.expect_kw("behavior")
+        self.expect("behavior")
         behavior = self.expr()
-        self.expect("PUNCT", ";")
-        self.expect("PUNCT", "}")
-        return ImplDecl(name[TEXT], inputs, outputs, behavior, self.where(kw))
+        self.expect(";")
+        self.expect("}")
+        return ImplDecl(name, inputs, outputs, behavior, loc)
 
     def probcontract_decl(self) -> ProbContractDecl:
-        kw = self.expect_kw("probcontract")
-        name = self.ident("probabilistic contract name")
-        self.expect("PUNCT", "{")
-        self.expect_kw("contract")
-        base = self.ident("contract name")
-        self.expect("PUNCT", ";")
+        loc = self.loc(self.i)
+        self.i += 1
+        name = self.name("probabilistic contract name")
+        self.expect("{")
+        self.expect("contract")
+        base = self.name("contract name")
+        self.expect(";")
         ports = ()
-        if self.at_kw("ports"):
-            self.advance()
+        if self.lexemes[self.i] == "ports":
+            self.i += 1
             ports = tuple(sorted(self.port_names()))
-            self.expect("PUNCT", ";")
-        self.expect("PUNCT", "}")
-        return ProbContractDecl(name[TEXT], base[TEXT], ports, self.where(kw))
+            self.expect(";")
+        self.expect("}")
+        return ProbContractDecl(name, base, ports, loc)
 
     # expressions -------------------------------------------------------------
 
     def expr(self) -> Expr:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+        """``implies`` (to the right) over ``or`` over ``and`` (to the left)
+        over ``not`` over atoms, read in one loop."""
+        lexemes, offsets, starts = self.lexemes, self.offsets, self.starts
+        entry = self.depth
+        depth = entry + 1
+        if depth > MAX_NESTING:
             raise self.error("expression nested too deeply")
-        try:
-            left = self.or_expr()
-            if self.at_kw("implies"):
-                loc = self.loc()
-                self.advance()
-                right = self.expr()
-                return Implies(loc, left, right)
-            return left
-        finally:
-            self.depth -= 1
-
-    def or_expr(self) -> Expr:
-        left = self.and_expr()
-        while self.at_kw("or"):
-            loc = self.loc()
-            self.advance()
-            left = Or(loc, left, self.and_expr())
-        return left
-
-    def and_expr(self) -> Expr:
-        left = self.unary()
-        while self.at_kw("and"):
-            loc = self.loc()
-            self.advance()
-            left = And(loc, left, self.unary())
-        return left
-
-    def unary(self) -> Expr:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.error("expression nested too deeply")
-        try:
-            if self.at_kw("not"):
-                loc = self.loc()
-                self.advance()
-                return Not(loc, self.unary())
-            return self.atom()
-        finally:
-            self.depth -= 1
+        implies = None      # (loc, left side) of each open `implies`
+        disj = conj = or_loc = and_loc = None
+        while True:
+            # a unary: one level for each `not` and one for the operand
+            level = depth + 1
+            if level > MAX_NESTING:
+                raise self.error("expression nested too deeply")
+            if lexemes[self.i] == "not":
+                nots = []
+                while lexemes[self.i] == "not":
+                    nots.append(_line_col(starts, offsets[self.i]))
+                    self.i += 1
+                    level += 1
+                    if level > MAX_NESTING:
+                        raise self.error("expression nested too deeply")
+                self.depth = level
+                x = self.atom()
+                while nots:
+                    x = Not(nots.pop(), x)
+            else:
+                self.depth = level
+                x = self.atom()
+            conj = x if and_loc is None else And(and_loc, conj, x)
+            i = self.i
+            t = lexemes[i]
+            if t == "and":
+                and_loc = _line_col(starts, offsets[i])
+                self.i = i + 1
+                continue
+            disj = conj if or_loc is None else Or(or_loc, disj, conj)
+            and_loc = None
+            if t == "or":
+                or_loc = _line_col(starts, offsets[i])
+                self.i = i + 1
+                continue
+            if t != "implies":
+                break
+            # the right side is an expr of its own
+            or_loc = None
+            if implies is None:
+                implies = []
+            implies.append((_line_col(starts, offsets[i]), disj))
+            self.i = i + 1
+            depth += 1
+            if depth > MAX_NESTING:
+                raise self.error("expression nested too deeply")
+        while implies:
+            loc, left = implies.pop()
+            disj = Implies(loc, left, disj)
+        self.depth = entry
+        return disj
 
     def atom(self) -> Expr:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+        depth = self.depth + 1
+        if depth > MAX_NESTING:
             raise self.error("expression nested too deeply")
-        try:
-            loc = self.loc()
-            if self.at_kw("always", "never", "eventually"):
-                op = self.advance()[TEXT]
-                self.expect("PUNCT", "(")
-                body = self.expr()
-                self.expect("PUNCT", ")")
-                return Temporal(loc, op, body)
-            if self.at_kw("at"):
-                self.advance()
-                self.expect("PUNCT", "(")
-                step = self.expect("INT")
-                self.expect("PUNCT", ",")
-                body = self.expr()
-                self.expect("PUNCT", ")")
-                return At(loc, int(step[TEXT]), body)
-            if self.at("PUNCT", "("):
-                self.advance()
-                body = self.expr()
-                self.expect("PUNCT", ")")
-                return body
-            operand = self.operand(comparison_only=False)
-            if self.at("PUNCT", "=="):
-                self.advance()
-                right = self.operand(comparison_only=True)
-                return Cmp(loc, operand, right)
+        self.depth = depth
+        lexemes, i = self.lexemes, self.i
+        t = lexemes[i]
+        loc = _line_col(self.starts, self.offsets[i])
+        if t[:1] in _NAME_START and t not in KEYWORDS and lexemes[i + 1] != "==":
+            self.i = i + 1
+            node = NameRef(loc, t)
+        elif t == "(":
+            self.i = i + 1
+            node = self.expr()
+            self.expect(")")
+        elif t in _TEMPORAL_OPS:
+            self.i = i + 1
+            self.expect("(")
+            node = Temporal(loc, t, self.expr())
+            self.expect(")")
+        elif t == "at":
+            self.i = i + 1
+            self.expect("(")
+            step = self.integer()
+            self.expect(",")
+            body = self.expr()
+            self.expect(")")
+            node = At(loc, step, body)
+        else:
+            left = self.operand(loc, "an expression")
+            if lexemes[self.i] == "==":
+                self.i += 1
+                node = Cmp(loc, left, self.operand(self.loc(self.i), "a value or port"))
             # a bare operand must be usable as a step predicate
-            if isinstance(operand, PortOperand):
-                return NameRef(loc, operand.name)
-            if isinstance(operand, PrevOperand):
-                return Cmp(loc, operand, ValueOperand(loc, True))
-            if isinstance(operand, ValueOperand) and isinstance(operand.value, bool):
-                return Lit(loc, operand.value)
-            raise ParseError("a bare value is not a predicate", *loc)
-        finally:
-            self.depth -= 1
+            elif isinstance(left, PrevOperand):
+                node = Cmp(loc, left, ValueOperand(loc, True))
+            elif isinstance(left, ValueOperand) and isinstance(left.value, bool):
+                node = Lit(loc, left.value)
+            else:
+                raise ParseError("a bare value is not a predicate", *loc)
+        self.depth = depth - 1
+        return node
 
-    def operand(self, comparison_only: bool):
-        loc = self.loc()
-        if self.at_kw("prev"):
-            self.advance()
-            self.expect("PUNCT", "(")
-            name = self.ident("port name")
-            self.expect("PUNCT", ",")
-            self.expect_kw("init")
-            self.expect("PUNCT", "=")
-            init = self.value_token()
-            self.expect("PUNCT", ")")
-            return PrevOperand(loc, name[TEXT], init)
-        if self.tok[KIND] == "IDENT":
-            return PortOperand(loc, self.advance()[TEXT])
-        if self.at_kw("true", "false") or self.tok[KIND] == "INT":
-            return ValueOperand(loc, self.value_token())
-        raise self.error(
-            f"expected {'a value or port' if comparison_only else 'an expression'}, "
-            f"found {self.found()}")
+    def operand(self, loc: tuple, what: str):
+        t = self.lexemes[self.i]
+        if t == "prev":
+            self.i += 1
+            self.expect("(")
+            name = self.name("port name")
+            self.expect(",")
+            self.expect("init")
+            self.expect("=")
+            init = self.value()
+            self.expect(")")
+            return PrevOperand(loc, name, init)
+        if _is_name(t):
+            self.i += 1
+            return PortOperand(loc, t)
+        if t == "true" or t == "false" or _is_int(t):
+            return ValueOperand(loc, self.value())
+        raise self.error(f"expected {what}, found {self.found()}")
 
 
 def parse(text: str) -> Document:
     """Parse a document; raises a located SpecLangError subclass on any problem."""
-    return _Parser(text).document()
+    doc = _Parser(text).document()
+    _resolve(doc)
+    return doc
 
 
 def parse_expr(text: str) -> Expr:
     """Parse a single trace expression (no trailing input allowed)."""
     p = _Parser(text)
     e = p.expr()
-    p.expect("EOF")
+    if p.lexemes[p.i]:
+        raise p.error(f"expected 'eof', found {p.found()}")
     return e
 
 
@@ -856,40 +909,46 @@ class _Compiler:
         """The step function of a definition, evaluated once per step.
 
         The definitions it reaches are compiled first, deepest first, so a
-        long chain of definitions does not nest compile calls.
+        long chain of definitions does not nest compile calls.  Each body is
+        walked once for its references (``references``).
         """
         if name in self._compiled:
             return self._compiled[name]
-        path, on_path = [(name, self.references(name))], {name}
+        refs = self.references(name)
+        path, on_path = [(name, refs, refs[:])], {name}
         while path:
-            current, refs = path[-1]
-            if not refs:
+            current, refs, pending = path[-1]
+            if not pending:
                 path.pop()
                 on_path.discard(current)
-                reached = dict.fromkeys(r.name for r in self.references(current))
+                reached = dict.fromkeys(r.name for r in refs)
                 self._compiled[current] = _Definition(
                     self.compile(self.defs[current]), self.h,
                     [self._compiled[n] for n in reached])
                 continue
-            ref = refs.pop()
+            ref = pending.pop()
             if ref.name in on_path:
                 raise SemanticError(f"definition cycle through {ref.name!r}", *ref.loc)
             if ref.name not in self._compiled:
-                path.append((ref.name, self.references(ref.name)))
+                refs = self.references(ref.name)
+                path.append((ref.name, refs, refs[:]))
                 on_path.add(ref.name)
         return self._compiled[name]
 
     def references(self, name: str) -> list:
-        """The bare names in a definition's body that refer to definitions."""
-        refs, stack = [], [self.defs[name]]
+        """The bare names in a definition's body that refer to definitions,
+        right operands before left ones."""
+        refs, stack, defs = [], [self.defs[name]], self.defs
         while stack:
             e = stack.pop()
-            if isinstance(e, NameRef):
-                if e.name in self.defs:
+            t = type(e)
+            if t is NameRef:
+                if e.name in defs:
                     refs.append(e)
-            else:
-                fields = (getattr(e, n) for n in e._fields)
-                stack += [v for v in fields if isinstance(v, Expr)]
+            elif t is Not or t is Temporal or t is At:
+                stack.append(e.body)
+            elif t is not Cmp and t is not Lit:
+                stack += (e.left, e.right)
         return refs
 
     def compile(self, e: Expr):

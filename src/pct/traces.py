@@ -711,7 +711,7 @@ class Assertion(Record):
             return False
         a, b = self._view, other._view
         if a is not None and b is not None and a.shape == b.shape:
-            return np.array_equal(a, b)
+            return _equal(a, b)
         return within(self.factors, other.factors) and within(other.factors, self.factors)
 
     def __len__(self) -> int:
@@ -723,6 +723,21 @@ class Assertion(Record):
 
     def __iter__(self) -> Iterator[tuple]:
         return runs(self)
+
+
+# the most elements _equal compares at a time
+_EQUAL_BLOCK = 1 << 16
+
+
+def _equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal`` of two arrays of one shape, compared at most
+    ``_EQUAL_BLOCK`` elements at a time: no temporary is larger, where one
+    comparison of the whole would make a full-size one."""
+    if a.size <= _EQUAL_BLOCK:
+        return bool(np.array_equal(a, b))
+    pairs = np.nditer((a, b), flags=("buffered", "external_loop", "zerosize_ok"),
+                      buffersize=_EQUAL_BLOCK)
+    return all(np.array_equal(x, y) for x, y in pairs)
 
 
 def universe(sig: Signature, h) -> Assertion:

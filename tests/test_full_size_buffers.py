@@ -92,11 +92,13 @@ def doc():
     return speclang.parse(DOC)
 
 
-def full_size_buffers(doc, fn):
+def full_size_buffers(doc, fn, size=None):
     """(result, buffers alive at the peak, buffers kept) of ``fn()``, in
-    units of the spec's run space; a first untraced call fills the caches."""
-    size = traces.space_of(speclang.build_contract(doc, "spec").signature, doc.horizon).size
-    assert size == 2 ** (8 * doc.horizon)
+    units of ``size`` runs, by default the spec's run space; a first
+    untraced call fills the caches."""
+    if size is None:
+        size = traces.space_of(speclang.build_contract(doc, "spec").signature, doc.horizon).size
+        assert size == 2 ** (8 * doc.horizon)
     fn()
     tracemalloc.start()
     try:
@@ -213,3 +215,50 @@ def test_project_of_factors_makes_no_full_size_mask(doc):
         doc, lambda: traces.project(speclang.build_impl(doc, "m_all"), small))
     assert len(e.factors) > 1
     assert (peak, kept) == (0, 0)
+
+
+WHOLE = """
+horizon 3;
+
+port f0 : bool uncontrolled prob bernoulli(1/10);
+port f1 : bool uncontrolled prob bernoulli(1/3);
+port u0 : bool uncontrolled;
+port x0 : bool controlled;
+port x1 : bool controlled;
+port x2 : bool controlled;
+
+contract left {
+  input f0, u0, x2;
+  output x0, x1;
+  assume always(f0 or u0);
+  guarantee always((x0 == f0) or (x1 == u0) or x2);
+}
+contract right {
+  input f1, x0, x1;
+  output x2;
+  assume never(f1 and x0);
+  guarantee always((x2 == f1) or x0 or not x1);
+}
+"""
+
+
+def test_equality_of_composed_views_that_read_every_slot_makes_no_full_size_buffer():
+    # the composed assumption and guarantee each read all 18 slots, so two
+    # compositions built apart hold views of the full shape; == compares
+    # them a block at a time
+    doc = speclang.parse(WHOLE)
+    c1, c2 = (speclang.build_contract(doc, name) for name in ("left", "right"))
+    one, other = contracts.compose(c1, c2), contracts.compose(c2, c1)
+    space = traces.space_of(one.signature, doc.horizon)
+    assert space.size == 2**18
+    for c in (one, other):
+        assert c.assumption.view.shape == c.guarantee.view.shape == space.shape
+    same, peak, kept = full_size_buffers(doc, lambda: one == other, size=space.size)
+    assert same
+    assert (peak, kept) == (0, 0)
+
+    # a copy is equal, and a copy without the last run is told apart
+    last = one.guarantee.view.copy()
+    assert one.guarantee == traces.Assertion(one.signature, doc.horizon, last.copy())
+    last[(-1,) * last.ndim] ^= True
+    assert one.guarantee != traces.Assertion(one.signature, doc.horizon, last)
