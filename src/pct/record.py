@@ -9,9 +9,9 @@ base gives every record a ``repr`` of those fields and, where the record
 does not define its own, equality and a hash over them, leaving out
 ``loc`` (a node's source location).  The records built in hot loops
 define their own ``__init__``, ``__eq__`` and ``__hash__``: the generic
-ones are several times slower.  ``_assign``, and the ``__init__`` of the
-records a parse builds, set each field through its slot's own descriptor
-(``_setters``), which skips ``object.__setattr__``'s checks.
+ones are several times slower.  ``_assign`` sets each field through its
+slot's own descriptor (``_setters``), and so do the ``__init__``s of the
+records a parse builds: that skips ``object.__setattr__``'s checks.
 """
 
 setfield = object.__setattr__

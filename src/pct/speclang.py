@@ -678,6 +678,7 @@ class _Parser:
         t = lexemes[i]
         loc = _line_col(self.starts, self.offsets[i])
         if t[:1] in _NAME_START and t not in KEYWORDS and lexemes[i + 1] != "==":
+            # a bare name (_is_name, inlined): the commonest atom
             self.i = i + 1
             node = NameRef(loc, t)
         elif t == "(":
