@@ -1,6 +1,6 @@
 """Seeded mutants of the bundled two_stage.pct.
 
-What ``parse`` reports for each of the first ``len(GOLDEN)`` mutants
+What ``parse`` reports for each of the first ``N_GOLDEN`` mutants
 (``ok``, or the diagnostic's class, line, column and message) is pinned in
 tests/golden/diagnostics.txt; and ``sat``, ``refine``, ``compose`` and
 ``fmt`` end each of another 150 in exit code 0, 1 or 2 with at most one

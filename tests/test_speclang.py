@@ -146,10 +146,13 @@ def _deepest(text, monkeypatch):
 
 
 @pytest.mark.parametrize("nest", [lambda k: "not " * k + "a",
-                                  lambda k: "always(" * 20 + "not " * k + "a" + ")" * 20],
-                         ids=["not", "always-not"])
+                                  lambda k: "always(" * 20 + "not " * k + "a" + ")" * 20,
+                                  lambda k: "a implies " * k + "a",
+                                  lambda k: "not not " + "(a or " * k + "a" + ")" * k],
+                         ids=["not", "always-not", "implies", "parentheses"])
 def test_nesting_limit_is_exact(nest, monkeypatch):
-    # each "not" is one level, so some k reaches MAX_NESTING exactly
+    # each "not" or "implies" is one level and each parenthesis three (an
+    # atom, an expr and a unary), so some k reaches MAX_NESTING exactly
     limit = speclang.MAX_NESTING
     k = max(k for k in range(limit) if _deepest(nest(k), monkeypatch) <= limit)
     assert _deepest(nest(k), monkeypatch) == limit
