@@ -41,6 +41,9 @@ def _load(path: str) -> speclang.Document:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise PctError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PctError(f"cannot read {path}: byte 0x{exc.object[exc.start]:02x} "
+                       f"at offset {exc.start} is not UTF-8") from exc
     return speclang.parse(text)
 
 
@@ -134,13 +137,7 @@ def cmd_compose(args) -> int:
     # the emitted document must denote exactly the composed object
     text = speclang.print_document(out_doc)
     reloaded = speclang.parse(text)
-    if probabilistic_result:
-        check = speclang.build_probcontract(reloaded, out_name)
-        identical = (check.base == composed.base and check.dist == composed.dist
-                     and check.pports == composed.pports)
-    else:
-        identical = speclang.build_contract(reloaded, out_name) == composed.base
-    if not identical:
+    if speclang.lookup_probcontract(reloaded, out_name) != composed:
         raise PctError("internal error: emitted document does not round-trip")
 
     if args.out:

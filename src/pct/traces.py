@@ -54,20 +54,11 @@ Every step that makes a mask of a whole space allocates that mask and
 nothing else of its size: ``combine`` (the connectives of ``denote``, the
 steps of ``from_step_predicate``, ``union``, ``compose``, the conjunction
 of an assertion's factors, ``eliminate``'s pairs) when its operands
-together read every slot, and the first read of ``Assertion.mask``.  Operands
-that read different ports broadcast along interleaved axes, and NumPy
-then runs its inner loop over a few elements at a time.  So when the
-result has more than ``_BLOCK`` (4096) elements, an operand whose
-innermost run, constant or contiguous, is under ``_SHORT`` (64) elements
-is first copied out over the result's trailing axes that make up at
-least ``_BLOCK`` elements, where that copy is smaller than the result,
-or else over the largest smaller block of at least ``_SHORT`` elements
-whose copy is at most a quarter of the result.  Over 4096 one-byte
-elements NumPy's cost per inner call no longer counts, and a run of 64
-already amortizes most of it, so copying such an operand is not repaid.
-Smaller results pay only a size check.  Reductions follow the same rule
-(``_reduced``): a large array whose innermost run of reduced or of kept
-axes is short is copied once with the kept axes in front or behind.
+together read every slot, and the first read of ``Assertion.mask``.  Both
+are plain NumPy broadcasting.  Reductions are not: NumPy runs a
+reduction's inner loop over the innermost axes of one kind, reduced or
+kept, so where that run is short in a large array ``_reduced`` first
+copies the array once with the kept axes in front or behind.
 Bool identities spare the temporaries: ``a > b`` is a and not b, and
 ``a >= b`` is a or not b.  A value that is only reduced is reduced on
 each side first, over the axes that side alone reads (``eliminate``), so
@@ -343,61 +334,11 @@ def _spread(values: np.ndarray, src: _Space, dst: _Space) -> np.ndarray:
     return values.reshape([size.get(slot, 1) for slot in dst.axes])
 
 
-# an operand whose innermost run is under _SHORT elements is copied out over
-# the last _BLOCK or more elements of the result before a combine
+# a space of at most _BLOCK runs is combined and reduced at once; a larger
+# array whose innermost run of reduced or kept axes is under _SHORT elements
+# is reduced through one copy (_reduced)
 _BLOCK = 4096
 _SHORT = 64
-
-
-def _inner_run(x: np.ndarray, shape: tuple) -> int:
-    """How many trailing elements of ``shape`` ``x`` covers in one run:
-    either all of them the same value or all of them contiguous."""
-    lead = len(shape) - x.ndim
-    run, step, broadcast = 1, x.itemsize, None
-    for i in range(len(shape) - 1, -1, -1):
-        r = shape[i]
-        if r == 1:
-            continue
-        b = i < lead or x.shape[i - lead] == 1
-        if broadcast is None:
-            broadcast = b
-        if b != broadcast or not (b or x.strides[i - lead] == step):
-            break
-        run *= r
-        step *= r
-    return run
-
-
-def _blocked(operands: tuple, shape: tuple) -> tuple:
-    """The operands of a combine into ``shape``, each with a short innermost
-    run copied out over a trailing block.
-
-    The block is the result's trailing axes that make up ``_BLOCK`` or more
-    elements, where that copy is smaller than the result.  An operand that
-    reads every axis outside that block would be copied whole; it is copied
-    over the largest smaller block of at least ``_SHORT`` elements whose
-    copy is at most a quarter of the result, and else left as is.
-    """
-    size = math.prod(shape)
-    if size <= _BLOCK:
-        return operands
-    k, block = len(shape), 1
-    while block < _BLOCK:
-        k -= 1
-        block *= shape[k]
-    out = []
-    for x in operands:
-        if _inner_run(x, shape) < _SHORT:
-            full = (1,) * (len(shape) - x.ndim) + x.shape
-            j, tail = k, block
-            if math.prod(full[:j]) * tail >= size:
-                while tail >= _SHORT and 4 * math.prod(full[:j]) * tail > size:
-                    tail //= shape[j]
-                    j += 1
-            if tail >= _SHORT and math.prod(full[:j]) * tail < size:
-                x = np.broadcast_to(x.reshape(full), full[:j] + shape[j:]).copy()
-        out.append(x)
-    return tuple(out)
 
 
 def combine(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -405,16 +346,10 @@ def combine(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     broadcast together: a new array.
 
     ``ufunc`` is a ufunc, or a function that calls one on its operands.
-    An operand that reads other slots than the other broadcasts along
-    interleaved axes, which NumPy cannot merge, so its inner loop runs
-    over a few elements at a time.  Such an operand is first copied out
-    over the trailing block of the result (``_blocked``).  The result is
-    the same; only the loop is longer.
+    The connectives of ``denote``, the conjunction of an assertion's
+    factors, ``union``, ``compose`` and ``eliminate`` combine through it, so
+    tests can count their combines here.
     """
-    # the result has at most a.size * b.size elements, and an operand of
-    # the result's shape is never copied
-    if a.size * b.size > _BLOCK and a.shape != b.shape:
-        a, b = _blocked((a, b), _joint(a.shape, b.shape))
     return ufunc(a, b)
 
 
@@ -438,7 +373,7 @@ def joint_size(arrays) -> int:
 def _filled(values: np.ndarray, shape: tuple) -> np.ndarray:
     """``values`` broadcast to ``shape`` as a new C-ordered array."""
     out = np.empty(shape, dtype=values.dtype)
-    np.copyto(out, _blocked((values,), shape)[0])
+    np.copyto(out, values)
     return out
 
 

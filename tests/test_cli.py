@@ -1,5 +1,6 @@
 """CLI input validation: bad budgets, seed counts, suites, names, thresholds,
-output paths and horizons above the enumeration cap end in one diagnostic
+output paths, documents that are not UTF-8 and horizons above the
+enumeration cap end in one diagnostic
 line and exit code 2, never a traceback, a pass over zero cases or a
 query's output;
 the query subcommands do not load the oracle; every subcommand prints its
@@ -17,7 +18,6 @@ import contextlib
 import functools
 import importlib.util
 import io
-import itertools
 import os
 import re
 import shlex
@@ -153,33 +153,24 @@ def _docgen():
     return docgen
 
 
+@functools.lru_cache(maxsize=1)
+def _docab():
+    """tools/docab.py, whose ``_renamed`` moves the probabilistic ports."""
+    spec = importlib.util.spec_from_file_location(
+        "docab", Path(__file__).resolve().parents[1] / "tools" / "docab.py")
+    docab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(docab)
+    return docab
+
+
 def _benchmark_queries() -> list:
     """The argvs of the benchmark's three query kinds on one document."""
     return list(_docgen().queries("doc.pct").values())
 
 
-def _renamed(text: str, layout: str) -> tuple:
-    """(the document with its ports renamed, the old name of each new one).
-
-    The generator names the probabilistic ports f0, f1, ..., which sort
-    before the others.  The new names keep the order within each group and
-    put the probabilistic ports first, last, or between the others."""
-    names = sorted(set(re.findall(r"\b[fux]\d+\b", text)))
-    omega = [n for n in names if n.startswith("f")]
-    rest = [n for n in names if not n.startswith("f")]
-    if layout == "first":
-        order = omega + rest
-    elif layout == "last":
-        order = rest + omega
-    else:
-        order = [n for pair in itertools.zip_longest(rest, omega) for n in pair if n]
-    new = {old: f"p{chr(ord('a') + i)}" for i, old in enumerate(order)}
-    return re.sub(r"\b[fux]\d+\b", lambda m: new[m.group()], text), {v: k for k, v in new.items()}
-
-
 @pytest.mark.parametrize("family,size,seed", [
-    ("large", "full", 0), ("large", "small", 0), ("large", "small", 1), ("large", "small", 2),
-    ("wide", "small", 0)])
+    ("large", "full", 0), ("large", "full", 1), ("large", "full", 2), ("large", "small", 0),
+    ("large", "small", 1), ("large", "small", 2), ("wide", "full", 0), ("wide", "small", 0)])
 def test_renamed_ports_give_the_same_levels(family, size, seed, tmp_path, capsys):
     # the run index orders ports by name, so a rename moves Omega's axes in
     # every view; the levels and the worst history must not move with them
@@ -191,7 +182,7 @@ def test_renamed_ports_give_the_same_levels(family, size, seed, tmp_path, capsys
     want = {k: _run(argv, capsys) for k, argv in queries.items()}
     assert all(rc == 0 and not err for rc, _, err in want.values())
     for layout in ("first", "last", "interleaved"):
-        renamed, old = _renamed(text, layout)
+        renamed, old = _docab()._renamed(text, layout)
         assert renamed != text
         path.write_text(renamed, encoding="utf-8")
         for kind, argv in queries.items():
@@ -389,6 +380,26 @@ def test_fmt_write_reports_a_failed_write(example, capsys, monkeypatch):
     assert "Permission denied" in err
 
 
+# a comment in Latin-1: byte 42 is 0xe9, not UTF-8
+LATIN1_DOC = b"horizon 1;\nport a : bool controlled; # caf\xe9\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fmt", "{doc}"],
+    ["fmt", "{doc}", "--write"],
+    ["sat", "{doc}", "--impl", "m", "--contract", "c"],
+    ["refine", "{doc}", "--from", "c", "--to", "d"],
+    ["compose", "{doc}", "--contracts", "c,d"],
+], ids=["fmt", "fmt-write", "sat", "refine", "compose"])
+def test_a_document_that_is_not_utf8_is_one_diagnostic(argv, tmp_path, capsys):
+    path = tmp_path / "latin1.pct"
+    path.write_bytes(LATIN1_DOC)
+    rc, out, err = _run([a.format(doc=path) for a in argv], capsys)
+    assert (rc, out) == (2, "")
+    assert _one_error_line(err, f"error: cannot read {path}: byte 0xe9 at offset 42 "), err
+    assert path.read_bytes() == LATIN1_DOC
+
+
 @pytest.mark.parametrize("argv", [
     ["--budget", "ports=x"],
     ["--budget", "colour=3"],
@@ -489,10 +500,9 @@ def test_a_one_value_port_is_read_once_at_a_long_horizon(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "level = 1 (1.0)\n", "")
 
 
-def test_compose_refuses_a_printer_that_changes_the_meaning(example, capsys, monkeypatch):
-    """The round-trip check of ``compose`` compares the composed contract
-    with the one its printed document denotes: a printer that writes a valid
-    document of another meaning, ``and`` as ``or``, is caught."""
+def _compose_with_and_as_or(path: str, names: str, capsys, monkeypatch) -> tuple:
+    """``pct compose`` of ``names`` with a printer that writes a valid
+    document of another meaning: ``and`` as ``or``."""
     real = speclang.format_expr
 
     def and_as_or(e, parent_prec=0):
@@ -501,8 +511,25 @@ def test_compose_refuses_a_printer_that_changes_the_meaning(example, capsys, mon
         return real(e, parent_prec)
 
     monkeypatch.setattr(speclang, "format_expr", and_as_or)
-    argv = [a.format(doc=example) for a in QUERIES["compose"]]
-    rc, out, err = _run(argv, capsys)
+    return _run(["compose", path, "--contracts", names], capsys)
+
+
+def test_compose_refuses_a_printer_that_changes_the_meaning(example, capsys, monkeypatch):
+    """The round-trip check of ``compose`` compares the composed contract
+    with the one its printed document denotes, so a printer that changes
+    the meaning is caught."""
+    rc, out, err = _compose_with_and_as_or(example, "stage1_rel,stage2_rel", capsys, monkeypatch)
+    assert (rc, out) == (2, "")
+    assert "does not round-trip" in err
+
+
+def test_compose_refuses_a_printer_that_changes_the_meaning_of_a_plain_result(
+        tmp_path, capsys, monkeypatch):
+    """The same check on two plain contracts, whose composition is plain:
+    both sides hold the unit law and no probabilistic ports."""
+    path = tmp_path / "stepwise.pct"
+    path.write_text(STEPWISE)
+    rc, out, err = _compose_with_and_as_or(str(path), "one,two", capsys, monkeypatch)
     assert (rc, out) == (2, "")
     assert "does not round-trip" in err
 

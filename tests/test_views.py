@@ -246,27 +246,6 @@ def test_combine_matches_plain_broadcasting(shape):
         assert np.array_equal(filled, np.broadcast_to(x, shape))
 
 
-def test_combine_fills_only_short_runs_of_large_results():
-    shape = (2,) * 16
-    # present on every other axis: the innermost run is the one constant axis
-    comb = np.zeros(shape[::2], dtype=bool).reshape(sum(((2, 1) for _ in range(8)), ()))
-    # the last 8 axes, contiguous: a run of 256
-    tail = np.zeros((2,) * 8, dtype=bool)
-    assert traces._inner_run(comb, shape) == 2
-    assert traces._inner_run(tail, shape) == 256
-    filled, kept = traces._blocked((comb, tail), shape)
-    assert kept is tail
-    assert traces._inner_run(filled, shape) >= traces._BLOCK
-    assert filled.size < math.prod(shape)
-    # a result of at most one block is computed as it comes
-    small = (2,) * 12
-    ops = (comb[0, :, 0, :], tail)
-    assert all(a is b for a, b in zip(traces._blocked(ops, small), ops))
-    # an operand present on every outer axis would be copied whole: it is left as is
-    wide = np.zeros(shape[:8] + (2, 1) * 4, dtype=bool)
-    assert traces._blocked((wide,), shape)[0] is wide
-
-
 # --- assertions held as views ----------------------------------------------------------
 #
 # Each set is built twice: held as a view that reads a random subset of the
@@ -571,52 +550,6 @@ def test_sat_level_matches_the_oracle_when_each_side_reads_slots_alone(layout, h
         assert report.level == oracle.oracle_sat_level(m, pc)
         full = Assertion(sig, h, np.broadcast_to(mv, space.shape).reshape(-1).copy())
         assert probabilistic.sat_level(full, pc) == report
-
-
-def test_an_operand_on_every_outer_axis_is_copied_over_a_smaller_block():
-    shape = (2,) * 16
-    # reads the first 8 axes, which cover the 4096 block's outer axes, then
-    # every other pair: its copy over that block would be the whole result
-    x = np.random.default_rng(16).random(shape[:8] + (1, 1, 2, 2, 1, 1, 2, 2)) < 0.5
-    assert traces._inner_run(x, shape) == 4
-    (got,) = traces._blocked((x,), shape)
-    # the largest block of at least 64 whose copy is at most a quarter: the last 6 axes
-    assert got.shape == shape[:8] + (1, 1) + shape[10:]
-    assert traces._inner_run(got, shape) == 64 and 4 * got.size == math.prod(shape)
-    assert np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(x, shape))
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_blocked_copies_are_equal_long_and_small(seed):
-    rng = random.Random(f"blocked:{seed}")
-    smaller = 0
-    while True:
-        shape = tuple(rng.choice((2, 2, 3)) for _ in range(rng.randint(13, 17)))
-        if traces._BLOCK < math.prod(shape) <= 2**18:
-            break
-    size = math.prod(shape)
-    k, block = len(shape), 1
-    while block < traces._BLOCK:
-        k -= 1
-        block *= shape[k]
-    for _ in range(20):
-        # every outer axis of the 4096 block, half of the time
-        cut = k if rng.random() < 0.5 else 0
-        own = tuple(r if i < cut or rng.random() < 0.5 else 1 for i, r in enumerate(shape))
-        x = np.random.default_rng(rng.randrange(2**32)).random(own) < 0.5
-        (got,) = traces._blocked((x,), shape)
-        assert np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(x, shape))
-        whole = math.prod(x.shape[:k]) * block >= size
-        if traces._inner_run(x, shape) >= traces._SHORT:
-            assert got is x
-        elif got is x:
-            # no trailing block of at least 64 gives a copy of a quarter or less
-            assert whole
-        else:
-            assert traces._inner_run(got, shape) >= traces._SHORT
-            assert 4 * got.size <= size if whole else got.size < size
-            smaller += whole
-    assert smaller
 
 
 def test_reduce_of_a_view_matches_the_reduce_of_its_fill():
