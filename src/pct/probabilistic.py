@@ -11,14 +11,15 @@ code.
 A distribution is a product of independent factors, one per block of
 ports (a declared port, or a joint table).  A factor holds integer
 numerators over one denominator (docs/format.md), so products, marginals
-and levels are integer array operations; a level is contracted against
-the factors one at a time and never needs the weight of every joint
-history.
+and levels are integer array operations.  A mass is contracted against
+the factors one at a time, each a matrix-vector product over the
+factor's axes (``_mass``), and never needs the weight of every joint
+history.  ``sat_level`` reads the joint numerators instead, once a
+history is bad: they give both its level and its witness.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -84,12 +85,14 @@ def _factor(ports: tuple, h: int, num: Iterable[int], den: int) -> Factor:
     if len(num) != size:
         raise DistributionError(
             f"expected {size} weights for this history space, got {len(num)}")
-    if any(n < 0 for n in num):
+    if min(num) < 0:
         raise DistributionError("negative probability")
     if sum(num) != den:
         raise DistributionError(f"weights sum to {Fraction(sum(num), den)}, not 1")
     g = math.gcd(den, *num)
-    return Factor(ports, np.array([n // g for n in num], dtype=_int_dtype(den // g)), den // g)
+    if g > 1:
+        num, den = [n // g for n in num], den // g
+    return Factor(ports, np.array(num, dtype=_int_dtype(den)), den)
 
 
 class Distribution(Record):
@@ -164,12 +167,12 @@ class Distribution(Record):
 
     def numerators(self) -> np.ndarray:
         """The weight numerators of every joint history over ``denominator``,
-        in run-index order: the product of the factors' numerators."""
-        space = _space(self.ports, self.horizon)
-        out = np.ones(space.shape, dtype=_int_dtype(self.denominator))
-        for f in self.factors:
-            out = out * traces._spread(f.num.astype(out.dtype, copy=False),
-                                       _space(f.ports, self.horizon), space)
+        in run-index order: the broadcast product of the factors'
+        numerators, smallest first, so only the last product is full size."""
+        space, dtype = _space(self.ports, self.horizon), _int_dtype(self.denominator)
+        out = np.ones((), dtype=dtype)
+        for f in sorted(self.factors, key=lambda f: f.num.size):
+            out = out * traces._spread(f.num, _space(f.ports, self.horizon), space)
         return out.reshape(-1)
 
 
@@ -177,22 +180,40 @@ def _mass(d: Distribution, mask: np.ndarray) -> Fraction:
     """The probability of the joint histories that ``mask`` holds.
 
     ``mask`` is a vector over the histories or an array on their axis view,
-    size-1 axes included.  It is contracted against one factor at a time:
-    multiplied by the factor's numerators and summed over its ports.  Every
-    partial sum is at most the product of the denominators contracted so far.
+    size-1 axes included.  It is contracted against one factor at a time,
+    in name order, as a matrix-vector product: the sums held so far, one
+    row per point of the other axes, times the factor's numerators.  So a
+    one-port factor's axes are the innermost ones and nothing is copied;
+    only a block whose ports are not adjacent in name order moves its axes
+    last, with one copy.  Where the mask is size 1 on some of a factor's
+    axes, the numerators are first summed over those, and where it is size
+    1 on all of them, the sums are multiplied by the denominator.  Every
+    partial sum is at most the product of the denominators contracted so
+    far.
     """
-    ports, h = d.ports, d.horizon
-    src = _space(ports, h)
+    space = _space(d.ports, d.horizon)
     held = mask.astype(_int_dtype(d.denominator))
-    if held.ndim != len(src.shape):
-        held = held.reshape(src.shape)
+    if held.ndim != len(space.shape):
+        held = held.reshape(space.shape)
+    names, radix = [name for name, _ in space.axes], space.shape
     for f in d.factors:
-        names = {p.name for p in f.ports}
-        ports = tuple(p for p in ports if p.name not in names)
-        dst = _space(ports, h)
-        term = held * traces._spread(f.num.astype(held.dtype, copy=False), _space(f.ports, h), src)
-        held, src = traces._reduce(np.add, term, src, dst), dst
-    return Fraction(int(held.reshape(-1)[0]), d.denominator)
+        block = {p.name for p in f.ports}
+        mine = [i for i, name in enumerate(names) if name in block]
+        rest = [i for i, name in enumerate(names) if name not in block]
+        shape = held.shape
+        summed = tuple(k for k, i in enumerate(mine) if shape[i] == 1)
+        if len(summed) == len(mine):
+            held = held * f.den
+        else:
+            num = f.num
+            if summed:
+                num = np.add.reduce(num.reshape([radix[i] for i in mine]), axis=summed)
+            if rest and rest[-1] > mine[0]:
+                held = held.transpose(rest + mine)
+            held = held.reshape(-1, num.size) @ num.reshape(-1)
+        held = held.reshape([shape[i] for i in rest])
+        names, radix = [names[i] for i in rest], [radix[i] for i in rest]
+    return Fraction(int(held), d.denominator)
 
 
 def point_mass_empty(h) -> Distribution:
@@ -205,7 +226,9 @@ def bernoulli_iid(port: Port, p_true_per_step, h) -> Distribution:
 
     Its numerators are the outer product of ``h`` vectors ``[1-p, p]``
     scaled to the denominator of ``p``; the vectors are equal, so the
-    order of the steps in the product does not matter.
+    order of the steps in the product does not matter.  The table is made
+    with Python ints, doubling once per step: the table so far times
+    ``1-p``, then times ``p``.
     """
     p = Fraction(p_true_per_step)
     if not 0 <= p <= 1:
@@ -214,9 +237,10 @@ def bernoulli_iid(port: Port, p_true_per_step, h) -> Distribution:
         raise DistributionError(f"port {port.name} is not boolean")
     hh = traces._hlen(h)
     _space((port,), hh)    # refuses a space above the cap before the table is made
-    step = np.array([p.denominator - p.numerator, p.numerator], dtype=object)
-    num = functools.reduce(np.multiply.outer, [step] * hh).reshape(-1)
-    return Distribution.of_factors(hh, [_factor((port,), hh, num.tolist(), p.denominator ** hh)])
+    q, num = p.denominator - p.numerator, [1]
+    for _ in range(hh):
+        num = [x * q for x in num] + [x * p.numerator for x in num]
+    return Distribution.of_factors(hh, [_factor((port,), hh, num, p.denominator ** hh)])
 
 
 def uniform(ports: Iterable[Port], h) -> Distribution:
@@ -353,8 +377,10 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
     for which that holds.  The violations ``m and not G`` are the union,
     over the factors ``g`` of the stored guarantee, of ``m and not g``, and
     each is reduced to the histories one slot at a time over the factors
-    of m (``traces.eliminate``), never made over the full signature.
-    Requires the implementation's uncontrolled
+    of m (``traces.eliminate``), never made over the full signature.  With
+    no bad history the level is one; otherwise the joint numerators give
+    both the level, one less the mass of the bad histories, and the
+    witness.  Requires the implementation's uncontrolled
     ports to be a subset of the contract's and its controlled ports to
     be exactly the contract's.
     """
@@ -388,14 +414,17 @@ def sat_level(m: Assertion, pc: ProbContract) -> SatReport:
         viol = viol | traces.conjunction(traces.eliminate(ms, omega, g))
     bad = traces._reduce(np.logical_or, viol, big, omega_space)
 
+    if not bad.any():
+        return SatReport(ONE)
+    # the joint weights give both the level, one less the bad mass, and the
+    # worst violating history: the first of the heaviest bad ones
+    bad_weights = np.where(bad, pc.dist.numerators().reshape(omega_space.shape), 0).reshape(-1)
+    worst = int(bad_weights.argmax())
     witness = None
-    if bad.any():
-        # the worst violating history: the first of the heaviest bad ones
-        bad_weights = np.where(bad, pc.dist.numerators().reshape(omega_space.shape), 0).reshape(-1)
-        worst = int(bad_weights.argmax())
-        if bad_weights[worst] > 0:
-            witness = traces.run_at(pc.dist.signature, pc.horizon, worst)
-    return SatReport(_mass(pc.dist, ~bad), witness)
+    if bad_weights[worst] > 0:
+        witness = traces.run_at(pc.dist.signature, pc.horizon, worst)
+    den = pc.dist.denominator
+    return SatReport(Fraction(den - int(bad_weights.sum()), den), witness)
 
 
 def compose_prob(pc1: ProbContract, pc2: ProbContract) -> ProbContract:

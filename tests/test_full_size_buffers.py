@@ -12,10 +12,13 @@ so that the parser's and the printer's own objects stay far below one unit.
 import contextlib
 import io
 import tracemalloc
+from fractions import Fraction
+from functools import reduce
 
+import numpy as np
 import pytest
 
-from pct import cli, contracts, probabilistic, speclang, traces
+from pct import Port, cli, contracts, probabilistic, speclang, traces
 
 DOC = """
 horizon 2;
@@ -161,6 +164,21 @@ def test_refine_level_makes_no_full_size_mask(doc):
     report, peak, kept = full_size_buffers(doc, lambda: probabilistic.refine_level(weak, spec))
     assert not report.degenerate
     assert (peak, kept) == (0, 0)
+
+
+def test_mass_makes_one_int64_copy_of_the_mask():
+    # five coins at horizon 3, 2^15 histories: the mask is copied to int64
+    # once, and each coin's axes are the innermost when it is contracted, so
+    # there is no transpose copy and no product of mask and numerators
+    h = 3
+    dist = reduce(probabilistic.product_dist,
+                  [probabilistic.bernoulli_iid(Port(f"f{i}"), Fraction(1, i + 2), h)
+                   for i in range(5)])
+    mask = np.arange(2**15) % 3 != 0
+    mass, peak, kept = full_size_buffers(None, lambda: probabilistic._mass(dist, mask),
+                                         size=8 * 2**15)
+    assert mass == Fraction(int(dist.numerators()[mask].sum()), dist.denominator)
+    assert (peak, kept) == (1, 0)
 
 
 def test_compose_makes_no_full_size_mask(doc):

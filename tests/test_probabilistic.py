@@ -153,6 +153,38 @@ def test_sat_level_counts_only_bad_histories():
     assert report.witness_bad == run_of({"q": (True,)})
 
 
+def _counted_numerators(monkeypatch) -> list:
+    """Count the calls of ``Distribution.numerators``: the list they are appended to."""
+    calls, numerators = [], prob.Distribution.numerators
+    monkeypatch.setattr(prob.Distribution, "numerators",
+                        lambda d: calls.append(d) or numerators(d))
+    return calls
+
+
+def test_sat_level_without_a_bad_history_is_one_without_the_joint_weights(monkeypatch):
+    h = 2
+    dist = pct.bernoulli_iid(Q, frac("1/3"), h)
+    g = pct.denote(pct.parse_expr("always(q or not z)"), SIG_QZ, h)
+    c = _pc(SIG_QZ, h, g.mask, {"q"}, dist)
+    calls = _counted_numerators(monkeypatch)
+    report = prob.sat_level(g, c)
+    assert type(report.level) is Fraction and report.level == Fraction(1)
+    assert report.witness_bad is None
+    assert calls == []
+
+
+def test_sat_level_with_every_history_bad_is_zero_with_the_heaviest_witness(monkeypatch):
+    h = 2
+    dist = pct.bernoulli_iid(Q, frac("1/3"), h)
+    c = _pc(SIG_QZ, h, np.zeros(16, dtype=bool), {"q"}, dist)
+    calls = _counted_numerators(monkeypatch)
+    report = prob.sat_level(pct.universe(SIG_QZ, h), c)
+    assert report.level == 0
+    # q false at both steps weighs 4/9, the most of the four histories
+    assert report.witness_bad == run_of({"q": (False, False)})
+    assert calls == [dist]
+
+
 def test_sat_level_preconditions():
     h = 1
     dist = pct.uniform((Q,), h)

@@ -667,6 +667,9 @@ FACTOR_CASES = [
     ([("table", (Port("a"), Port("c", TRI))), coin("d", Fraction(1, 10))], (1, 2)),
     ([coin("e", BIG), coin("g", Fraction(1, 3))], (1, 2)),
     ([coin("p", NEAR), coin("q", NEAR), coin("r", NEAR)], (1,)),
+    # a and c are not adjacent in name order: contracting the table moves
+    # its axes past b's
+    ([("table", (Port("a"), Port("c"))), coin("b", Fraction(1, 3))], (1, 2)),
 ]
 
 

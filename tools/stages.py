@@ -24,8 +24,10 @@ A query parses once; ``compose`` parses its emitted document a second
 time, and both parses count.  For each document, query and stage the
 script keeps the lowest time over the repeats, and it prints, per query,
 the median over the documents of each stage and of the whole query (the
-best repeat), in milliseconds.  The sum of the stage medians need not be
-the median of the whole.
+best repeat), in milliseconds: first over all the documents, then one
+table for each family and size, since a stage that is large on one
+family can be small in the overall median.  The sum of the stage
+medians need not be the median of the whole.
 
 Standard library only, besides the program itself.
 """
@@ -136,9 +138,19 @@ def stage_times(docs: list, repeats: int) -> dict:
     return out
 
 
-def table(times: dict, n_docs: int) -> list:
-    lines = [f"median warm ms over {n_docs} documents",
-             "query    " + "".join(f"{c:>10}" for c in COLUMNS)]
+def by_family(times: dict, docs: list) -> dict:
+    """``{(family, size): times}``: ``times``, as ``stage_times`` gives it
+    for ``docs``, split by the family and size of each document."""
+    out = {}
+    for key in dict.fromkeys(doc[:2] for doc in docs):
+        picked = [i for i, doc in enumerate(docs) if doc[:2] == key]
+        out[key] = {query: {c: [ms[i] for i in picked] for c, ms in columns.items()}
+                    for query, columns in times.items()}
+    return out
+
+
+def table(times: dict, title: str) -> list:
+    lines = [title, "query    " + "".join(f"{c:>10}" for c in COLUMNS)]
     for query, columns in times.items():
         lines.append(f"{query:<9}" + "".join(f"{statistics.median(columns[c]):10.3f}"
                                              for c in COLUMNS))
@@ -155,7 +167,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     docs = [(family, size, seed) for family in ("large", "wide")
             for size in ("full", "small") for seed in range(args.docs)]
-    for line in table(stage_times(docs, args.repeats), len(docs)):
+    times = stage_times(docs, args.repeats)
+    lines = table(times, f"median warm ms over {len(docs)} documents")
+    for (family, size), part in by_family(times, docs).items():
+        lines += ["", *table(part, f"{family}/{size}: median warm ms over {args.docs} documents")]
+    for line in lines:
         print(line)
     return 0
 
