@@ -9,22 +9,23 @@ and an oracle bug would have to coincide to go unnoticed.  The suites
 evaluate every quantity with both implementations and record any
 disagreement.
 
-A run is its entry tuple: the name-sorted ``((port, history), ...)``
-pairs, with each history a tuple of values: the form that the engine's
-``traces.run_at`` returns, though the oracle decodes its own.  A
-run set is a frozenset of entry tuples, so hashing, equality and the
-set operations all run in C.  ``oracle_lift`` joins a run ``r`` with an
-extension ``x`` as ``r + x`` and restores name order with one
-permutation, fixed per call by the two port lists.
+A run is the tuple of its ports' history numbers, in name order: digit
+t of a port's number, base |D|, is the position of the port's value at
+step t, so the numbers are the blocks of the documented run index.  A
+run set is a frozenset of such tuples, so hashing, equality and the set
+operations all run in C, on ints, whose hashes do not depend on
+``PYTHONHASHSEED``.  ``oracle_lift`` joins a run ``r`` with an extension
+``x`` as ``r + x`` and restores name order with one permutation, fixed
+per call by the two port lists.  Values are read only where an
+expression is evaluated: ``oracle_denote`` turns each number into its
+history through the table of ``_histories``.
 
 Run indices are turned into runs by ``_Decoder``, written from the
 documented index format alone: per port in name order, ``np.divmod`` by
-|D|^h splits off the port's history number, and a table of that port's
-histories (digit t of the number is the value at step t, built once per
-port and horizon by ``_port_entries``) gives the history.  ``_universe``
-decodes every index of a port list in order; ``materialize`` gathers the
-runs at the indices a mask holds from that list, and ``oracle_universe``,
-the extensions of ``oracle_lift`` and the weight loops read it whole.
+|D|^h splits off the port's history number.  ``_universe`` decodes every
+index of a port list in order; ``materialize`` picks the runs at the
+indices a mask holds from that list, and ``oracle_universe``, the
+extensions of ``oracle_lift`` and the weight loops read it whole.
 
 Decoding is scoped to one suite case.  Each ``check_*`` function opens
 the scope itself (``_one_case``), because callers such as the benchmark
@@ -32,12 +33,10 @@ call ``SUITES[name](seed)`` directly.  Inside it, the run list of each
 ``(ports, h)`` is decoded once and each assertion's run set is made once,
 memoized by identity with the assertion kept alongside, so that its
 ``id`` cannot be reused.  The scope is dropped when the case returns or
-raises: no run or run set outlives its case, so memory stays bounded by
-one case and a second pass over the same seeds does the same work as the
-first.  Only the per-port tables (|D|^h entries each, at most 27 at the
-default budget) are kept across cases, in a bounded cache.  Outside a
-case, as in the tests or a direct ``oracle_sat_level`` call, every call
-decodes afresh.
+raises: nothing of the oracle outlives its case, so memory stays bounded
+by one case and a second pass over the same seeds does the same work as
+the first.  Outside a case, as in the tests or a direct
+``oracle_sat_level`` call, every call decodes afresh.
 
 The weight of a history is a product of the distribution's factors
 (``_weighted_histories``), computed here and not by ``probabilistic``.
@@ -55,8 +54,7 @@ import contextlib
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product, starmap
+from itertools import compress, product, starmap
 from operator import add, itemgetter
 from typing import Collection, Iterable
 
@@ -81,17 +79,8 @@ def _histories(domain: tuple, h: int) -> list:
     return [tuple(domain[n // d ** t % d] for t in range(h)) for n in range(d ** h)]
 
 
-@lru_cache(maxsize=256)
-def _port_entries(port: Port, h: int) -> tuple:
-    """The ``(name, history)`` entries of one port, indexed by history number.
-
-    Keyed by the port itself, which compares its domain values with their
-    types, so a {0, 1} port never gets a boolean port's table."""
-    return tuple((port.name, hist) for hist in _histories(port.domain, h))
-
-
 class _Decoder:
-    """Run indices of one signature and horizon, decoded to entry tuples.
+    """Run indices of one signature and horizon, decoded to history numbers.
 
     The index is the documented little-endian mixed radix: ports in name
     order, each taking a block of |D|^h values, so ``np.divmod`` by that
@@ -99,18 +88,18 @@ class _Decoder:
     """
 
     def __init__(self, ports, h: int):
-        self.port_entries = [_port_entries(p, h) for p in sorted(ports, key=lambda p: p.name)]
-        self.size = math.prod(len(entries) for entries in self.port_entries)
+        self.blocks = [len(p.domain) ** h for p in sorted(ports, key=lambda p: p.name)]
+        self.size = math.prod(self.blocks)
 
     def all_runs(self) -> list:
         """Every run, in index order."""
-        if not self.port_entries:
+        if not self.blocks:
             return [()]
         indices = np.arange(self.size)
         columns = []
-        for entries in self.port_entries:
-            indices, digits = np.divmod(indices, len(entries))
-            columns.append(map(entries.__getitem__, digits.tolist()))
+        for block in self.blocks:
+            indices, digits = np.divmod(indices, block)
+            columns.append(digits.tolist())
         return list(zip(*columns))
 
 
@@ -160,8 +149,7 @@ def materialize(e: Assertion) -> frozenset:
     case = _case
     if case is not None and id(e) in case.decoded:
         return case.decoded[id(e)][1]
-    runs = _universe(e.signature.ports, e.horizon)
-    out = frozenset(map(runs.__getitem__, np.flatnonzero(e.mask).tolist()))
+    out = frozenset(compress(_universe(e.signature.ports, e.horizon), e.mask.tolist()))
     if case is not None:
         case.decoded[id(e)] = (e, out)
     return out
@@ -169,7 +157,7 @@ def materialize(e: Assertion) -> frozenset:
 
 def oracle_lift(rs: Iterable[tuple], sig_from: Signature, sig_to: Signature, h: int) -> frozenset:
     """Inverse projection by explicit extension enumeration: every run
-    ``r`` joined with every history ``x`` of the extra ports, the entries
+    ``r`` joined with every history ``x`` of the extra ports, the numbers
     of ``r + x`` put back in name order by one fixed permutation."""
     names = list(sig_from.names)
     have = set(names)
@@ -195,10 +183,11 @@ def oracle_denote(e: speclang.Expr, sig: Signature, h: int, defs: dict = None) -
     holds on a run when it holds at every step.
 
     ``e`` reads only the ports it names, directly or through definitions,
-    so it is evaluated on every run over those ports, taken apart into its
-    histories by port name, one step at a time (``_holds_at``); the runs
-    where it holds are then extended to ``sig`` by ``oracle_lift``.  ``e``
-    must denote over ``sig`` (the document builds); nothing is checked."""
+    so it is evaluated on every run over those ports, its history numbers
+    turned into histories by port name, one step at a time (``_holds_at``);
+    the runs where it holds are then extended to ``sig`` by ``oracle_lift``.
+    ``e`` must denote over ``sig`` (the document builds); nothing is
+    checked."""
     defs = defs or {}
     names, todo, seen = set(), [e], set()
     while todo:
@@ -214,8 +203,10 @@ def oracle_denote(e: speclang.Expr, sig: Signature, h: int, defs: dict = None) -
                      if isinstance(v, (speclang.Expr, speclang.Operand))]
     read = sig.restricted(names & set(sig.names))
     ports = frozenset(read.names)
+    tables = [(p.name, _histories(p.domain, h)) for p in read.ports]
     holds = [r for r in _universe(read.ports, h)
-             if all(_holds_at(e, dict(r), t, h, ports, defs) for t in range(h))]
+             if all(_holds_at(e, {n: hists[x] for (n, hists), x in zip(tables, r)},
+                              t, h, ports, defs) for t in range(h))]
     return oracle_lift(holds, read, sig, h)
 
 
@@ -306,35 +297,31 @@ def _weighted_histories(d: Distribution) -> list:
     """Every joint history of ``d`` with its weight, in index order, from
     the documented factor format alone: the product, over the factors, of
     the factor's numerator at the history's restriction to its ports, over
-    the product of the factors' denominators."""
+    the product of the factors' denominators.  Histories are runs over
+    ``d.ports``, so the restriction is a fixed selection of positions."""
+    names = [p.name for p in d.ports]
     tables = []
     for f in d.factors:
-        names = [p.name for p in f.ports]
-        tables.append((names, {tuple(hist for _, hist in r): n
-                               for r, n in zip(_universe(f.ports, d.horizon), f.num.tolist())}))
+        at = [names.index(p.name) for p in f.ports]
+        tables.append((at, dict(zip(_universe(f.ports, d.horizon), f.num.tolist()))))
     den = math.prod(f.den for f in d.factors)
     out = []
     for omega in _universe(d.ports, d.horizon):
-        hists = dict(omega)
-        num = math.prod(table[tuple(hists[n] for n in names)] for names, table in tables)
+        num = math.prod(table[tuple(omega[i] for i in at)] for at, table in tables)
         out.append((omega, Fraction(num, den)))
     return out
 
 
-def _fibers(runs: Collection[tuple], pnames: frozenset) -> dict:
-    """The runs grouped by their restriction to the ports ``pnames``.
-
-    The runs share their ports, so the restriction is one fixed selection
-    of entry positions, as in ``oracle_lift``.
+def _fibers(runs: Collection[tuple], names: tuple, pnames: frozenset) -> dict:
+    """The runs over the name-sorted ports ``names`` grouped by their
+    restriction to the ports ``pnames``: one fixed selection of positions,
+    as in ``oracle_lift``.
     """
-    first = next(iter(runs), None)
-    if first is None:
-        return {}
-    at = [i for i, (name, _) in enumerate(first) if name in pnames]
+    at = [i for i, name in enumerate(names) if name in pnames]
     if len(at) > 1:
         restrict = itemgetter(*at)
     else:
-        # itemgetter of one index gives a bare entry, and of none is not
+        # itemgetter of one index gives a bare number, and of none is not
         # defined, so these select by a slice, which gives a tuple
         restrict = itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
     out = {}
@@ -350,7 +337,7 @@ def oracle_sat_level(m: Assertion, pc: ProbContract) -> Fraction:
     mm = oracle_lift(materialize(m), m.signature, sig, h)
     gg = materialize(pc.base.guarantee)
     pnames = frozenset(p.name for p in pc.dist.ports)
-    fibers = _fibers(mm, pnames)
+    fibers = _fibers(mm, sig.names, pnames)
     level = ZERO
     for omega, w in _weighted_histories(pc.dist):
         if gg.issuperset(fibers.get(omega, ())):
@@ -365,7 +352,7 @@ def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
     g1 = oracle_lift(materialize(pc1.base.guarantee), pc1.base.signature, sig2, h)
     g2 = materialize(pc2.base.guarantee)
     pnames = frozenset(p.name for p in pc2.dist.ports)
-    fibers = _fibers(_universe(sig2.ports, h), pnames)
+    fibers = _fibers(_universe(sig2.ports, h), sig2.names, pnames)
     p_g1 = ZERO
     p_both = ZERO
     for omega, w in _weighted_histories(pc2.dist):

@@ -1,8 +1,8 @@
-"""The oracle: its run decoder against a reference enumeration, its
-independence from the engine's mask code, decoding once per suite case and
-keeping nothing past it, agreement with the engine at a larger budget, its
-evaluator of `.pct` expressions against ``denote``, and the budgets that
-bound the generated instances."""
+"""The oracle: its run decoder against a reference enumeration and the
+engine's ``run_at``, its independence from the engine's mask code,
+decoding once per suite case and keeping nothing past it, agreement with
+the engine at a larger budget, its evaluator of `.pct` expressions against
+``denote``, and the budgets that bound the generated instances."""
 
 import ast
 import collections
@@ -17,6 +17,7 @@ from pct import (BOOL, Assertion, PctError, Port, Signature, contracts, oracle, 
                  speclang, traces)
 from pct.errors import SpecLangError
 from conftest import weights
+from test_views import history_numbers, restricted
 
 TRI = (0, 1, 2)
 ONE = ("only",)
@@ -24,17 +25,8 @@ ONE = ("only",)
 
 # --- the decoder ---------------------------------------------------------------------
 
-def entry_tuple(values):
-    """A run as the oracle holds it: name-sorted (port, history) pairs."""
-    return tuple(sorted(values.items()))
-
-
-def restricted(run, names):
-    return tuple((n, v) for n, v in run if n in names)
-
-
-def reference_runs(ports, h):
-    """Every run over the ports as an entry tuple, keyed by its index:
+def reference_values(ports, h):
+    """Every run over the ports as port name -> history, keyed by its index:
     ``itertools.product`` over the histories and the little-endian
     mixed-radix formula."""
     ports = sorted(ports, key=lambda p: p.name)
@@ -47,8 +39,13 @@ def reference_runs(ports, h):
             for t in range(h):
                 idx += p.domain.index(values[p.name][t]) * mult
                 mult *= len(p.domain)
-        out[idx] = entry_tuple(values)
+        out[idx] = values
     return out
+
+
+def reference_runs(ports, h):
+    """Every run over the ports as history numbers, keyed by its index."""
+    return {i: history_numbers(ports, values) for i, values in reference_values(ports, h).items()}
 
 
 def decoder_cases():
@@ -102,8 +99,20 @@ def test_lift_extends_every_run_by_every_history(sig, h):
         universe = reference_runs(big.ports, h).values()
         for mask in masks(sig, h):
             base = oracle.materialize(Assertion(sig, h, mask))
-            want = frozenset(r for r in universe if restricted(r, sig.names) in base)
+            want = frozenset(r for r in universe if restricted(r, big.names, sig.names) in base)
             assert oracle.oracle_lift(base, sig, big, h) == want
+
+
+@pytest.mark.parametrize("sig,h", DECODER_CASES)
+def test_the_histories_of_a_run_are_the_engines_run_at_its_index(sig, h):
+    """The oracle's numbers, read through its own tables, against the
+    engine's decoder of the same index."""
+    tables = [oracle._histories(p.domain, h) for p in sig.ports]
+    runs = oracle._universe(sig.ports, h)
+    assert len(runs) == traces.universe_size(sig, h)
+    for i, run in enumerate(runs):
+        want = traces.run_at(sig, h, i)
+        assert tuple((p.name, table[x]) for p, table, x in zip(sig.ports, tables, run)) == want
 
 
 def test_decoder_cases_cover_the_shapes_that_matter():
@@ -116,8 +125,8 @@ def test_decoder_cases_cover_the_shapes_that_matter():
 # --- independence from the engine's mask code ----------------------------------------
 
 INDEPENDENT = [oracle.materialize, oracle.oracle_lift, oracle.oracle_universe,
-               oracle._Decoder, oracle._histories, oracle._port_entries, oracle._Case,
-               oracle._one_case, oracle._universe, oracle._fibers, oracle._weighted_histories,
+               oracle._Decoder, oracle._histories, oracle._Case, oracle._one_case,
+               oracle._universe, oracle._fibers, oracle._weighted_histories,
                oracle.oracle_denote, oracle._holds_at]
 
 
@@ -158,8 +167,9 @@ RUN_SETS = INDEPENDENT + [oracle.oracle_included, oracle.oracle_satisfies,
 
 @pytest.mark.parametrize("obj", RUN_SETS, ids=lambda o: o.__name__)
 def test_the_run_sets_hold_entry_tuples_not_runs(obj):
-    """A run is its name-sorted (port, history) tuple here: no name ``Run``
-    and no ``.entries`` read appears, not even in an annotation."""
+    """A run is the tuple of its ports' history numbers here, not the
+    engine's entry tuple: no name ``Run`` and no ``.entries`` read appears,
+    not even in an annotation."""
     assert not hasattr(oracle, "Run")
     for node in ast.walk(ast.parse(inspect.getsource(obj))):
         if isinstance(node, ast.Name):
@@ -380,11 +390,35 @@ def test_oracle_denote_follows_the_meaning_paragraph(text, want):
     a, m = Port("a"), Port("m", ("idle", "run"))
     sig = Signature.of(uncontrolled=(a, m))
     got = oracle.oracle_denote(speclang.parse_expr(text), sig, 2)
+    values = {history_numbers(sig.ports, v): v for v in reference_values(sig.ports, 2).values()}
+    runs = [values[r] for r in got]
     if want is not None:
-        assert {dict(r)["a"] for r in got} == want
-        assert all(len({dict(r)["m"] for r in got if dict(r)["a"] == hist}) == 4
-                   for hist in want)
+        assert {r["a"] for r in runs} == want
+        assert all(len({r["m"] for r in runs if r["a"] == hist}) == 4 for hist in want)
     else:
         # where m is run at a step, a holds at that step
-        assert all(dict(r)["a"][t] for r in got for t in range(2) if dict(r)["m"][t] == "run")
+        assert all(r["a"][t] for r in runs for t in range(2) if r["m"][t] == "run")
         assert len(got) == 9
+
+
+@pytest.mark.parametrize("text,want", [
+    ("x == 2", {(2, 2)}),
+    ("eventually(x == 0) and at(0, x == prev(x, init=2))", {(2, 0)}),
+    ("x == prev(x, init=0)", {(0, 0)}),
+    ("prev(x, init=2) == 1", set()),
+    ("at(1, prev(x, init=2) == 1)", {(1, 0), (1, 1), (1, 2)}),
+    ("x == prev(x, init=1) or x == 0", {(0, 0), (1, 0), (1, 1)}),
+    ("u == only", set(itertools.product(TRI, repeat=2))),
+    ("not (u == only) or x == 1", {(1, 1)}),
+])
+def test_oracle_denote_reads_the_values_of_non_boolean_ports(text, want):
+    """A {0, 1, 2} port and a one-value port: the numbers of a run become
+    values before a comparison reads them."""
+    x, u = Port("x", TRI), Port("u", ONE)
+    sig = Signature.of(uncontrolled=(u, x))
+    e = speclang.parse_expr(text)
+    got = oracle.oracle_denote(e, sig, 2)
+    values = {history_numbers(sig.ports, v): v for v in reference_values(sig.ports, 2).values()}
+    assert {values[r]["x"] for r in got} == want
+    assert all(values[r]["u"] == ("only", "only") for r in got)
+    assert got == oracle.materialize(speclang.denote(e, sig, 2, {}))

@@ -39,9 +39,16 @@ def all_runs(ports, h):
     return runs
 
 
-def entry_tuple(values):
-    """A run as the oracle holds it: name-sorted (port, history) pairs."""
-    return tuple(sorted(values.items()))
+def history_numbers(ports, values):
+    """A run as the oracle holds it: per port in name order, the number
+    whose digit t, base |D|, is the position of the value at step t."""
+    return tuple(sum(p.domain.index(v) * len(p.domain) ** t for t, v in enumerate(values[p.name]))
+                 for p in sorted(ports, key=lambda q: q.name))
+
+
+def restricted(run, names, keep):
+    """A run over the name-sorted ports ``names``, restricted to ``keep``."""
+    return tuple(x for n, x in zip(names, run) if n in keep)
 
 
 def random_mask(rng, sig, h):
@@ -103,8 +110,7 @@ def test_project_matches_explicit_restriction(sig, h):
     for k in range(len(sig.names) + 1):
         for keep in itertools.combinations(sig.names, k):
             small = sig.restricted(keep)
-            want = frozenset(entry_tuple({n: v for n, v in r if n in keep})
-                             for r in materialize(e))
+            want = frozenset(restricted(r, sig.names, keep) for r in materialize(e))
             assert materialize(pct.project(e, small)) == want
 
 
@@ -154,7 +160,7 @@ def test_from_step_predicate_matches_explicit_runs(sig, h):
                 + t) % 2 == 0
 
     want = frozenset(
-        entry_tuple(r) for r in all_runs(sig.ports, h)
+        history_numbers(sig.ports, r) for r in all_runs(sig.ports, h)
         if all((x.domain.index(r[x.name][t]) + y.domain.index(r[y.name][t]) + t) % 2 == 0
                for t in range(h)))
     assert materialize(traces.from_step_predicate(sig, h, step)) == want
