@@ -9,33 +9,36 @@ and an oracle bug would have to coincide to go unnoticed.  The suites
 evaluate every quantity with both implementations and record any
 disagreement.
 
-A run is the tuple of its ports' history numbers, in name order: digit
-t of a port's number, base |D|, is the position of the port's value at
-step t, so the numbers are the blocks of the documented run index.  A
-run set is a frozenset of such tuples, so hashing, equality and the set
-operations all run in C, on ints, whose hashes do not depend on
-``PYTHONHASHSEED``.  ``oracle_lift`` joins a run ``r`` with an extension
-``x`` as ``r + x`` and restores name order with one permutation, fixed
-per call by the two port lists.  Values are read only where an
-expression is evaluated: ``oracle_denote`` turns each number into its
-history through the table of ``_histories``.
+A run is its run index over its own signature, in the documented
+little-endian mixed radix of docs/format.md: ports in name order, each
+taking a block of |D|^h values, the port's history number, whose digit
+t, base |D|, is the position of the port's value at step t.  A run set
+is a frozenset of these ints, so hashing, equality and the set
+operations all run in C, and no hash depends on ``PYTHONHASHSEED``.
+``materialize`` reads the indices a mask holds.
 
-Run indices are turned into runs by ``_Decoder``, written from the
-documented index format alone: per port in name order, ``np.divmod`` by
-|D|^h splits off the port's history number.  ``_universe`` decodes every
-index of a port list in order; ``materialize`` picks the runs at the
-indices a mask holds from that list, and ``oracle_universe``, the
-extensions of ``oracle_lift`` and the weight loops read it whole.
+Runs move between signatures by index tables.  ``_Decoder`` splits every
+index of a port list into its ports' history numbers, one array per port,
+by ``np.divmod`` with each port's block; ``_reindex`` encodes them over
+another port list with that list's strides, so it gives, for every index
+over ``ports``, the index over ``onto`` of the run that agrees with it on
+their common ports and has digit 0 elsewhere.  The same table lifts
+(``oracle_lift`` adds each run's table entry to every entry of the extra
+ports' table), restricts a run to Ω, the histories of the probabilistic
+ports (``_fibers``), and restricts a history to a factor's ports
+(``_weighted_histories``).  Values are read only where an expression is
+evaluated: ``oracle_denote`` turns each number into its history through
+the table of ``_histories``.
 
 Decoding is scoped to one suite case.  Each ``check_*`` function opens
 the scope itself (``_one_case``), because callers such as the benchmark
-call ``SUITES[name](seed)`` directly.  Inside it, the run list of each
-``(ports, h)`` is decoded once and each assertion's run set is made once,
-memoized by identity with the assertion kept alongside, so that its
-``id`` cannot be reused.  The scope is dropped when the case returns or
-raises: nothing of the oracle outlives its case, so memory stays bounded
-by one case and a second pass over the same seeds does the same work as
-the first.  Outside a case, as in the tests or a direct
+call ``SUITES[name](seed)`` directly.  Inside it, the history numbers of
+each ``(ports, h)`` are decoded once and each assertion's run set is
+made once, memoized by identity with the assertion kept alongside, so
+that its ``id`` cannot be reused.  The scope is dropped when the case
+returns or raises: nothing of the oracle outlives its case, so memory
+stays bounded by one case and a second pass over the same seeds does the
+same work as the first.  Outside a case, as in the tests or a direct
 ``oracle_sat_level`` call, every call decodes afresh.
 
 The weight of a history is a product of the distribution's factors
@@ -43,9 +46,9 @@ The weight of a history is a product of the distribution's factors
 ``oracle_denote`` evaluates a `.pct` expression one run and one step at
 a time, from the "Meaning" paragraph of docs/grammar.ebnf, and reads
 only the expression node classes of ``speclang``, not its compiler.
-The decoder and the run-set functions use nothing of ``traces`` but its
-types and read no ``.entries`` (``tests/test_oracle.py`` checks all
-three); only the instance generators use its layout helpers.
+The decoder, the encoder and the run-set functions use nothing of
+``traces`` but its types and read no ``.entries`` (``tests/test_oracle.py``
+checks all three); only the instance generators use its layout helpers.
 """
 
 from __future__ import annotations
@@ -54,8 +57,7 @@ import contextlib
 import math
 import random
 from fractions import Fraction
-from itertools import compress, product, starmap
-from operator import add, itemgetter
+from operator import mul
 from typing import Collection, Iterable
 
 import numpy as np
@@ -80,33 +82,29 @@ def _histories(domain: tuple, h: int) -> list:
 
 
 class _Decoder:
-    """Run indices of one signature and horizon, decoded to history numbers.
+    """Run indices of one port list and horizon, decoded to history numbers.
 
     The index is the documented little-endian mixed radix: ports in name
     order, each taking a block of |D|^h values, so ``np.divmod`` by that
-    block peels one port's history number off the low end.
+    block peels one port's history number off the low end.  ``numbers``
+    maps each port's name to its history number at every index.
     """
 
-    def __init__(self, ports, h: int):
-        self.blocks = [len(p.domain) ** h for p in sorted(ports, key=lambda p: p.name)]
-        self.size = math.prod(self.blocks)
+    __slots__ = ("size", "numbers")
 
-    def all_runs(self) -> list:
-        """Every run, in index order."""
-        if not self.blocks:
-            return [()]
+    def __init__(self, ports, h: int):
+        blocks = [(p.name, len(p.domain) ** h) for p in sorted(ports, key=lambda p: p.name)]
+        self.size = math.prod(block for _, block in blocks)
+        self.numbers = {}
         indices = np.arange(self.size)
-        columns = []
-        for block in self.blocks:
-            indices, digits = np.divmod(indices, block)
-            columns.append(digits.tolist())
-        return list(zip(*columns))
+        for name, block in blocks:
+            indices, self.numbers[name] = np.divmod(indices, block)
 
 
 class _Case:
-    """What one suite case has decoded: the run list of each ``(ports, h)``
-    and the run set of each assertion, the assertion kept beside it so
-    that its ``id`` cannot be reused while the entry lives."""
+    """What one suite case has decoded: the ``_Decoder`` of each
+    ``(ports, h)`` and the run set of each assertion, the assertion kept
+    beside it so that its ``id`` cannot be reused while the entry lives."""
 
     __slots__ = ("universes", "decoded")
 
@@ -120,7 +118,7 @@ _case = None      # the _Case of the suite case being checked, if any
 
 @contextlib.contextmanager
 def _one_case():
-    """Keep decoded run lists and run sets for the duration of one case."""
+    """Keep decoded history numbers and run sets for the duration of one case."""
     global _case
     outer = _case
     _case = _Case()
@@ -130,51 +128,61 @@ def _one_case():
         _case = outer
 
 
-def _universe(ports, h: int) -> list:
-    """Every run over ``ports``, in index order; decoded once per case and
-    afresh on every call outside one.  Callers must not change the list."""
+def _universe(ports, h: int) -> _Decoder:
+    """The decoded runs over ``ports``; decoded once per case and afresh on
+    every call outside one.  Callers must not change its arrays."""
     case = _case
     if case is None:
-        return _Decoder(ports, h).all_runs()
+        return _Decoder(ports, h)
     key = (tuple(ports), h)
     runs = case.universes.get(key)
     if runs is None:
-        runs = case.universes[key] = _Decoder(ports, h).all_runs()
+        runs = case.universes[key] = _Decoder(ports, h)
     return runs
 
 
+def _reindex(ports, onto, h: int) -> np.ndarray:
+    """For every index over ``ports``, the index over ``onto`` of the run
+    that agrees with it on their common ports and has digit 0 elsewhere:
+    the sum of the common ports' history numbers times their strides over
+    ``onto``, which take the ports in name order, |D|^h apart."""
+    runs = _universe(ports, h)
+    out = np.zeros(runs.size, dtype=np.int64)
+    stride = 1
+    for p in sorted(onto, key=lambda p: p.name):
+        numbers = runs.numbers.get(p.name)
+        if numbers is not None:
+            out += numbers * stride
+        stride *= len(p.domain) ** h
+    return out
+
+
 def materialize(e: Assertion) -> frozenset:
-    """Explicit run set of an assertion, decoded independently: the runs
-    of its universe at the indices its mask holds."""
+    """Explicit run set of an assertion: the indices its mask holds."""
     case = _case
     if case is not None and id(e) in case.decoded:
         return case.decoded[id(e)][1]
-    out = frozenset(compress(_universe(e.signature.ports, e.horizon), e.mask.tolist()))
+    out = frozenset(np.flatnonzero(e.mask).tolist())
     if case is not None:
         case.decoded[id(e)] = (e, out)
     return out
 
 
-def oracle_lift(rs: Iterable[tuple], sig_from: Signature, sig_to: Signature, h: int) -> frozenset:
-    """Inverse projection by explicit extension enumeration: every run
-    ``r`` joined with every history ``x`` of the extra ports, the numbers
-    of ``r + x`` put back in name order by one fixed permutation."""
-    names = list(sig_from.names)
-    have = set(names)
+def oracle_lift(rs: Iterable[int], sig_from: Signature, sig_to: Signature, h: int) -> frozenset:
+    """Inverse projection by explicit extension enumeration: every run of
+    ``rs``, moved onto ``sig_to``, joined with every history of the extra
+    ports, moved onto ``sig_to``; the two indices share no nonzero digit,
+    so the joined run's index is their sum."""
+    have = set(sig_from.names)
     extra = [p for p in sig_to.ports if p.name not in have]
     if not extra:
         return frozenset(rs)
-    joined = starmap(add, product(rs, _universe(extra, h)))
-    names += sorted(p.name for p in extra)
-    perm = sorted(range(len(names)), key=names.__getitem__)
-    if perm == list(range(len(names))):
-        return frozenset(joined)
-    # at least two indices, so itemgetter gives a tuple
-    return frozenset(map(itemgetter(*perm), joined))
+    runs = _reindex(sig_from.ports, sig_to.ports, h)[list(rs)]
+    return frozenset(np.add.outer(runs, _reindex(extra, sig_to.ports, h)).ravel().tolist())
 
 
 def oracle_universe(sig: Signature, h: int) -> frozenset:
-    return frozenset(_universe(sig.ports, h))
+    return frozenset(range(math.prod(len(p.domain) ** h for p in sig.ports)))
 
 
 def oracle_denote(e: speclang.Expr, sig: Signature, h: int, defs: dict = None) -> frozenset:
@@ -203,9 +211,11 @@ def oracle_denote(e: speclang.Expr, sig: Signature, h: int, defs: dict = None) -
                      if isinstance(v, (speclang.Expr, speclang.Operand))]
     read = sig.restricted(names & set(sig.names))
     ports = frozenset(read.names)
-    tables = [(p.name, _histories(p.domain, h)) for p in read.ports]
-    holds = [r for r in _universe(read.ports, h)
-             if all(_holds_at(e, {n: hists[x] for (n, hists), x in zip(tables, r)},
+    runs = _universe(read.ports, h)
+    tables = [(p.name, runs.numbers[p.name].tolist(), _histories(p.domain, h))
+              for p in read.ports]
+    holds = [i for i in range(runs.size)
+             if all(_holds_at(e, {n: hists[numbers[i]] for n, numbers, hists in tables},
                               t, h, ports, defs) for t in range(h))]
     return oracle_lift(holds, read, sig, h)
 
@@ -294,39 +304,24 @@ def oracle_compose_sets(c1: Contract, c2: Contract):
 
 
 def _weighted_histories(d: Distribution) -> list:
-    """Every joint history of ``d`` with its weight, in index order, from
-    the documented factor format alone: the product, over the factors, of
-    the factor's numerator at the history's restriction to its ports, over
-    the product of the factors' denominators.  Histories are runs over
-    ``d.ports``, so the restriction is a fixed selection of positions."""
-    names = [p.name for p in d.ports]
-    tables = []
+    """Every joint history of ``d`` as ``(its index, its weight)``, in index
+    order, from the documented factor format alone: the product, over the
+    factors, of the factor's numerator at the history's restriction to its
+    ports, over the product of the factors' denominators."""
+    h = d.horizon
+    nums = [1] * math.prod(len(p.domain) ** h for p in d.ports)
     for f in d.factors:
-        at = [names.index(p.name) for p in f.ports]
-        tables.append((at, dict(zip(_universe(f.ports, d.horizon), f.num.tolist()))))
+        nums = list(map(mul, nums, f.num[_reindex(d.ports, f.ports, h)].tolist()))
     den = math.prod(f.den for f in d.factors)
-    out = []
-    for omega in _universe(d.ports, d.horizon):
-        num = math.prod(table[tuple(omega[i] for i in at)] for at, table in tables)
-        out.append((omega, Fraction(num, den)))
-    return out
+    return [(omega, Fraction(num, den)) for omega, num in enumerate(nums)]
 
 
-def _fibers(runs: Collection[tuple], names: tuple, pnames: frozenset) -> dict:
-    """The runs over the name-sorted ports ``names`` grouped by their
-    restriction to the ports ``pnames``: one fixed selection of positions,
-    as in ``oracle_lift``.
-    """
-    at = [i for i, name in enumerate(names) if name in pnames]
-    if len(at) > 1:
-        restrict = itemgetter(*at)
-    else:
-        # itemgetter of one index gives a bare number, and of none is not
-        # defined, so these select by a slice, which gives a tuple
-        restrict = itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
+def _fibers(runs: Collection[int], ports, omega, h: int) -> dict:
+    """The runs over ``ports`` grouped by their index over the ports ``omega``."""
+    restrict = _reindex(ports, omega, h).tolist()
     out = {}
     for r in runs:
-        out.setdefault(restrict(r), []).append(r)
+        out.setdefault(restrict[r], []).append(r)
     return out
 
 
@@ -336,8 +331,7 @@ def oracle_sat_level(m: Assertion, pc: ProbContract) -> Fraction:
     h = pc.horizon
     mm = oracle_lift(materialize(m), m.signature, sig, h)
     gg = materialize(pc.base.guarantee)
-    pnames = frozenset(p.name for p in pc.dist.ports)
-    fibers = _fibers(mm, sig.names, pnames)
+    fibers = _fibers(mm, sig.ports, pc.dist.ports, h)
     level = ZERO
     for omega, w in _weighted_histories(pc.dist):
         if gg.issuperset(fibers.get(omega, ())):
@@ -351,8 +345,7 @@ def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
     h = pc2.horizon
     g1 = oracle_lift(materialize(pc1.base.guarantee), pc1.base.signature, sig2, h)
     g2 = materialize(pc2.base.guarantee)
-    pnames = frozenset(p.name for p in pc2.dist.ports)
-    fibers = _fibers(_universe(sig2.ports, h), sig2.names, pnames)
+    fibers = _fibers(range(_universe(sig2.ports, h).size), sig2.ports, pc2.dist.ports, h)
     p_g1 = ZERO
     p_both = ZERO
     for omega, w in _weighted_histories(pc2.dist):

@@ -13,7 +13,7 @@ import pytest
 
 import pct
 from pct import BOOL, Assertion, Port, Signature, contracts, oracle, probabilistic, traces
-from test_views import LAYOUTS, TRI, apart_shapes, kept_axes, random_dist, restricted
+from test_views import LAYOUTS, TRI, all_runs, apart_shapes, kept_axes, random_dist, restricted
 
 
 def random_factor(rng, shape, density, keep=0.5):
@@ -163,9 +163,10 @@ def test_quantified_set_operations_on_conjunctions_match_the_oracle(seed, block)
     assert e1 == whole(e1) and whole(e1) == e1
     assert pct.included_in(e1, e2, sig) == (runs1 <= runs2)
     assert pct.included_in(pct.product(e1, e2), e2, sig)
+    runs = all_runs(sig.ports, h)
     for _ in range(3):
         keep = {n for n in sig.names if rng.random() < 0.5}
-        want = frozenset(restricted(r, sig.names, keep) for r in runs1)
+        want = frozenset(restricted(runs[i], sig.ports, h, keep) for i in runs1)
         assert oracle.materialize(pct.project(e1, sig.restricted(keep))) == want
     c = pct.contract(factored(rng, sig, h, 0.5), factored(rng, sig, h, 0.9))
     assert contracts.satisfies(e1, c) == oracle.oracle_satisfies(e1, c)

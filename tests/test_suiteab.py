@@ -4,6 +4,7 @@ reports otherwise stops it."""
 
 import importlib.util
 import shutil
+import statistics
 from pathlib import Path
 
 import pytest
@@ -26,13 +27,20 @@ def test_every_suite_case_is_timed_on_both_trees(tmp_path):
     lines = suiteab.table(best)
     assert len(lines) == 2 + len(best)
     assert lines[0].split() == ["suite", "cases", "base", "ms", "change", "ms", "ratio", "won",
-                                "base/s", "change/s"]
-    name, n, *_, base_rate, change_rate = lines[-1].split()
+                                "base/s", "change/s", "base", "p50", "change", "p50"]
+    name, n, *_, base_rate, change_rate, base_p50, change_p50 = lines[-1].split()
     assert (name, n) == ("all", "12")
-    # cases per second as the benchmark computes verify_cases_per_s
+    # cases per second and p50 as the benchmark computes verify_cases_per_s and
+    # verify_case_p50_ms: over the best time of each case
     every = {side: [s for row in best.values() for s in row[side]] for side in suiteab.SIDES}
     assert base_rate == f"{12 / sum(every['base']):.1f}"
     assert change_rate == f"{12 / sum(every['change']):.1f}"
+    assert base_p50 == f"{statistics.median(every['base']) * 1e3:.3f}"
+    assert change_p50 == f"{statistics.median(every['change']) * 1e3:.3f}"
+    for line, (suite, row) in zip(lines[1:], best.items()):
+        assert line.split()[0] == suite
+        assert line.split()[-2:] == [f"{statistics.median(row[side]) * 1e3:.3f}"
+                                     for side in suiteab.SIDES]
 
 
 def test_a_tree_that_reports_otherwise_stops_the_comparison(tmp_path):

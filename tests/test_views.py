@@ -39,16 +39,10 @@ def all_runs(ports, h):
     return runs
 
 
-def history_numbers(ports, values):
-    """A run as the oracle holds it: per port in name order, the number
-    whose digit t, base |D|, is the position of the value at step t."""
-    return tuple(sum(p.domain.index(v) * len(p.domain) ** t for t, v in enumerate(values[p.name]))
-                 for p in sorted(ports, key=lambda q: q.name))
-
-
-def restricted(run, names, keep):
-    """A run over the name-sorted ports ``names``, restricted to ``keep``."""
-    return tuple(x for n, x in zip(names, run) if n in keep)
+def restricted(values, ports, h, keep):
+    """The index of a run, given as name -> history, restricted to the
+    ports of ``ports`` named in ``keep``."""
+    return index_of([p for p in ports if p.name in keep], h, values)
 
 
 def random_mask(rng, sig, h):
@@ -107,10 +101,11 @@ def test_lift_matches_explicit_extension(sig, h):
 def test_project_matches_explicit_restriction(sig, h):
     rng = random.Random(str(sig) + str(h))
     e = random_mask(rng, sig, h)
+    runs = all_runs(sig.ports, h)
     for k in range(len(sig.names) + 1):
         for keep in itertools.combinations(sig.names, k):
             small = sig.restricted(keep)
-            want = frozenset(restricted(r, sig.names, keep) for r in materialize(e))
+            want = frozenset(restricted(runs[i], sig.ports, h, keep) for i in materialize(e))
             assert materialize(pct.project(e, small)) == want
 
 
@@ -160,7 +155,7 @@ def test_from_step_predicate_matches_explicit_runs(sig, h):
                 + t) % 2 == 0
 
     want = frozenset(
-        history_numbers(sig.ports, r) for r in all_runs(sig.ports, h)
+        index_of(sig.ports, h, r) for r in all_runs(sig.ports, h)
         if all((x.domain.index(r[x.name][t]) + y.domain.index(r[y.name][t]) + t) % 2 == 0
                for t in range(h)))
     assert materialize(traces.from_step_predicate(sig, h, step)) == want

@@ -15,10 +15,12 @@ trees, or the script stops with exit 1.
 A case is timed by its best run, as in the benchmark.  For each suite, and
 for all of them together, the script prints the sum of each side's best
 case times in milliseconds, the ratio of the sums (change / base), on how
-many cases the change was faster, and each side's cases per second by the
+many cases the change was faster, each side's cases per second by the
 benchmark's formula for ``verify_cases_per_s``: the number of cases over
-the sum of their best times.  Two benchmark runs are two processes, whose
-noise differs; both sides here share it.
+the sum of their best times, and each side's p50 by the formula for
+``verify_case_p50_ms``: the median of the best case times, in
+milliseconds.  Two benchmark runs are two processes, whose noise
+differs; both sides here share it.
 
 Standard library only, besides the two trees.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import statistics
 import sys
 import tempfile
 import time
@@ -83,14 +86,16 @@ def compare(oracles: dict, n_seeds: int, repeats: int) -> dict:
 
 def table(best: dict) -> list:
     lines = [f"{'suite':<15}{'cases':>6}{'base ms':>10}{'change ms':>11}{'ratio':>8}"
-             f"{'won':>10}{'base/s':>9}{'change/s':>10}"]
+             f"{'won':>10}{'base/s':>9}{'change/s':>10}{'base p50':>10}{'change p50':>12}"]
     every = {side: [s for row in best.values() for s in row[side]] for side in SIDES}
     for name, row in [*best.items(), ("all", every)]:
         base, change = sum(row["base"]), sum(row["change"])
         n = len(row["base"])
         won = sum(c < b for b, c in zip(row["base"], row["change"]))
+        p50 = {side: statistics.median(row[side]) * 1e3 for side in SIDES}
         lines.append(f"{name:<15}{n:>6}{base * 1e3:10.3f}{change * 1e3:11.3f}"
-                     f"{change / base:8.3f}{f'{won}/{n}':>10}{n / base:9.1f}{n / change:10.1f}")
+                     f"{change / base:8.3f}{f'{won}/{n}':>10}{n / base:9.1f}{n / change:10.1f}"
+                     f"{p50['base']:10.3f}{p50['change']:12.3f}")
     return lines
 
 
