@@ -13,9 +13,21 @@ A run is its run index over its own signature, in the documented
 little-endian mixed radix of docs/format.md: ports in name order, each
 taking a block of |D|^h values, the port's history number, whose digit
 t, base |D|, is the position of the port's value at step t.  A run set
-is a frozenset of these ints, so hashing, equality and the set
-operations all run in C, and no hash depends on ``PYTHONHASHSEED``.
-``materialize`` reads the indices a mask holds.
+over ``size`` runs is a Python int whose bit i is set when run index i
+is in the set, so every set operation is one big-int operation in C:
+union ``|``, intersection ``&``, difference ``x & ~y``, inclusion ``not
+x & ~y`` and equality ``==``.  The universe is ``(1 << size) - 1``, and a
+complement is always taken inside it (``universe & ~x``), so no run set
+is negative or holds a bit at or above ``size``.
+
+Two conversions, both by NumPy's bit packing and not by the engine's
+mask code, connect the ints to arrays.  ``_bits`` packs a bool array
+over the run indices, little-endian, into the int; ``materialize`` is
+``_bits`` of an assertion's mask.  ``_members`` unpacks an int into the
+indices of its runs, in increasing order, reading only its ``size``
+bits.  Indices are unpacked only where runs move: to lift a set or to
+restrict the runs outside a guarantee to Ω, the histories of the
+probabilistic ports.
 
 Runs move between signatures by index tables.  ``_Decoder`` splits every
 index of a port list into its ports' history numbers, one array per port,
@@ -24,8 +36,10 @@ another port list with that list's strides, so it gives, for every index
 over ``ports``, the index over ``onto`` of the run that agrees with it on
 their common ports and has digit 0 elsewhere.  The same table lifts
 (``oracle_lift`` adds each run's table entry to every entry of the extra
-ports' table), restricts a run to Ω, the histories of the probabilistic
-ports (``_fibers``), and restricts a history to a factor's ports
+ports' table and packs the sums), restricts runs to Ω (``_restricted``
+reads the table at a set's runs; a history's fiber lies in a set when no
+run outside the set restricts to it), and restricts a history to a
+factor's ports
 (``_weighted_histories``).  Values are read only where an expression is
 evaluated: ``oracle_denote`` turns each number into its history through
 the table of ``_histories``.
@@ -33,9 +47,9 @@ the table of ``_histories``.
 Decoding is scoped to one suite case.  Each ``check_*`` function opens
 the scope itself (``_one_case``), because callers such as the benchmark
 call ``SUITES[name](seed)`` directly.  Inside it, the history numbers of
-each ``(ports, h)`` are decoded once and each assertion's run set is
-made once, memoized by identity with the assertion kept alongside, so
-that its ``id`` cannot be reused.  The scope is dropped when the case
+each ``(ports, h)`` are decoded once and each assertion's mask is packed
+once, memoized by identity with the assertion kept alongside, so that
+its ``id`` cannot be reused.  The scope is dropped when the case
 returns or raises: nothing of the oracle outlives its case, so memory
 stays bounded by one case and a second pass over the same seeds does the
 same work as the first.  Outside a case, as in the tests or a direct
@@ -46,9 +60,10 @@ The weight of a history is a product of the distribution's factors
 ``oracle_denote`` evaluates a `.pct` expression one run and one step at
 a time, from the "Meaning" paragraph of docs/grammar.ebnf, and reads
 only the expression node classes of ``speclang``, not its compiler.
-The decoder, the encoder and the run-set functions use nothing of
-``traces`` but its types and read no ``.entries`` (``tests/test_oracle.py``
-checks all three); only the instance generators use its layout helpers.
+The decoder, the encoder, the two conversions and the run-set functions
+use nothing of ``traces`` but its types and read no ``.entries``
+(``tests/test_oracle.py`` checks all three); only the instance
+generators use its layout helpers.
 """
 
 from __future__ import annotations
@@ -58,7 +73,7 @@ import math
 import random
 from fractions import Fraction
 from operator import mul
-from typing import Collection, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -157,18 +172,29 @@ def _reindex(ports, onto, h: int) -> np.ndarray:
     return out
 
 
-def materialize(e: Assertion) -> frozenset:
-    """Explicit run set of an assertion: the indices its mask holds."""
+def _bits(mask: np.ndarray) -> int:
+    """The run set of a bool array over the run indices: bit i is ``mask[i]``."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _members(rs: int, size: int) -> np.ndarray:
+    """The run indices of a run set over ``size`` runs, in increasing order."""
+    packed = np.frombuffer(rs.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little")[:size])
+
+
+def materialize(e: Assertion) -> int:
+    """Explicit run set of an assertion: its mask, packed into bits."""
     case = _case
     if case is not None and id(e) in case.decoded:
         return case.decoded[id(e)][1]
-    out = frozenset(np.flatnonzero(e.mask).tolist())
+    out = _bits(e.mask)
     if case is not None:
         case.decoded[id(e)] = (e, out)
     return out
 
 
-def oracle_lift(rs: Iterable[int], sig_from: Signature, sig_to: Signature, h: int) -> frozenset:
+def oracle_lift(rs: int, sig_from: Signature, sig_to: Signature, h: int) -> int:
     """Inverse projection by explicit extension enumeration: every run of
     ``rs``, moved onto ``sig_to``, joined with every history of the extra
     ports, moved onto ``sig_to``; the two indices share no nonzero digit,
@@ -176,16 +202,19 @@ def oracle_lift(rs: Iterable[int], sig_from: Signature, sig_to: Signature, h: in
     have = set(sig_from.names)
     extra = [p for p in sig_to.ports if p.name not in have]
     if not extra:
-        return frozenset(rs)
-    runs = _reindex(sig_from.ports, sig_to.ports, h)[list(rs)]
-    return frozenset(np.add.outer(runs, _reindex(extra, sig_to.ports, h)).ravel().tolist())
+        return rs
+    table = _reindex(sig_from.ports, sig_to.ports, h)
+    extension = _reindex(extra, sig_to.ports, h)
+    lifted = np.zeros(table.size * extension.size, dtype=bool)
+    lifted[np.add.outer(table[_members(rs, table.size)], extension).ravel()] = True
+    return _bits(lifted)
 
 
-def oracle_universe(sig: Signature, h: int) -> frozenset:
-    return frozenset(range(math.prod(len(p.domain) ** h for p in sig.ports)))
+def oracle_universe(sig: Signature, h: int) -> int:
+    return (1 << math.prod(len(p.domain) ** h for p in sig.ports)) - 1
 
 
-def oracle_denote(e: speclang.Expr, sig: Signature, h: int, defs: dict = None) -> frozenset:
+def oracle_denote(e: speclang.Expr, sig: Signature, h: int, defs: dict = None) -> int:
     """The runs over ``sig`` at horizon ``h`` on which the expression ``e``
     holds, by the "Meaning" paragraph of docs/grammar.ebnf: an expression
     holds on a run when it holds at every step.
@@ -214,10 +243,10 @@ def oracle_denote(e: speclang.Expr, sig: Signature, h: int, defs: dict = None) -
     runs = _universe(read.ports, h)
     tables = [(p.name, runs.numbers[p.name].tolist(), _histories(p.domain, h))
               for p in read.ports]
-    holds = [i for i in range(runs.size)
-             if all(_holds_at(e, {n: hists[numbers[i]] for n, numbers, hists in tables},
-                              t, h, ports, defs) for t in range(h))]
-    return oracle_lift(holds, read, sig, h)
+    holds = np.array([all(_holds_at(e, {n: hists[numbers[i]] for n, numbers, hists in tables},
+                                    t, h, ports, defs) for t in range(h))
+                      for i in range(runs.size)], dtype=bool)
+    return oracle_lift(_bits(holds), read, sig, h)
 
 
 def _holds_at(e: speclang.Expr, run: dict, t: int, h: int, ports: frozenset, defs: dict) -> bool:
@@ -263,7 +292,7 @@ def _holds_at(e: speclang.Expr, run: dict, t: int, h: int, ports: frozenset, def
 def oracle_included(e1: Assertion, e2: Assertion, sig: Signature) -> bool:
     s1 = oracle_lift(materialize(e1), e1.signature, sig, e1.horizon)
     s2 = oracle_lift(materialize(e2), e2.signature, sig, e2.horizon)
-    return s1 <= s2
+    return not s1 & ~s2
 
 
 def oracle_satisfies(m: Assertion, c: Contract) -> bool:
@@ -271,18 +300,18 @@ def oracle_satisfies(m: Assertion, c: Contract) -> bool:
     mm = oracle_lift(materialize(m), m.signature, sig, m.horizon)
     aa = oracle_lift(materialize(c.assumption), c.signature, sig, c.horizon)
     gg = oracle_lift(materialize(c.guarantee), c.signature, sig, c.horizon)
-    return (mm & aa) <= gg
+    return not mm & aa & ~gg
 
 
 def oracle_satisfaction_formulas(m: Assertion, c: Contract) -> tuple:
-    """The three equivalent satisfaction readings, on explicit sets."""
+    """The three equivalent satisfaction readings, on explicit sets:
+    M∩A ⊆ G, M ⊆ G ∪ ¬A, and M ∩ (A∖G) empty."""
     sig = traces.union_signature(m.signature, c.signature)
     mm = oracle_lift(materialize(m), m.signature, sig, m.horizon)
     aa = oracle_lift(materialize(c.assumption), c.signature, sig, c.horizon)
     gg = oracle_lift(materialize(c.guarantee), c.signature, sig, c.horizon)
-    universe = oracle_universe(sig, m.horizon)
-    not_a = universe - aa
-    return (mm & aa) <= gg, mm <= (gg | not_a), not (mm & (aa - gg))
+    not_a = oracle_universe(sig, m.horizon) & ~aa
+    return not (mm & aa) & ~gg, not mm & ~(gg | not_a), not mm & (aa & ~gg)
 
 
 def oracle_compose_sets(c1: Contract, c2: Contract):
@@ -298,8 +327,8 @@ def oracle_compose_sets(c1: Contract, c2: Contract):
     g1 = oracle_lift(materialize(c1.guarantee), c1.signature, sig, h)
     g2 = oracle_lift(materialize(c2.guarantee), c2.signature, sig, h)
     universe = oracle_universe(sig, h)
-    g = (g1 | (universe - a1)) & (g2 | (universe - a2))
-    a = (a1 & a2) | (universe - g)
+    g = (g1 | (universe & ~a1)) & (g2 | (universe & ~a2))
+    a = (a1 & a2) | (universe & ~g)
     return a, g, sig
 
 
@@ -316,43 +345,44 @@ def _weighted_histories(d: Distribution) -> list:
     return [(omega, Fraction(num, den)) for omega, num in enumerate(nums)]
 
 
-def _fibers(runs: Collection[int], ports, omega, h: int) -> dict:
-    """The runs over ``ports`` grouped by their index over the ports ``omega``."""
-    restrict = _reindex(ports, omega, h).tolist()
-    out = {}
-    for r in runs:
-        out.setdefault(restrict[r], []).append(r)
-    return out
+def _restricted(rs: int, table: np.ndarray) -> set:
+    """The entries of an index table at the runs of ``rs``: with a table
+    onto Ω, the histories to which some run of ``rs`` restricts."""
+    return set(table[_members(rs, table.size)].tolist())
 
 
 def oracle_sat_level(m: Assertion, pc: ProbContract) -> Fraction:
-    """Measure of histories whose induced implementation runs are guaranteed."""
+    """Measure of histories whose induced implementation runs are guaranteed:
+    those to which no run of M outside G restricts."""
     sig = pc.base.signature
     h = pc.horizon
     mm = oracle_lift(materialize(m), m.signature, sig, h)
     gg = materialize(pc.base.guarantee)
-    fibers = _fibers(mm, sig.ports, pc.dist.ports, h)
+    bad = _restricted(mm & ~gg, _reindex(sig.ports, pc.dist.ports, h))
     level = ZERO
     for omega, w in _weighted_histories(pc.dist):
-        if gg.issuperset(fibers.get(omega, ())):
+        if omega not in bad:
             level += w
     return level
 
 
 def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
-    """Returns (level, p_g1, degenerate) by whole-fiber enumeration."""
+    """Returns (level, p_g1, degenerate) by whole-fiber enumeration: a
+    history's fiber lies in G when no run outside G restricts to it."""
     sig2 = pc2.base.signature
     h = pc2.horizon
     g1 = oracle_lift(materialize(pc1.base.guarantee), pc1.base.signature, sig2, h)
     g2 = materialize(pc2.base.guarantee)
-    fibers = _fibers(range(_universe(sig2.ports, h).size), sig2.ports, pc2.dist.ports, h)
+    restrict = _reindex(sig2.ports, pc2.dist.ports, h)
+    universe = oracle_universe(sig2, h)
+    out1 = _restricted(universe & ~g1, restrict)
+    out2 = _restricted(universe & ~g2, restrict)
     p_g1 = ZERO
     p_both = ZERO
     for omega, w in _weighted_histories(pc2.dist):
-        fiber = fibers[omega]
-        if g1.issuperset(fiber):
+        if omega not in out1:
             p_g1 += w
-            if g2.issuperset(fiber):
+            if omega not in out2:
                 p_both += w
     if p_g1 == 0:
         return ZERO, ZERO, True

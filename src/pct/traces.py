@@ -245,7 +245,10 @@ def _check_shared_roles(s1: Signature, s2: Signature) -> None:
 
 
 def union_signature(s1: Signature, s2: Signature) -> Signature:
-    """Union requiring shared ports to agree on domain and role."""
+    """Union requiring shared ports to agree on domain and role; ``s1``
+    itself when the two are equal."""
+    if s1 == s2:
+        return s1
     _check_shared_roles(s1, s2)
     return merge_signature_controlled(s1, s2)
 
@@ -254,8 +257,10 @@ def merge_signature_controlled(s1: Signature, s2: Signature) -> Signature:
     """Union where control wins: a port controlled on either side is controlled.
 
     This is the contract-level resolution; plain assertion products refuse
-    role conflicts instead.
+    role conflicts instead.  Equal signatures give ``s1`` itself.
     """
+    if s1 == s2:
+        return s1
     _check_shared_domains(s1, s2)
     ports = {p.name: p for p in s1.ports}
     ports.update({p.name: p for p in s2.ports})

@@ -33,6 +33,13 @@ def run_of(histories: dict) -> tuple:
     return tuple(sorted((name, tuple(vals)) for name, vals in histories.items()))
 
 
+def bit_members(bits: int, size: int) -> frozenset:
+    """The run indices of an oracle run set over ``size`` runs, bit by bit
+    in pure Python; the set must hold no bit outside its runs."""
+    assert 0 <= bits < 1 << size, f"bits outside {size} runs: {bits:#x}"
+    return frozenset(i for i in range(size) if bits >> i & 1)
+
+
 def weights(d) -> list:
     """The weight of every joint history of the distribution ``d``, in
     run-index order: its numerators over its denominator."""

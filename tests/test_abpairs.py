@@ -41,7 +41,25 @@ def test_summary_of_a_lower_is_better_metric():
     assert row["parent_iqr_frac"] == pytest.approx(2 / 12)
     assert row["wins"] == 4                     # pair 2: 12.5 against 11
     assert row["separated"] is False            # 12.5 is above the parent's 10
+    # pair ratios 0.6, 7/12, 12.5/11, 5/13, 8/14, sorted
+    ratios = sorted([6 / 10, 7 / 12, 12.5 / 11, 5 / 13, 8 / 14])
+    assert row["pair_ratio"] == pytest.approx((ratios[1], ratios[2], ratios[3]))
     assert "wins 4/5" in abpairs.format_row(row)
+    assert f"pair ratio {ratios[2]:.3f} [{ratios[1]:.3f}, {ratios[3]:.3f}]" in \
+        abpairs.format_row(row)
+
+
+def test_the_pair_ratio_is_not_the_ratio_of_the_medians():
+    # each pair slows by its own factor; the medians of the sides hide it
+    [row] = abpairs.summarize(runs("w", [1, 10, 100], [2, 5, 200], "sat_s"), {"sat_s": "lower"})
+    assert row["ratio"] == 0.5
+    assert row["pair_ratio"] == (1.25, 2.0, 2.0)
+    # a pair whose parent reads 0 has no ratio
+    [row] = abpairs.summarize(runs("w", [0, 2], [1, 3], "sat_s"), {"sat_s": "lower"})
+    assert row["pair_ratio"] == (1.5, 1.5, 1.5)
+    [row] = abpairs.summarize(runs("w", [0], [1], "sat_s"), {"sat_s": "lower"})
+    assert row["pair_ratio"] is None and row["ratio"] is None
+    assert "pair ratio n/a" in abpairs.format_row(row)
 
 
 def test_summary_of_a_higher_is_better_metric():

@@ -1,5 +1,6 @@
 """The oracle: its run decoder and encoder against a reference enumeration
-and the engine's ``run_at``, its independence from the engine's mask code,
+and the engine's ``run_at``, its bitset conversions against a pure-Python
+reading of the bits, its independence from the engine's mask code,
 decoding once per suite case and keeping nothing past it, agreement with
 the engine at a larger budget, its evaluator of `.pct` expressions against
 ``denote``, and the budgets that bound the generated instances."""
@@ -16,7 +17,7 @@ import pytest
 from pct import (BOOL, Assertion, PctError, Port, Signature, contracts, oracle, probabilistic,
                  speclang, traces)
 from pct.errors import SpecLangError
-from conftest import weights
+from conftest import bit_members, weights
 
 TRI = (0, 1, 2)
 ONE = ("only",)
@@ -85,7 +86,7 @@ def test_decoder_gives_the_runs_in_index_order(sig, h):
     assert decoder.size == len(ref)
     assert {name: numbers.tolist() for name, numbers in decoder.numbers.items()} == \
         {p.name: [history_number(p, ref[i][p.name]) for i in range(len(ref))] for p in sig.ports}
-    assert oracle.oracle_universe(sig, h) == frozenset(ref)
+    assert bit_members(oracle.oracle_universe(sig, h), len(ref)) == frozenset(ref)
 
 
 @pytest.mark.parametrize("sig,h", DECODER_CASES)
@@ -93,7 +94,7 @@ def test_materialize_matches_the_reference(sig, h):
     ref = reference_values(sig.ports, h)
     for mask in masks(sig, h):
         want = frozenset(i for i in range(len(ref)) if mask[i])
-        assert oracle.materialize(Assertion(sig, h, mask)) == want
+        assert bit_members(oracle.materialize(Assertion(sig, h, mask)), len(ref)) == want
 
 
 def super_signatures(sig, h):
@@ -109,13 +110,15 @@ def super_signatures(sig, h):
 
 @pytest.mark.parametrize("sig,h", DECODER_CASES)
 def test_lift_extends_every_run_by_every_history(sig, h):
+    size = traces.universe_size(sig, h)
     for _, big in super_signatures(sig, h):
         universe = reference_values(big.ports, h)
         for mask in masks(sig, h):
             base = oracle.materialize(Assertion(sig, h, mask))
+            runs = bit_members(base, size)
             want = frozenset(i for i, values in universe.items()
-                             if reference_index(sig.ports, h, values) in base)
-            assert oracle.oracle_lift(base, sig, big, h) == want
+                             if reference_index(sig.ports, h, values) in runs)
+            assert bit_members(oracle.oracle_lift(base, sig, big, h), len(universe)) == want
 
 
 @pytest.mark.parametrize("sig,h", DECODER_CASES)
@@ -148,6 +151,53 @@ def test_the_histories_of_a_run_are_the_engines_run_at_its_index(sig, h):
                      for p, table in zip(sig.ports, tables)) == want
 
 
+# (signature, horizon) with 1, 3, 9, 27, 243 and 4096 runs: sizes that are and
+# are not multiples of 8, from one run to the default budget's space
+CONVERSION_CASES = [(Signature.of(uncontrolled=(Port("u", ONE),)), 1)] + \
+    [(Signature.of(uncontrolled=(Port("x", TRI),)), h) for h in (1, 2, 3, 5)] + \
+    [(Signature.of(uncontrolled=(Port("b"),)), 12)]
+
+
+@pytest.mark.parametrize("sig,h", CONVERSION_CASES)
+def test_the_members_of_a_materialized_mask_are_its_true_indices(sig, h):
+    size = traces.universe_size(sig, h)
+    first_and_last = np.zeros(size, dtype=bool)
+    first_and_last[[0, -1]] = True
+    for mask in (*masks(sig, h), first_and_last):
+        bits = oracle.materialize(Assertion(sig, h, mask))
+        want = np.flatnonzero(mask).tolist()
+        assert oracle._members(bits, size).tolist() == want
+        assert bit_members(bits, size) == frozenset(want)
+    assert oracle.materialize(Assertion(sig, h, np.zeros(size, dtype=bool))) == 0
+    assert oracle.materialize(Assertion(sig, h, np.ones(size, dtype=bool))) == \
+        oracle.oracle_universe(sig, h)
+
+
+@pytest.mark.parametrize("sig,h", CONVERSION_CASES + DECODER_CASES)
+def test_the_universe_holds_one_bit_per_run(sig, h):
+    universe = oracle.oracle_universe(sig, h)
+    assert universe.bit_count() == universe.bit_length() == traces.universe_size(sig, h)
+
+
+def test_members_reads_no_bit_past_the_last_run():
+    """The bits of the last byte past the last run are not runs, whatever
+    they hold."""
+    for size in (1, 3, 9, 27, 243):
+        pad = (1 << (size + 7) // 8 * 8) - (1 << size)
+        assert oracle._members(pad | 1, size).tolist() == [0]
+
+
+def test_composed_run_sets_stay_inside_their_runs():
+    """The composed sets take complements: none is negative or holds a bit
+    at or above the size of the composed signature's runs."""
+    for seed in range(20):
+        inst = oracle.gen_compose_instance(seed)
+        a, g, sig = oracle.oracle_compose_sets(inst.pc1.base, inst.pc2.base)
+        size = traces.universe_size(sig, inst.pc1.horizon)
+        for rs in (a, g):
+            bit_members(rs, size)     # asserts 0 <= rs < 1 << size
+
+
 def test_decoder_cases_cover_the_shapes_that_matter():
     assert {h for _, h in DECODER_CASES} == {1, 2, 3}
     assert any(not sig.ports for sig, _ in DECODER_CASES)
@@ -159,8 +209,9 @@ def test_decoder_cases_cover_the_shapes_that_matter():
 
 INDEPENDENT = [oracle.materialize, oracle.oracle_lift, oracle.oracle_universe,
                oracle._Decoder, oracle._histories, oracle._Case, oracle._one_case,
-               oracle._universe, oracle._reindex, oracle._fibers, oracle._weighted_histories,
-               oracle.oracle_denote, oracle._holds_at]
+               oracle._universe, oracle._reindex, oracle._bits, oracle._members,
+               oracle._restricted, oracle._weighted_histories, oracle.oracle_denote,
+               oracle._holds_at]
 
 
 @pytest.mark.parametrize("obj", INDEPENDENT, ids=lambda o: o.__name__)
@@ -200,8 +251,9 @@ RUN_SETS = INDEPENDENT + [oracle.oracle_included, oracle.oracle_satisfies,
 
 @pytest.mark.parametrize("obj", RUN_SETS, ids=lambda o: o.__name__)
 def test_the_run_sets_hold_entry_tuples_not_runs(obj):
-    """A run is its run index here, not the engine's entry tuple: no name
-    ``Run`` and no ``.entries`` read appears, not even in an annotation."""
+    """A run is its run index here, not the engine's entry tuple, and a run
+    set an int whose bit i marks run index i: no name ``Run`` and no
+    ``.entries`` read appears, not even in an annotation."""
     assert not hasattr(oracle, "Run")
     for node in ast.walk(ast.parse(inspect.getsource(obj))):
         if isinstance(node, ast.Name):
@@ -425,14 +477,14 @@ def test_oracle_denote_follows_the_meaning_paragraph(text, want):
     sig = Signature.of(uncontrolled=(a, m))
     got = oracle.oracle_denote(speclang.parse_expr(text), sig, 2)
     values = reference_values(sig.ports, 2)
-    runs = [values[r] for r in got]
+    runs = [values[r] for r in bit_members(got, len(values))]
     if want is not None:
         assert {r["a"] for r in runs} == want
         assert all(len({r["m"] for r in runs if r["a"] == hist}) == 4 for hist in want)
     else:
         # where m is run at a step, a holds at that step
         assert all(r["a"][t] for r in runs for t in range(2) if r["m"][t] == "run")
-        assert len(got) == 9
+        assert len(runs) == 9
 
 
 @pytest.mark.parametrize("text,want", [
@@ -453,6 +505,7 @@ def test_oracle_denote_reads_the_values_of_non_boolean_ports(text, want):
     e = speclang.parse_expr(text)
     got = oracle.oracle_denote(e, sig, 2)
     values = reference_values(sig.ports, 2)
-    assert {values[r]["x"] for r in got} == want
-    assert all(values[r]["u"] == ("only", "only") for r in got)
+    runs = bit_members(got, len(values))
+    assert {values[r]["x"] for r in runs} == want
+    assert all(values[r]["u"] == ("only", "only") for r in runs)
     assert got == oracle.materialize(speclang.denote(e, sig, 2, {}))

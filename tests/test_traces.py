@@ -173,6 +173,35 @@ def test_signature_partition():
         Signature.of(controlled=(A,), uncontrolled=(A,))
 
 
+@pytest.mark.parametrize("union", [traces.union_signature, traces.merge_signature_controlled])
+def test_the_union_of_a_signature_with_itself_is_that_signature(union):
+    sig = Signature.of(controlled=(A,), uncontrolled=(B, X3))
+    copy = Signature.of(controlled=(Port("a"),), uncontrolled=(Port("x", (0, 1, 2)), Port("b")))
+    assert copy == sig and copy is not sig
+    assert union(sig, sig) is sig
+    assert union(sig, copy) is sig and union(copy, sig) is copy
+    # with a smaller signature, the union is the larger one either way round
+    small = Signature.of(uncontrolled=(B,))
+    assert union(small, sig) == sig and union(sig, small) == sig
+
+
+def test_the_union_of_signatures_still_refuses_conflicts():
+    with pytest.raises(RoleConflictError):
+        traces.union_signature(Signature.of(controlled=(A,)), Signature.of(uncontrolled=(A, B)))
+    other = Signature.of(uncontrolled=(Port("a", (0, 1)),))
+    for union in (traces.union_signature, traces.merge_signature_controlled):
+        with pytest.raises(DomainMismatchError):
+            union(SIG_A, other)
+
+
+def test_control_wins_when_the_roles_differ():
+    ctrl, unctrl = Signature.of(controlled=(A,)), Signature.of(uncontrolled=(A,))
+    assert ctrl != unctrl
+    for s1, s2 in ((ctrl, unctrl), (unctrl, ctrl)):
+        merged = traces.merge_signature_controlled(s1, s2)
+        assert merged == ctrl and merged.controlled == {"a"} and not merged.uncontrolled
+
+
 def test_lift_free_extension():
     e = pct.from_runs(SIG_A, 1, [run_of({"a": (True,)})])
     lifted = pct.lift(e, SIG_AB)

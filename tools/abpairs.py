@@ -10,8 +10,10 @@ first on even pairs and the change first on odd ones, so that a slow spell
 of the machine does not always fall on one side.  Every run is written to
 the ``--out`` JSON file as soon as it ends.  Per workload and end-to-end
 metric the summary gives the median and quartiles of each side, the ratio
-of the medians (change / parent), in how many pairs the change was better,
-and whether every change run beat every parent run.  Per workload and side
+of the medians (change / parent), the median and quartiles of the
+change / parent ratios of the pairs (pairs whose parent reads 0 left
+out), in how many pairs the change was better, and whether every change
+run beat every parent run.  Per workload and side
 it also counts the runs whose results were incorrect and the operations
 that failed; the script exits 1 when any run was incorrect, in both modes.
 The run length ``S`` (``run_seconds``) and which direction of each metric
@@ -77,9 +79,11 @@ def summarize(runs: list, better: dict) -> list:
             wins = sum(1 for a, b in both if (b < a if lower else b > a))
             separated = max(change) < min(parent) if lower else min(change) > max(parent)
             pq, cq = quartiles(parent), quartiles(change)
+            ratios = [b / a for a, b in both if a]
             rows.append({"workload": w, "metric": metric, "better": better[metric],
                          "pairs": len(both), "parent": pq, "change": cq,
                          "ratio": cq[1] / pq[1] if pq[1] else None,
+                         "pair_ratio": quartiles(ratios) if ratios else None,
                          "parent_iqr_frac": (pq[2] - pq[0]) / pq[1] if pq[1] else None,
                          "wins": wins, "separated": separated})
     return rows
@@ -114,8 +118,11 @@ def format_row(row: dict) -> str:
     def q(t):
         return f"{t[1]:.4g} [{t[0]:.4g}, {t[2]:.4g}]"
     ratio = "n/a" if row["ratio"] is None else f"{row['ratio']:.3f}"
+    pair = row["pair_ratio"]
+    pair = "n/a" if pair is None else f"{pair[1]:.3f} [{pair[0]:.3f}, {pair[2]:.3f}]"
     return (f"{row['workload']:<17} {row['metric']:<19} {q(row['parent'])} -> "
-            f"{q(row['change'])}  ratio {ratio}  wins {row['wins']}/{row['pairs']}"
+            f"{q(row['change'])}  ratio {ratio}  pair ratio {pair}"
+            f"  wins {row['wins']}/{row['pairs']}"
             f"  all-beat {'yes' if row['separated'] else 'no'}")
 
 
