@@ -2,12 +2,12 @@
 
 Everything here recomputes satisfaction, composition and the probability
 measures by direct definition chasing over explicitly enumerated run
-sets: inverse projections are computed by enumerating extensions,
-inclusions are plain set inclusions, and probabilities are summed per
-history.  None of the engine's mask algebra is reused, so an engine bug
-and an oracle bug would have to coincide to go unnoticed.  The suites
-evaluate every quantity with both implementations and record any
-disagreement.
+sets: an inverse projection is the preimage of a set under the
+restriction of runs, inclusions are plain set inclusions, and
+probabilities are summed per history.  None of the engine's mask algebra
+is reused, so an engine bug and an oracle bug would have to coincide to
+go unnoticed.  The suites evaluate every quantity with both
+implementations and record any disagreement.
 
 A run is its run index over its own signature, in the documented
 little-endian mixed radix of docs/format.md: ports in name order, each
@@ -23,45 +23,46 @@ is negative or holds a bit at or above ``size``.
 Two conversions, both by NumPy's bit packing and not by the engine's
 mask code, connect the ints to arrays.  ``_bits`` packs a bool array
 over the run indices, little-endian, into the int; ``materialize`` is
-``_bits`` of an assertion's mask.  ``_members`` unpacks an int into the
-indices of its runs, in increasing order, reading only its ``size``
-bits.  Indices are unpacked only where runs move: to lift a set or to
-restrict the runs outside a guarantee to Ω, the histories of the
-probabilistic ports.
+``_bits`` of an assertion's mask.  ``_members`` is the one way back: a
+bool array over the ``size`` run indices, read from no bit past them.
 
-Runs move between signatures by index tables.  ``_Decoder`` splits every
-index of a port list into its ports' history numbers, one array per port,
-by ``np.divmod`` with each port's block; ``_reindex`` encodes them over
-another port list with that list's strides, so it gives, for every index
-over ``ports``, the index over ``onto`` of the run that agrees with it on
-their common ports and has digit 0 elsewhere.  The same table lifts
-(``oracle_lift`` adds each run's table entry to every entry of the extra
-ports' table and packs the sums), restricts runs to Ω (``_restricted``
-reads the table at a set's runs; a history's fiber lies in a set when no
-run outside the set restricts to it), and restricts a history to a
-factor's ports
-(``_weighted_histories``).  Values are read only where an expression is
-evaluated: ``oracle_denote`` turns each number into its history through
-the table of ``_histories``.
+Runs move between signatures by one kind of index table:
+``_reindex(ports, onto, h)`` gives, for every index over ``ports``, the
+index over ``onto`` of the run that agrees with it on their common ports
+and has digit 0 elsewhere.  It is an outer sum, port by port, of each
+port's history numbers times its stride over ``onto`` (0 for a port that
+``onto`` lacks).  Onto a sub-list of ``ports``, the table restricts
+runs.  ``oracle_lift`` is the preimage under it: one gather of the
+set's ``_members`` through the table onto the smaller signature.
+``_restricted`` reads the table onto Ω, the histories of the
+probabilistic ports, at a set's runs (a history's fiber lies in a set
+when no run outside the set restricts to it); ``_weighted_histories``
+reads each factor's numerators through the table onto its ports; and
+``oracle_denote`` reads a port's history numbers as the table onto that
+port alone.
 
-Decoding is scoped to one suite case.  Each ``check_*`` function opens
-the scope itself (``_one_case``), because callers such as the benchmark
-call ``SUITES[name](seed)`` directly.  Inside it, the history numbers of
-each ``(ports, h)`` are decoded once and each assertion's mask is packed
-once, memoized by identity with the assertion kept alongside, so that
-its ``id`` cannot be reused.  The scope is dropped when the case
+Weights are integers.  ``_weighted_histories`` gives every history's
+numerator, the product of the factors' numerators at its restrictions,
+and their common denominator, the product of the factors' denominators,
+computed here and not by ``probabilistic``.  A level sums numerators and
+makes one ``Fraction`` at the end.
+
+Tables and run sets are scoped to one suite case.  Each ``check_*``
+function opens the scope itself (``_one_case``), because callers such as
+the benchmark call ``SUITES[name](seed)`` directly.  Inside it, the table
+of each ``(ports, onto, h)`` is made once and each assertion's mask is
+packed once, memoized by identity with the assertion kept alongside, so
+that its ``id`` cannot be reused.  The scope is dropped when the case
 returns or raises: nothing of the oracle outlives its case, so memory
 stays bounded by one case and a second pass over the same seeds does the
 same work as the first.  Outside a case, as in the tests or a direct
-``oracle_sat_level`` call, every call decodes afresh.
+``oracle_sat_level`` call, every call makes its table afresh.
 
-The weight of a history is a product of the distribution's factors
-(``_weighted_histories``), computed here and not by ``probabilistic``.
 ``oracle_denote`` evaluates a `.pct` expression one run and one step at
 a time, from the "Meaning" paragraph of docs/grammar.ebnf, and reads
 only the expression node classes of ``speclang``, not its compiler.
-The decoder, the encoder, the two conversions and the run-set functions
-use nothing of ``traces`` but its types and read no ``.entries``
+The tables, the two conversions and the run-set functions use nothing
+of ``traces`` but its types and read no ``.entries``
 (``tests/test_oracle.py`` checks all three); only the instance
 generators use its layout helpers.
 """
@@ -96,35 +97,21 @@ def _histories(domain: tuple, h: int) -> list:
     return [tuple(domain[n // d ** t % d] for t in range(h)) for n in range(d ** h)]
 
 
-class _Decoder:
-    """Run indices of one port list and horizon, decoded to history numbers.
-
-    The index is the documented little-endian mixed radix: ports in name
-    order, each taking a block of |D|^h values, so ``np.divmod`` by that
-    block peels one port's history number off the low end.  ``numbers``
-    maps each port's name to its history number at every index.
-    """
-
-    __slots__ = ("size", "numbers")
-
-    def __init__(self, ports, h: int):
-        blocks = [(p.name, len(p.domain) ** h) for p in sorted(ports, key=lambda p: p.name)]
-        self.size = math.prod(block for _, block in blocks)
-        self.numbers = {}
-        indices = np.arange(self.size)
-        for name, block in blocks:
-            indices, self.numbers[name] = np.divmod(indices, block)
+def _count(ports, h: int) -> int:
+    """The number of runs over ``ports`` at horizon ``h``."""
+    return math.prod(len(p.domain) ** h for p in ports)
 
 
 class _Case:
-    """What one suite case has decoded: the ``_Decoder`` of each
-    ``(ports, h)`` and the run set of each assertion, the assertion kept
-    beside it so that its ``id`` cannot be reused while the entry lives."""
+    """What one suite case has made: the ``_reindex`` table of each
+    ``(ports, onto, h)`` and the run set of each assertion, the assertion
+    kept beside it so that its ``id`` cannot be reused while the entry
+    lives."""
 
-    __slots__ = ("universes", "decoded")
+    __slots__ = ("tables", "decoded")
 
     def __init__(self):
-        self.universes = {}
+        self.tables = {}
         self.decoded = {}
 
 
@@ -133,7 +120,7 @@ _case = None      # the _Case of the suite case being checked, if any
 
 @contextlib.contextmanager
 def _one_case():
-    """Keep decoded history numbers and run sets for the duration of one case."""
+    """Keep index tables and run sets for the duration of one case."""
     global _case
     outer = _case
     _case = _Case()
@@ -143,32 +130,28 @@ def _one_case():
         _case = outer
 
 
-def _universe(ports, h: int) -> _Decoder:
-    """The decoded runs over ``ports``; decoded once per case and afresh on
-    every call outside one.  Callers must not change its arrays."""
-    case = _case
-    if case is None:
-        return _Decoder(ports, h)
-    key = (tuple(ports), h)
-    runs = case.universes.get(key)
-    if runs is None:
-        runs = case.universes[key] = _Decoder(ports, h)
-    return runs
-
-
 def _reindex(ports, onto, h: int) -> np.ndarray:
     """For every index over ``ports``, the index over ``onto`` of the run
     that agrees with it on their common ports and has digit 0 elsewhere:
     the sum of the common ports' history numbers times their strides over
-    ``onto``, which take the ports in name order, |D|^h apart."""
-    runs = _universe(ports, h)
-    out = np.zeros(runs.size, dtype=np.int64)
-    stride = 1
+    ``onto``, which take the ports in name order, |D|^h apart.
+
+    Made once per case and afresh on every call outside one; callers must
+    not change it."""
+    case = _case
+    key = (tuple(ports), tuple(onto), h)
+    if case is not None and key in case.tables:
+        return case.tables[key]
+    strides, stride = {}, 1
     for p in sorted(onto, key=lambda p: p.name):
-        numbers = runs.numbers.get(p.name)
-        if numbers is not None:
-            out += numbers * stride
+        strides[p.name] = stride
         stride *= len(p.domain) ** h
+    # the first port in name order is the lowest digit, so it goes in last
+    out = np.zeros(1, dtype=np.int64)
+    for p in sorted(ports, key=lambda p: p.name, reverse=True):
+        out = np.add.outer(out, np.arange(len(p.domain) ** h) * strides.get(p.name, 0)).ravel()
+    if case is not None:
+        case.tables[key] = out
     return out
 
 
@@ -178,9 +161,10 @@ def _bits(mask: np.ndarray) -> int:
 
 
 def _members(rs: int, size: int) -> np.ndarray:
-    """The run indices of a run set over ``size`` runs, in increasing order."""
+    """Which of ``size`` runs are members of ``rs``: a bool array whose entry
+    i is bit i."""
     packed = np.frombuffer(rs.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(packed, bitorder="little")[:size])
+    return np.unpackbits(packed, bitorder="little")[:size].view(bool)
 
 
 def materialize(e: Assertion) -> int:
@@ -195,23 +179,17 @@ def materialize(e: Assertion) -> int:
 
 
 def oracle_lift(rs: int, sig_from: Signature, sig_to: Signature, h: int) -> int:
-    """Inverse projection by explicit extension enumeration: every run of
-    ``rs``, moved onto ``sig_to``, joined with every history of the extra
-    ports, moved onto ``sig_to``; the two indices share no nonzero digit,
-    so the joined run's index is their sum."""
-    have = set(sig_from.names)
-    extra = [p for p in sig_to.ports if p.name not in have]
-    if not extra:
+    """Inverse projection as a preimage: the runs over ``sig_to`` whose
+    restriction to ``sig_from`` is in ``rs``, each run's bit gathered from
+    ``rs`` at its restriction's index."""
+    if sig_from.ports == sig_to.ports:
         return rs
-    table = _reindex(sig_from.ports, sig_to.ports, h)
-    extension = _reindex(extra, sig_to.ports, h)
-    lifted = np.zeros(table.size * extension.size, dtype=bool)
-    lifted[np.add.outer(table[_members(rs, table.size)], extension).ravel()] = True
-    return _bits(lifted)
+    table = _reindex(sig_to.ports, sig_from.ports, h)
+    return _bits(_members(rs, _count(sig_from.ports, h))[table])
 
 
 def oracle_universe(sig: Signature, h: int) -> int:
-    return (1 << math.prod(len(p.domain) ** h for p in sig.ports)) - 1
+    return (1 << _count(sig.ports, h)) - 1
 
 
 def oracle_denote(e: speclang.Expr, sig: Signature, h: int, defs: dict = None) -> int:
@@ -240,12 +218,11 @@ def oracle_denote(e: speclang.Expr, sig: Signature, h: int, defs: dict = None) -
                      if isinstance(v, (speclang.Expr, speclang.Operand))]
     read = sig.restricted(names & set(sig.names))
     ports = frozenset(read.names)
-    runs = _universe(read.ports, h)
-    tables = [(p.name, runs.numbers[p.name].tolist(), _histories(p.domain, h))
+    tables = [(p.name, _reindex(read.ports, (p,), h).tolist(), _histories(p.domain, h))
               for p in read.ports]
     holds = np.array([all(_holds_at(e, {n: hists[numbers[i]] for n, numbers, hists in tables},
                                     t, h, ports, defs) for t in range(h))
-                      for i in range(runs.size)], dtype=bool)
+                      for i in range(_count(read.ports, h))], dtype=bool)
     return oracle_lift(_bits(holds), read, sig, h)
 
 
@@ -332,17 +309,17 @@ def oracle_compose_sets(c1: Contract, c2: Contract):
     return a, g, sig
 
 
-def _weighted_histories(d: Distribution) -> list:
-    """Every joint history of ``d`` as ``(its index, its weight)``, in index
-    order, from the documented factor format alone: the product, over the
-    factors, of the factor's numerator at the history's restriction to its
-    ports, over the product of the factors' denominators."""
+def _weighted_histories(d: Distribution) -> tuple:
+    """The weight of every joint history of ``d`` as (the numerators in
+    index order, their common denominator), from the documented factor
+    format alone: a history's numerator is the product, over the factors,
+    of the factor's numerator at the history's restriction to its ports,
+    and the denominator the product of the factors' denominators."""
     h = d.horizon
-    nums = [1] * math.prod(len(p.domain) ** h for p in d.ports)
+    nums = [1] * _count(d.ports, h)
     for f in d.factors:
         nums = list(map(mul, nums, f.num[_reindex(d.ports, f.ports, h)].tolist()))
-    den = math.prod(f.den for f in d.factors)
-    return [(omega, Fraction(num, den)) for omega, num in enumerate(nums)]
+    return nums, math.prod(f.den for f in d.factors)
 
 
 def _restricted(rs: int, table: np.ndarray) -> set:
@@ -359,11 +336,8 @@ def oracle_sat_level(m: Assertion, pc: ProbContract) -> Fraction:
     mm = oracle_lift(materialize(m), m.signature, sig, h)
     gg = materialize(pc.base.guarantee)
     bad = _restricted(mm & ~gg, _reindex(sig.ports, pc.dist.ports, h))
-    level = ZERO
-    for omega, w in _weighted_histories(pc.dist):
-        if omega not in bad:
-            level += w
-    return level
+    nums, den = _weighted_histories(pc.dist)
+    return Fraction(sum(n for omega, n in enumerate(nums) if omega not in bad), den)
 
 
 def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
@@ -377,16 +351,16 @@ def oracle_refine_level(pc1: ProbContract, pc2: ProbContract):
     universe = oracle_universe(sig2, h)
     out1 = _restricted(universe & ~g1, restrict)
     out2 = _restricted(universe & ~g2, restrict)
-    p_g1 = ZERO
-    p_both = ZERO
-    for omega, w in _weighted_histories(pc2.dist):
+    nums, den = _weighted_histories(pc2.dist)
+    n_g1 = n_both = 0
+    for omega, n in enumerate(nums):
         if omega not in out1:
-            p_g1 += w
+            n_g1 += n
             if omega not in out2:
-                p_both += w
-    if p_g1 == 0:
+                n_both += n
+    if n_g1 == 0:
         return ZERO, ZERO, True
-    return p_both / p_g1, p_g1, False
+    return Fraction(n_both, n_g1), Fraction(n_g1, den), False
 
 
 # --- seeded instance generation --------------------------------------------------
@@ -453,7 +427,9 @@ def _pick_domain(rng: random.Random, budget: Budget) -> tuple:
 
 
 def _rand_mask(rng: random.Random, size: int, keep: float) -> np.ndarray:
-    return np.array([rng.random() < keep for _ in range(size)], dtype=bool)
+    """``size`` draws of ``rng.random() < keep``; ``random()`` is below 1, so
+    the iterator never meets its sentinel and draws exactly ``size`` values."""
+    return np.fromiter(iter(rng.random, 2.0), dtype=float, count=size) < keep
 
 
 def _receptive(mask: np.ndarray, sig: Signature, h: int, pports) -> np.ndarray:

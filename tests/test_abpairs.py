@@ -94,11 +94,17 @@ def test_run_length_and_directions_come_from_the_benchmark(tmp_path, monkeypatch
     assert "unrecognized arguments: --seconds 5" in capsys.readouterr().err
 
 
-def test_every_run_reads_bytecode_from_its_own_empty_directory(tmp_path, monkeypatch):
-    # a checkout that holds bytecode, as an earlier run may have left it
-    checkout = tmp_path / "checkout"
+def _bytecode_checkout(tmp_path, name="checkout"):
+    """A checkout whose src holds bytecode, as an earlier run may have left it."""
+    checkout = tmp_path / name
     (checkout / "src" / "pct" / "__pycache__").mkdir(parents=True)
     (checkout / "src" / "pct" / "__pycache__" / "cli.cpython-311.pyc").write_bytes(b"")
+    return checkout
+
+
+def test_every_run_reads_bytecode_from_its_own_empty_directory(tmp_path, monkeypatch):
+    """Where bytecode may be written, each run fills a new prefix directory."""
+    checkout = _bytecode_checkout(tmp_path)
     seen = []
 
     def fake_run(argv, cwd, env, capture_output, text):
@@ -110,7 +116,7 @@ def test_every_run_reads_bytecode_from_its_own_empty_directory(tmp_path, monkeyp
 
     monkeypatch.setattr(abpairs.subprocess, "run", fake_run)
     monkeypatch.setenv("PCT_CHILD_MARK", "kept")
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     for _ in range(2):
         record = abpairs.run_once(checkout, "query_large", 1, 5)
         assert record["metrics"] == {"sat_s": 0.5}
@@ -122,6 +128,60 @@ def test_every_run_reads_bytecode_from_its_own_empty_directory(tmp_path, monkeyp
     assert "PYTHONDONTWRITEBYTECODE" not in env
     # the directories are removed once their run has ended
     assert not first.exists() and not second.exists()
+
+
+@pytest.mark.parametrize("flag", ["1", "x"])
+def test_with_bytecode_off_every_run_compiles_as_the_benchmark_does(tmp_path, monkeypatch, flag):
+    """Where ``PYTHONDONTWRITEBYTECODE`` is set, a run gets this environment
+    as it is, with no prefix, so each of its processes compiles ``pct``."""
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "pct").mkdir(parents=True)
+    seen = []
+
+    def fake_run(argv, cwd, env, capture_output, text):
+        seen.append((cwd, env))
+        result = {"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"sat_s": {"value": 0.5}}}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(abpairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PCT_CHILD_MARK", "kept")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "filled"))
+    assert abpairs.run_once(checkout, "query_large", 1, 5)["metrics"] == {"sat_s": 0.5}
+    [(cwd, env)] = seen
+    assert cwd == checkout and env["PCT_CHILD_MARK"] == "kept"
+    assert env["PYTHONDONTWRITEBYTECODE"] == flag
+    assert "PYTHONPYCACHEPREFIX" not in env
+
+
+@pytest.mark.parametrize("stale", ["parent", "change"])
+def test_with_bytecode_off_a_checkout_holding_bytecode_stops_the_runs(tmp_path, monkeypatch,
+                                                                       capsys, stale):
+    """One side would read bytecode the other compiles: exit 2, nothing run."""
+    sides = {}
+    for side in ("parent", "change"):
+        if side == stale:
+            sides[side] = _bytecode_checkout(tmp_path, side)
+        else:
+            sides[side] = tmp_path / side
+            (sides[side] / "src" / "pct").mkdir(parents=True)
+    (sides["change"] / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "sat_s", "better": "lower"}]}),
+        encoding="utf-8")
+    monkeypatch.setattr(abpairs, "run_once", None)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    argv = ["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+            "--workloads", "w", "--pairs", "1", "--out", str(tmp_path / "o.json")]
+    assert abpairs.main(argv) == 2
+    assert str(sides[stale]) in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+    # without the flag the prefix hides the checkout's bytecode, so the runs go on
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    monkeypatch.setattr(abpairs, "run_once", lambda *args: {
+        "correct": True, "attempted": 1, "failed": 0, "metrics": {"sat_s": 0.5}, "wall_s": 0.0})
+    assert abpairs.main(argv) == 0
+    capsys.readouterr()
 
 
 def _record(workload, pair, side, correct=True, failed=0):

@@ -1,15 +1,16 @@
-"""The oracle: its run decoder and encoder against a reference enumeration
-and the engine's ``run_at``, its bitset conversions against a pure-Python
-reading of the bits, its independence from the engine's mask code,
-decoding once per suite case and keeping nothing past it, agreement with
+"""The oracle: its index tables against a reference enumeration and the
+engine's ``run_at``, its bitset conversions against a pure-Python reading
+of the bits, its integer weights against the distribution, its
+independence from the engine's mask code, making each table once per
+suite case and keeping nothing past it, agreement with
 the engine at a larger budget, its evaluator of `.pct` expressions against
 ``denote``, and the budgets that bound the generated instances."""
 
 import ast
-import collections
 import inspect
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ TRI = (0, 1, 2)
 ONE = ("only",)
 
 
-# --- the decoder ---------------------------------------------------------------------
+# --- the index tables ---------------------------------------------------------------------
 
 def reference_index(ports, h, values):
     """The index over the ports of a run given as port name -> history: the
@@ -81,10 +82,11 @@ def masks(sig, h):
 
 @pytest.mark.parametrize("sig,h", DECODER_CASES)
 def test_decoder_gives_the_runs_in_index_order(sig, h):
+    """The table onto one port gives that port's history number at every
+    index, and the table onto no port has one entry, 0, per run."""
     ref = reference_values(sig.ports, h)
-    decoder = oracle._Decoder(sig.ports, h)
-    assert decoder.size == len(ref)
-    assert {name: numbers.tolist() for name, numbers in decoder.numbers.items()} == \
+    assert oracle._reindex(sig.ports, (), h).tolist() == [0] * len(ref)
+    assert {p.name: oracle._reindex(sig.ports, (p,), h).tolist() for p in sig.ports} == \
         {p.name: [history_number(p, ref[i][p.name]) for i in range(len(ref))] for p in sig.ports}
     assert bit_members(oracle.oracle_universe(sig, h), len(ref)) == frozenset(ref)
 
@@ -140,14 +142,16 @@ def test_reindex_encodes_by_the_documented_formula(sig, h):
 
 @pytest.mark.parametrize("sig,h", DECODER_CASES)
 def test_the_histories_of_a_run_are_the_engines_run_at_its_index(sig, h):
-    """The oracle's numbers, read through its own tables, against the
-    engine's decoder of the same index."""
+    """The oracle's history numbers, each the table onto one port, turned
+    into histories through its own tables, against the engine's decoder of
+    the same index."""
     tables = [oracle._histories(p.domain, h) for p in sig.ports]
-    runs = oracle._universe(sig.ports, h)
-    assert runs.size == traces.universe_size(sig, h)
-    for i in range(runs.size):
+    numbers = {p.name: oracle._reindex(sig.ports, (p,), h) for p in sig.ports}
+    size = oracle._reindex(sig.ports, (), h).size
+    assert size == traces.universe_size(sig, h)
+    for i in range(size):
         want = traces.run_at(sig, h, i)
-        assert tuple((p.name, table[runs.numbers[p.name][i]])
+        assert tuple((p.name, table[numbers[p.name][i]])
                      for p, table in zip(sig.ports, tables)) == want
 
 
@@ -160,13 +164,17 @@ CONVERSION_CASES = [(Signature.of(uncontrolled=(Port("u", ONE),)), 1)] + \
 
 @pytest.mark.parametrize("sig,h", CONVERSION_CASES)
 def test_the_members_of_a_materialized_mask_are_its_true_indices(sig, h):
+    """Unpacking a materialized mask gives the mask back, a bool array of one
+    entry per run, whose true indices are the set's members."""
     size = traces.universe_size(sig, h)
     first_and_last = np.zeros(size, dtype=bool)
     first_and_last[[0, -1]] = True
     for mask in (*masks(sig, h), first_and_last):
         bits = oracle.materialize(Assertion(sig, h, mask))
         want = np.flatnonzero(mask).tolist()
-        assert oracle._members(bits, size).tolist() == want
+        members = oracle._members(bits, size)
+        assert members.dtype == bool and members.tolist() == mask.tolist()
+        assert np.flatnonzero(members).tolist() == want
         assert bit_members(bits, size) == frozenset(want)
     assert oracle.materialize(Assertion(sig, h, np.zeros(size, dtype=bool))) == 0
     assert oracle.materialize(Assertion(sig, h, np.ones(size, dtype=bool))) == \
@@ -181,10 +189,10 @@ def test_the_universe_holds_one_bit_per_run(sig, h):
 
 def test_members_reads_no_bit_past_the_last_run():
     """The bits of the last byte past the last run are not runs, whatever
-    they hold."""
+    they hold: the unpacked array has one entry per run and only run 0 set."""
     for size in (1, 3, 9, 27, 243):
         pad = (1 << (size + 7) // 8 * 8) - (1 << size)
-        assert oracle._members(pad | 1, size).tolist() == [0]
+        assert oracle._members(pad | 1, size).tolist() == [True] + [False] * (size - 1)
 
 
 def test_composed_run_sets_stay_inside_their_runs():
@@ -208,10 +216,9 @@ def test_decoder_cases_cover_the_shapes_that_matter():
 # --- independence from the engine's mask code ----------------------------------------
 
 INDEPENDENT = [oracle.materialize, oracle.oracle_lift, oracle.oracle_universe,
-               oracle._Decoder, oracle._histories, oracle._Case, oracle._one_case,
-               oracle._universe, oracle._reindex, oracle._bits, oracle._members,
-               oracle._restricted, oracle._weighted_histories, oracle.oracle_denote,
-               oracle._holds_at]
+               oracle._histories, oracle._count, oracle._Case, oracle._one_case,
+               oracle._reindex, oracle._bits, oracle._members, oracle._restricted,
+               oracle._weighted_histories, oracle.oracle_denote, oracle._holds_at]
 
 
 @pytest.mark.parametrize("obj", INDEPENDENT, ids=lambda o: o.__name__)
@@ -282,41 +289,51 @@ def test_the_oracle_weighs_histories_with_a_product_of_its_own(obj):
 
 
 def test_weighted_histories_match_the_distribution():
+    """The integer numerators in index order over their denominator are the
+    distribution's weights."""
     for seed in range(40):
         inst = oracle.gen_compose_instance(seed)
         for d in (inst.pc1.dist, inst.pc2.dist,
                   probabilistic.product_dist(inst.pc1.dist, inst.pc2.dist)):
-            want = list(enumerate(weights(d)))
+            want = weights(d)
             assert len(want) == len(reference_values(d.ports, d.horizon))
-            assert oracle._weighted_histories(d) == want
+            nums, den = oracle._weighted_histories(d)
+            assert all(type(n) is int for n in nums) and type(den) is int
+            assert [Fraction(n, den) for n in nums] == want
 
 
-# --- decoding once per case ----------------------------------------------------------
+# --- one table per case ----------------------------------------------------------
 
 @pytest.mark.parametrize("suite", ["theorem1", "lemma1"])
 def test_a_case_decodes_each_universe_and_each_assertion_once(suite, monkeypatch):
-    real_decoder, real_materialize = oracle._Decoder, oracle.materialize
-    built = collections.Counter()
+    """Within a case every table key and every assertion asked for again
+    gets the array or run set made the first time."""
+    real_reindex, real_materialize = oracle._reindex, oracle.materialize
+    built = {}
     decoded = {}
 
-    def counting_decoder(ports, h):
-        built[frozenset(ports), h] += 1
-        return real_decoder(ports, h)
+    def recording_reindex(ports, onto, h):
+        out = real_reindex(ports, onto, h)
+        built.setdefault((tuple(ports), tuple(onto), h), []).append(out)
+        return out
 
     def recording_materialize(e):
         out = real_materialize(e)
         decoded.setdefault(id(e), (e, []))[1].append(out)
         return out
 
-    monkeypatch.setattr(oracle, "_Decoder", counting_decoder)
+    monkeypatch.setattr(oracle, "_reindex", recording_reindex)
     monkeypatch.setattr(oracle, "materialize", recording_materialize)
     for seed in range(6):
         built.clear()
         decoded.clear()
         assert oracle.SUITES[suite](seed).oracle_ok
-        # lemma1 lifts nothing and weighs nothing, so it decodes nothing
-        assert max(built.values(), default=1) == 1, built
+        # lemma1 lifts nothing and weighs nothing, so it makes no table
         assert bool(built) == (suite == "theorem1"), built
+        for outs in built.values():
+            assert all(out is outs[0] for out in outs)
+        # theorem1 lifts both sets of a side onto the composed signature
+        assert any(len(outs) > 1 for outs in built.values()) == (suite == "theorem1")
         # every assertion asked for more than once got the run set made the first time
         assert any(len(outs) > 1 for _, outs in decoded.values())
         for _, outs in decoded.values():
@@ -372,12 +389,31 @@ def test_a_case_that_raises_keeps_nothing(suite, monkeypatch):
 
 
 def test_outside_a_case_every_call_decodes_afresh():
+    """With no case open, each run set and each table is made anew."""
     sig = Signature.of(controlled=(Port("d"),), uncontrolled=(Port("b", TRI),))
     e = Assertion(sig, 2, list(masks(sig, 2))[-1])
     first, second = oracle.materialize(e), oracle.materialize(e)
     assert first == second and first is not second
-    assert oracle._universe(sig.ports, 2) is not oracle._universe(sig.ports, 2)
+    onto = (sig.port("b"),)
+    first, second = oracle._reindex(sig.ports, onto, 2), oracle._reindex(sig.ports, onto, 2)
+    assert first.tolist() == second.tolist() and first is not second
     assert oracle._case is None
+
+
+# --- generated masks ------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_generated_mask_draws_the_stream_of_a_comprehension(seed):
+    """``_rand_mask`` gives the mask of one ``rng.random() < keep`` per run
+    and leaves the generator where that comprehension leaves it."""
+    for size in (1, 7, 64, 513, 4096, 0):
+        keep = random.Random(f"keep:{seed}:{size}").random()
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = oracle._rand_mask(rng, size, keep)
+        want = np.array([ref.random() < keep for _ in range(size)], dtype=bool)
+        assert got.dtype == bool and got.shape == (size,)
+        assert got.tolist() == want.tolist()
+        assert rng.random() == ref.random()
 
 
 # --- agreement at a larger budget -----------------------------------------------------

@@ -20,13 +20,17 @@ The run length ``S`` (``run_seconds``) and which direction of each metric
 is better are read from the change checkout's ``BENCHMARK.json``, so both
 sides run as long as the benchmark itself does.
 
-Every run starts with ``PYTHONPYCACHEPREFIX`` set to a new empty directory,
-so that neither side reads bytecode that an earlier run left in its
-checkout.  Python then reads every module's bytecode from that directory,
-the standard library's and NumPy's too, so the run writes bytecode there
-even where ``PYTHONDONTWRITEBYTECODE`` is set: its first process compiles
-what it imports, and the later ones read it.  Otherwise every process
-would compile NumPy from source.
+Both sides run with the bytecode the benchmark's own runs would see.
+Where ``PYTHONDONTWRITEBYTECODE`` is set in this script's environment, each
+run gets that environment unchanged, with no ``PYTHONPYCACHEPREFIX``: every
+fresh process then compiles ``pct`` from source, as ``pctbench/run.py``'s
+query processes do in such an environment.  The script stops with exit 2
+before any run if either checkout's ``src`` holds a ``__pycache__``,
+because that side would read bytecode the other compiles.  Otherwise every
+run starts with ``PYTHONPYCACHEPREFIX`` set to a new empty directory, so
+that neither side reads bytecode that an earlier run left in its
+checkout: its first process compiles what it imports, and the later ones
+read it.
 
 Standard library only.
 """
@@ -132,12 +136,20 @@ def spec_of(checkout: Path) -> tuple:
     return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
+def writes_no_bytecode() -> bool:
+    """Whether this environment keeps Python from writing bytecode."""
+    return bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     argv = [sys.executable, "pctbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     with tempfile.TemporaryDirectory(prefix="abpairs-pycache-") as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env = dict(os.environ)
+        if writes_no_bytecode():
+            env.pop("PYTHONPYCACHEPREFIX", None)
+        else:
+            env["PYTHONPYCACHEPREFIX"] = cache
         start = time.perf_counter()
         proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
         wall = time.perf_counter() - start
@@ -170,6 +182,14 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
+    if writes_no_bytecode():
+        stale = [str(c) for c in (args.parent, args.change)
+                 if any((c / "src").rglob("__pycache__"))]
+        if stale:
+            print(f"abpairs: bytecode under src in {', '.join(stale)}; with "
+                  "PYTHONDONTWRITEBYTECODE set the other side compiles from source, "
+                  "so remove its __pycache__ directories first", file=sys.stderr)
+            return 2
     seconds, better = spec_of(args.change)
     data = {"command": "pctbench/run.py --trace 0", "seconds": seconds,
             "better": better, "runs": []}
